@@ -40,18 +40,48 @@ class KernelPresentation:
         }
 
 
+def _top_facets(fan: TopologicalFan):
+    return [f for f in fan.complex.facets if len(f) == fan.n]
+
+
+def _require_top_facet(fan: TopologicalFan, facet):
+    key = tuple(sorted(facet))
+    if key not in fan.complex.facets or len(key) != fan.n:
+        raise ValueError(f"{key} is not a top-dimensional facet")
+    return key
+
+
+def chart_table(fan: TopologicalFan, facet):
+    """The matrix D_J·R of the top facet J, cached on the fan.
+
+    Row p pairs the J-chart dual at the p-th vertex of J (sorted) with every
+    ray: ``chart_table(fan, J)[p][k - 1] = pairing(alpha^J_j, beta_k)``.  Its
+    columns at a facet I form the transition I -> J, its columns outside J
+    give the kernel generators over the base J, and its columns at J itself
+    certify the cocycle (see ``check_cocycle``).
+    """
+    key = _require_top_facet(fan, facet)
+    table = fan._chart_tables.get(key)
+    if table is None:
+        betas = [fan.rvec(k) for k in range(1, fan.m + 1)]
+        table = tuple(
+            tuple(pairing(alpha, beta) for beta in betas)
+            for _, alpha in fan.dual_basis(key).items()
+        )
+        fan._chart_tables[key] = table
+    return table
+
+
 def kernel_presentation(fan: TopologicalFan, facet) -> KernelPresentation:
-    base = tuple(sorted(facet))
-    if base not in fan.complex.facets or len(base) != fan.n:
-        raise ValueError(f"{base} is not a top-dimensional facet")
-    duals = fan.dual_basis(base)
+    base = _require_top_facet(fan, facet)
+    table = chart_table(fan, base)
     generators = {}
     for k in range(1, fan.m + 1):
         if k in base:
             continue
         exps = {k: ONE}
-        for i in base:
-            exps[i] = -pairing(duals[i], fan.rvec(k))
+        for i, row in zip(base, table):
+            exps[i] = -row[k - 1]
         generators[k] = exps
     return KernelPresentation(base, generators)
 
@@ -94,31 +124,12 @@ class TransitionMatrix:
 
 
 def transition_matrix(fan: TopologicalFan, source, target) -> TransitionMatrix:
-    src = tuple(sorted(source))
-    tgt = tuple(sorted(target))
-    for f in (src, tgt):
-        if f not in fan.complex.facets or len(f) != fan.n:
-            raise ValueError(f"{f} is not a top-dimensional facet")
-    duals = fan.dual_basis(tgt)
-    entries = {}
-    for j in tgt:
-        for i in src:
-            entries[(j, i)] = pairing(duals[j], fan.rvec(i))
+    """The columns of ``chart_table(fan, target)`` at the source facet."""
+    src = _require_top_facet(fan, source)
+    tgt = _require_top_facet(fan, target)
+    table = chart_table(fan, tgt)
+    entries = {(j, i): row[i - 1] for j, row in zip(tgt, table) for i in src}
     return TransitionMatrix(src, tgt, entries)
-
-
-def _compose(second: TransitionMatrix, first: TransitionMatrix) -> dict:
-    """Matrix product over the ring; models composing the monomial maps."""
-    if second.source != first.target:
-        raise ValueError("matrices do not compose")
-    out = {}
-    for k in second.target:
-        for i in first.source:
-            total = ZERO
-            for j in first.target:
-                total = total + second.entry(k, j) * first.entry(j, i)
-            out[(k, i)] = total
-    return out
 
 
 @dataclass
@@ -136,57 +147,21 @@ class CocycleReport:
 def check_cocycle(fan: TopologicalFan) -> CocycleReport:
     """Composition and inverse identities for all facet pairs and triples.
 
-    The triple loop is cubic in the facet count, so the matrices are unpacked
-    into plain (b, c, v) tuples and multiplied inline.
+    They are certified facet by facet: the transition I -> J is D_J·R_I, with
+    D_J the dual basis of J and R_I the rays of I as columns, so it suffices
+    that D_J·R_J = 1 for every top facet J, i.e. the J-columns of
+    ``chart_table(fan, J)`` form the identity.  Sending each ring entry to
+    its 2x2 block is an injective ring homomorphism M_n(R) -> M_2n(Q), so
+    D_J·R_J = 1 implies R_J·D_J = 1, and then
+    T_{J->K}·T_{I->J} = D_K·R_J·D_J·R_I = D_K·R_I = T_{I->K}; the inverse
+    identity is the case K = I.  A failure names the facet whose dual basis
+    does not invert its rays.
     """
-    facets = [f for f in fan.complex.facets if len(f) == fan.n]
-    n = fan.n
-    mats = {}
-    for src in facets:
-        for tgt in facets:
-            tm = transition_matrix(fan, src, tgt)
-            mats[(src, tgt)] = [
-                [(mu.b, mu.c, mu.v) for i in src for mu in (tm.entry(j, i),)]
-                for j in tgt
-            ]
-
-    def compose(second, first):
-        out = []
-        for row2 in second:
-            row = []
-            for i in range(n):
-                b = c = v = 0
-                for j in range(n):
-                    b2, c2, v2 = row2[j]
-                    b1, c1, v1 = first[j][i]
-                    b += b2 * b1
-                    c += c2 * b1 + v2 * c1
-                    v += v2 * v1
-                row.append((b, c, v))
-            out.append(row)
-        return out
-
-    identity = [[(1, 0, 1) if i == j else (0, 0, 0) for i in range(n)] for j in range(n)]
-
-    def equal(a, b):
-        return all(
-            a[j][i][0] == b[j][i][0] and a[j][i][1] == b[j][i][1] and a[j][i][2] == b[j][i][2]
-            for j in range(n)
-            for i in range(n)
-        )
-
-    for fi in facets:
-        for fj in facets:
-            if not equal(compose(mats[(fj, fi)], mats[(fi, fj)]), identity):
-                return CocycleReport(False, {"kind": "inverse", "pair": [list(fi), list(fj)]})
-    for fi in facets:
-        for fj in facets:
-            for fk in facets:
-                if not equal(compose(mats[(fj, fk)], mats[(fi, fj)]), mats[(fi, fk)]):
-                    return CocycleReport(
-                        False,
-                        {"kind": "triple", "facets": [list(fi), list(fj), list(fk)]},
-                    )
+    for facet in _top_facets(fan):
+        for j, row in zip(facet, chart_table(fan, facet)):
+            if any(row[i - 1] != (ONE if i == j else ZERO) for i in facet):
+                failure = {"kind": "inverse", "pair": [list(facet), list(facet)]}
+                return CocycleReport(False, failure)
     return CocycleReport(True)
 
 
@@ -194,13 +169,14 @@ def check_conjugation_equivariant(fan: TopologicalFan) -> bool:
     """True when every transition exponent commutes with complex conjugation.
 
     Equivalent to every pairing entry having zero c-part; holds in particular
-    whenever the fan is involutive.
+    whenever the fan is involutive.  The transitions into J are the columns of
+    ``chart_table(fan, J)`` at vertices of top facets, so those are scanned.
     """
-    facets = [f for f in fan.complex.facets if len(f) == fan.n]
-    for src in facets:
-        for tgt in facets:
-            mat = transition_matrix(fan, src, tgt)
-            if any(mu.c != 0 for mu in mat.entries.values()):
+    facets = _top_facets(fan)
+    columns = sorted({i - 1 for f in facets for i in f})
+    for facet in facets:
+        for row in chart_table(fan, facet):
+            if any(row[k].c != 0 for k in columns):
                 return False
     return True
 

@@ -60,6 +60,21 @@ def _load_json(path):
         return json.load(fh)
 
 
+def _parse(from_json, data):
+    """Build an object from parsed JSON; a field of the wrong JSON type is a ValueError.
+
+    Such a field surfaces as TypeError or AttributeError inside the loader.
+    """
+    try:
+        return from_json(data)
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed input: {exc}") from exc
+
+
+def _load_fan(path):
+    return _parse(TopologicalFan.from_json, _load_json(path))
+
+
 def _threads():
     # the implementation is sequential, so the cap can only confirm 1
     raw = os.environ.get("TOPFAN_THREADS", "1")
@@ -99,7 +114,7 @@ def _parse_direction(text):
 
 def cmd_validate(args):
     report = _Report("validate", [args.fan], seed=args.seed)
-    fan = TopologicalFan.from_json(_load_json(args.fan))
+    fan = _load_fan(args.fan)
     result = fan.validate(seed=args.seed)
     report.emit(result.to_json())
     return EXIT_OK if result.ok else EXIT_NEGATIVE
@@ -107,7 +122,7 @@ def cmd_validate(args):
 
 def cmd_invariants(args):
     report = _Report("invariants", [args.fan], seed=args.seed)
-    fan = TopologicalFan.from_json(_load_json(args.fan))
+    fan = _load_fan(args.fan)
     validation = fan.validate(seed=args.seed)
     if not validation.ok:
         report.emit({"validation": validation.to_json()})
@@ -131,7 +146,7 @@ def cmd_invariants(args):
 
 def cmd_charts(args):
     report = _Report("charts", [args.fan], seed=args.seed)
-    fan = TopologicalFan.from_json(_load_json(args.fan))
+    fan = _load_fan(args.fan)
     fan.require_valid()
     out = {}
     if args.kernel:
@@ -157,8 +172,8 @@ def cmd_charts(args):
 def cmd_equiv(args):
     report = _Report("equiv", [args.fan_a, args.fan_b], seed=args.seed,
                      deterministic=args.deterministic)
-    fan_a = TopologicalFan.from_json(_load_json(args.fan_a))
-    fan_b = TopologicalFan.from_json(_load_json(args.fan_b))
+    fan_a = _load_fan(args.fan_a)
+    fan_b = _load_fan(args.fan_b)
     iso = equivalent(fan_a, fan_b, mode=args.mode)
     if iso is None:
         report.emit({"equivalent": False, "mode": args.mode})
@@ -168,13 +183,13 @@ def cmd_equiv(args):
 
 
 def cmd_surgery(args):
-    fan = TopologicalFan.from_json(_load_json(args.fan))
+    fan = _load_fan(args.fan)
     if args.stellar:
         out = stellar_subdivide_fan(fan, _parse_facet(args.stellar))
     elif args.suspend:
         out = suspend_fan(fan)
     elif args.product:
-        other = TopologicalFan.from_json(_load_json(args.product))
+        other = _load_fan(args.product)
         out = product_fan(fan, other)
     else:
         print("surgery requires one of --stellar/--suspend/--product", file=sys.stderr)
@@ -188,7 +203,7 @@ def cmd_realize(args):
     report = _Report("realize", [args.complex], seed=args.seed,
                      deterministic=args.deterministic)
     raw = _load_json(args.complex)
-    complex_ = SimplicialComplex.from_json(raw)
+    complex_ = _parse(SimplicialComplex.from_json, raw)
 
     if args.mode == "sphere":
         positions = raw.get("positions")

@@ -185,6 +185,8 @@ class SimplicialComplex:
 
     @staticmethod
     def from_json(data):
+        if not isinstance(data, dict):
+            raise ValueError(f"a complex must be a JSON object, not {type(data).__name__}")
         labels = None
         if "labels" in data and data["labels"]:
             labels = {int(v): lab for v, lab in data["labels"].items()}

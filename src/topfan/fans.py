@@ -116,7 +116,11 @@ class ValidationReport:
 class TopologicalFan:
     """A pair (complex, rays) with exact validation and chart data."""
 
-    __slots__ = ("n", "complex", "rays", "_dual_cache", "_report", "_int_b", "_hyperplanes")
+    # Caches of data derived from the (immutable) rays and complex.  The chart
+    # tables are filled by ``charts`` and the graded ring by ``invariants``;
+    # each lives and dies with its fan.
+    __slots__ = ("n", "complex", "rays", "_rvecs", "_dual_cache", "_chart_tables", "_ring",
+                 "_structure", "_reports", "_int_b", "_hyperplanes")
 
     def __init__(self, n, complex_: SimplicialComplex, rays):
         rays = tuple(rays)
@@ -128,8 +132,12 @@ class TopologicalFan:
         self.n = int(n)
         self.complex = complex_
         self.rays = rays
+        self._rvecs = None
         self._dual_cache = {}
-        self._report = None
+        self._chart_tables = {}
+        self._ring = None
+        self._structure = None
+        self._reports = {}
         self._int_b = None
         self._hyperplanes = None
 
@@ -141,7 +149,9 @@ class TopologicalFan:
         return self.rays[i - 1]
 
     def rvec(self, i) -> RVec:
-        return self.rays[i - 1].rvec()
+        if self._rvecs is None:
+            self._rvecs = tuple(ray.rvec() for ray in self.rays)
+        return self._rvecs[i - 1]
 
     def b_columns(self, indices):
         return [list(self.ray(i).b) for i in indices]
@@ -330,14 +340,21 @@ class TopologicalFan:
         return all(all(x == 0 for x in ray.c) for ray in self.rays)
 
     def validate(self, seed=0, samples=12) -> ValidationReport:
-        if self._report is not None:
-            return self._report
-        fan_v = self.check_fan_condition()
+        """The validation report, cached per ``(seed, samples)``.
+
+        Only the sampled completeness layer depends on the arguments; the fan
+        condition and non-singularity verdicts are computed once per fan.
+        """
+        key = (seed, samples)
+        if key in self._reports:
+            return self._reports[key]
+        if self._structure is None:
+            self._structure = (self.check_fan_condition(), self.check_nonsingular())
+        fan_v, nonsing_v = self._structure
         if fan_v.ok:
             complete_v = self.check_complete(seed=seed, samples=samples)
         else:
             complete_v = Verdict(False, {"kind": "fan-condition-failed"})
-        nonsing_v = self.check_nonsingular()
         witnesses = {}
         if not fan_v.ok:
             witnesses["fan_condition"] = fan_v.witness
@@ -345,10 +362,11 @@ class TopologicalFan:
             witnesses["completeness"] = complete_v.witness
         if not nonsing_v.ok:
             witnesses["nonsingularity"] = nonsing_v.witness
-        self._report = ValidationReport(
+        report = ValidationReport(
             fan_v.ok, complete_v.ok, nonsing_v.ok, self.check_involutive(), witnesses
         )
-        return self._report
+        self._reports[key] = report
+        return report
 
     def require_valid(self):
         report = self.validate()
@@ -376,8 +394,13 @@ class TopologicalFan:
 
     @staticmethod
     def from_json(data) -> "TopologicalFan":
+        if not isinstance(data, dict):
+            raise ValueError(f"a fan must be a JSON object, not {type(data).__name__}")
+        n = data["n"]
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise ValueError(f"n must be an integer, not {n!r}")
         return TopologicalFan(
-            data["n"],
+            n,
             SimplicialComplex.from_json(data["complex"]),
             [Ray.from_json(r) for r in data["rays"]],
         )

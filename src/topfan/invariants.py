@@ -252,16 +252,11 @@ class GradedClass:
         }
 
 
-_RING_CACHE = {}
-
-
 def _ring_for(fan: TopologicalFan) -> GradedRing:
-    key = id(fan)
-    entry = _RING_CACHE.get(key)
-    if entry is None or entry[0] is not fan:
-        entry = (fan, GradedRing(cohomology_presentation(fan)))
-        _RING_CACHE[key] = entry
-    return entry[1]
+    # cached on the fan itself, so it is freed with the fan
+    if fan._ring is None:
+        fan._ring = GradedRing(cohomology_presentation(fan))
+    return fan._ring
 
 
 def graded_rank(fan: TopologicalFan, k) -> int:

@@ -215,7 +215,10 @@ def parse_rational(value):
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"not a rational: {value!r} has a zero denominator") from None
     raise ValueError(f"not a rational: {value!r}")
 
 

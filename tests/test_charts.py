@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from topfan.charts import (
+    TransitionMatrix,
     check_cocycle,
     check_conjugation_equivariant,
     kernel_presentation,
@@ -15,8 +16,9 @@ from topfan.charts import (
 )
 from topfan.complexes import SimplicialComplex
 from topfan.fans import Ray, TopologicalFan
-from topfan.fixtures import octahedron_fan, projective_fan
-from topfan.ring import ONE, ZERO, RElem
+from topfan.fixtures import cp2cp2_fan, octahedron_fan, projective_fan
+from topfan.ring import ONE, ZERO, DualBasis, RElem, RVec
+from tests import chart_oracle
 from tests.conftest import random_valid_fan
 
 
@@ -117,15 +119,61 @@ def test_cocycle_random_fans(fan_generator):
 
 
 def test_cocycle_detects_corruption(square_fan):
-    from topfan.charts import TransitionMatrix, _compose
-
     good = transition_matrix(square_fan, (1, 2), (2, 3))
     bad_entries = dict(good.entries)
     bad_entries[(2, 1)] = bad_entries[(2, 1)] + ONE
     bad = TransitionMatrix(good.source, good.target, bad_entries)
     back = transition_matrix(square_fan, (2, 3), (1, 2))
-    product = _compose(back, bad)
-    assert any(product[(j, i)] != (ONE if i == j else ZERO) for (j, i) in product)
+    assert not chart_oracle.is_identity(chart_oracle.compose(back, bad))
+    assert chart_oracle.is_identity(chart_oracle.compose(back, good))
+
+
+def _oracle_fans():
+    """Fixtures plus seeded random fans, each with an involutive twin."""
+    fans = [cp2cp2_fan(), octahedron_fan(), projective_fan(2), projective_fan(3)]
+    rng = random.Random(59)
+    for _ in range(8):
+        fan = random_valid_fan(rng, max_m=7)
+        fans.append(fan)
+        flat = [Ray(r.b, (0,) * fan.n, r.v) for r in fan.rays]
+        fans.append(TopologicalFan(fan.n, fan.complex, flat))
+    return fans
+
+
+def test_chart_table_agrees_with_cubic_oracle():
+    """Sliced transitions, the per-facet cocycle certificate and the
+    conjugation scan against their F^2 / F^3 definitions."""
+    seen_equivariant = set()
+    for fan in _oracle_fans():
+        facets = chart_oracle.top_facets(fan)
+        for src in facets:
+            for tgt in facets:
+                fast = transition_matrix(fan, src, tgt)
+                assert fast.entries == chart_oracle.reference_transition(fan, src, tgt).entries
+        assert chart_oracle.cocycle_failure(fan) is None
+        assert check_cocycle(fan).ok
+        equivariant = chart_oracle.conjugation_equivariant(fan)
+        assert check_conjugation_equivariant(fan) == equivariant
+        seen_equivariant.add(equivariant)
+    assert seen_equivariant == {True, False}
+
+
+def test_cocycle_certificate_catches_corrupt_dual_basis():
+    """One wrong dual-basis entry in any facet fails that facet's certificate."""
+    for facet in cp2cp2_fan().complex.facets:
+        fan = cp2cp2_fan()
+        assert check_cocycle(fan).ok
+        duals = fan.dual_basis(facet)
+        alphas = list(duals.alphas)
+        entries = list(alphas[0].entries)
+        entries[1] = entries[1] + RElem(0, 1, 0)
+        alphas[0] = RVec(tuple(entries))
+        fan._dual_cache[facet] = DualBasis(duals.indices, tuple(alphas))
+        del fan._chart_tables[facet]
+        report = check_cocycle(fan)
+        assert not report.ok
+        assert report.failure == {"kind": "inverse", "pair": [list(facet), list(facet)]}
+        assert chart_oracle.cocycle_failure(fan) is None  # the rays themselves are fine
 
 
 def test_conjugation_equivariance(square_fan, fan_generator):

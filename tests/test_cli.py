@@ -57,6 +57,41 @@ def test_validate_malformed_json(capsys, tmp_path):
     assert err
 
 
+def _malformed_fans():
+    """Malformed fan files, each with a fragment of its error message."""
+    bad_b = cp2cp2_fan().to_json()
+    bad_b["rays"][0]["b"] = ["1/0", "0"]
+    wrong_type = cp2cp2_fan().to_json()
+    wrong_type["rays"] = 5
+    string_n = cp2cp2_fan().to_json()
+    string_n["n"] = "2"
+    return {
+        "zero-denominator": (bad_b, "zero denominator"),
+        "top-level-list": ([1, 2], "must be a JSON object"),
+        "rays-not-a-list": (wrong_type, "malformed input"),
+        "n-not-an-integer": (string_n, "n must be an integer"),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_malformed_fans()))
+def test_loader_failures_exit_2(capsys, tmp_path, case):
+    data, message = _malformed_fans()[case]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    for command in ("validate", "charts", "invariants"):
+        code, out, err = run_cli(capsys, command, str(path))
+        assert code == 2, (command, err)
+        assert err.startswith("error:") and message in err
+        assert out == ""
+
+
+def test_complex_loader_failure_exits_2(capsys, tmp_path):
+    path = tmp_path / "bad_complex.json"
+    path.write_text(json.dumps([1, 2]))
+    code, _, err = run_cli(capsys, "realize", str(path), "--mode", "mod2")
+    assert code == 2 and err.startswith("error:")
+
+
 def test_validate_bad_usage(capsys):
     code, _, _ = run_cli(capsys, "validate")
     assert code == 2

@@ -27,6 +27,30 @@ def test_square_fan_validates(square_fan):
     assert report.involutive
 
 
+def test_validate_cache_is_keyed_on_seed_and_samples(monkeypatch, square_fan):
+    calls = []
+    check_complete = TopologicalFan.check_complete
+    check_fan_condition = TopologicalFan.check_fan_condition
+
+    def spy_complete(self, seed=0, samples=12):
+        calls.append(("complete", seed, samples))
+        return check_complete(self, seed=seed, samples=samples)
+
+    def spy_fan_condition(self):
+        calls.append(("fan-condition",))
+        return check_fan_condition(self)
+
+    monkeypatch.setattr(TopologicalFan, "check_complete", spy_complete)
+    monkeypatch.setattr(TopologicalFan, "check_fan_condition", spy_fan_condition)
+    first = square_fan.validate(seed=0, samples=12)
+    other = square_fan.validate(seed=5, samples=1)
+    assert other is not first and other.ok
+    assert square_fan.validate(seed=0, samples=12) is first
+    assert square_fan.validate(seed=5, samples=1) is other
+    # the argument-free checks run once per fan
+    assert calls == [("fan-condition",), ("complete", 0, 12), ("complete", 5, 1)]
+
+
 def test_fan_condition_overlap_witness():
     complex_ = SimplicialComplex(3, [(1, 2), (1, 3)])
     rays = [

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from topfan import invariants
 from topfan.fixtures import cp2cp2_fan, octahedron_fan, projective_fan, segment_fan
 from topfan.invariants import (
     DegenerateDirectionError,
@@ -276,3 +277,27 @@ def test_pontrjagin_degree_zero_and_parity(fan_generator):
         assert classes[0].coords == (Fraction(1),)
         # only quarter-degree pieces exist: the expansion has no odd terms
         assert [cls.degree for cls in classes] == [4 * k for k in range(len(classes))]
+
+
+def test_graded_ring_cached_on_the_fan(monkeypatch):
+    built = []
+
+    class CountingRing(invariants.GradedRing):
+        def __init__(self, presentation):
+            built.append(presentation)
+            super().__init__(presentation)
+
+    def module_state():
+        return {k: len(v) for k, v in vars(invariants).items()
+                if isinstance(v, (dict, list, set))}
+
+    monkeypatch.setattr(invariants, "GradedRing", CountingRing)
+    before = module_state()
+    for _ in range(20):
+        graded_rank(cp2cp2_fan(), 1)
+    assert len(built) == 20
+    assert module_state() == before  # nothing kept per fan at module level
+    fan = cp2cp2_fan()
+    assert [graded_rank(fan, k) for k in range(3)] == [1, 2, 1]
+    normal_form(fan, {_mono(4, (1, 1)): Fraction(1)}, 1)
+    assert len(built) == 21  # one ring for the fan, reused
