@@ -75,24 +75,12 @@ def _load_fan(path):
     return _parse(TopologicalFan.from_json, _load_json(path))
 
 
-def _threads():
-    # the implementation is sequential, so the cap can only confirm 1
-    raw = os.environ.get("TOPFAN_THREADS", "1")
-    try:
-        requested = max(1, int(raw))
-    except ValueError:
-        requested = 1
-    return min(requested, 1)
-
-
 class _Report:
-    def __init__(self, command, inputs, seed=None, deterministic=False):
+    def __init__(self, command, inputs, seed=None):
         self.data = {
             "command": command,
             "inputs": {p: _digest(p) for p in inputs},
             "seed": seed,
-            "deterministic": deterministic,
-            "threads": _threads(),
         }
         self.start = time.monotonic()
 
@@ -110,6 +98,10 @@ def _parse_facet(text):
 
 def _parse_direction(text):
     return [parse_rational(x) for x in text.split(",")]
+
+
+def _parse_positions(positions):
+    return [[parse_rational(x) for x in p] for p in positions]
 
 
 def cmd_validate(args):
@@ -170,8 +162,7 @@ def cmd_charts(args):
 
 
 def cmd_equiv(args):
-    report = _Report("equiv", [args.fan_a, args.fan_b], seed=args.seed,
-                     deterministic=args.deterministic)
+    report = _Report("equiv", [args.fan_a, args.fan_b])
     fan_a = _load_fan(args.fan_a)
     fan_b = _load_fan(args.fan_b)
     iso = equivalent(fan_a, fan_b, mode=args.mode)
@@ -200,8 +191,7 @@ def cmd_surgery(args):
 
 
 def cmd_realize(args):
-    report = _Report("realize", [args.complex], seed=args.seed,
-                     deterministic=args.deterministic)
+    report = _Report("realize", [args.complex], seed=args.seed)
     raw = _load_json(args.complex)
     complex_ = _parse(SimplicialComplex.from_json, raw)
 
@@ -211,7 +201,7 @@ def cmd_realize(args):
             print("sphere mode needs a 'positions' field in the complex file",
                   file=sys.stderr)
             return EXIT_USAGE
-        fan = realize_2sphere(complex_, [[parse_rational(x) for x in p] for p in positions])
+        fan = realize_2sphere(complex_, _parse(_parse_positions, positions))
         json.dump(fan.to_json(), sys.stdout, indent=2)
         sys.stdout.write("\n")
         return EXIT_OK
@@ -327,8 +317,6 @@ def build_parser():
     p.add_argument("fan_a")
     p.add_argument("fan_b")
     p.add_argument("--mode", choices=["strict", "d", "h"], default="strict")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--deterministic", action="store_true")
     p.set_defaults(func=cmd_equiv)
 
     p = sub.add_parser("surgery", help="stellar subdivision, suspension, or product")
@@ -345,7 +333,6 @@ def build_parser():
     p.add_argument("--bound", type=int, default=1)
     p.add_argument("--normalize", help="facet pinned to the standard basis, e.g. 1,2,3,4")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--deterministic", action="store_true")
     p.set_defaults(func=cmd_realize)
 
     p = sub.add_parser("fixtures", help="write bundled fixture files")

@@ -120,7 +120,7 @@ class TopologicalFan:
     # tables are filled by ``charts`` and the graded ring by ``invariants``;
     # each lives and dies with its fan.
     __slots__ = ("n", "complex", "rays", "_rvecs", "_dual_cache", "_chart_tables", "_ring",
-                 "_structure", "_reports", "_int_b", "_hyperplanes")
+                 "_structure", "_reports", "_int_b", "_hyperplanes", "_inverses")
 
     def __init__(self, n, complex_: SimplicialComplex, rays):
         rays = tuple(rays)
@@ -139,7 +139,8 @@ class TopologicalFan:
         self._structure = None
         self._reports = {}
         self._int_b = None
-        self._hyperplanes = None
+        self._hyperplanes = {}
+        self._inverses = {}
 
     @property
     def m(self):
@@ -158,6 +159,13 @@ class TopologicalFan:
 
     def v_columns(self, indices):
         return [list(self.ray(i).v) for i in indices]
+
+    def _columns(self, indices, part):
+        if part == "b":
+            return self.b_columns(indices)
+        if part == "v":
+            return self.v_columns(indices)
+        raise ValueError("part must be 'b' or 'v'")
 
     def _int_b_column(self, i):
         # cone arithmetic is scale-invariant, so integer-primitive b's suffice
@@ -204,7 +212,11 @@ class TopologicalFan:
         return Verdict(True)
 
     def _cone_pair_witness(self, fi, fj):
-        """A point of cone(fi) \\cap cone(fj) outside cone(fi & fj), or None."""
+        """A point of cone(fi) \\cap cone(fj) outside cone(fi & fj), or None.
+
+        Requires independent b-columns in fi, which the fan condition checks
+        before it compares any pair.
+        """
         common = tuple(sorted(set(fi) & set(fj)))
         # Adjacent full facets: a strict separating wall settles the pair.
         if len(fi) == len(fj) == self.n and len(common) == self.n - 1:
@@ -219,15 +231,15 @@ class TopologicalFan:
         cols_i = [self._int_b_column(i) for i in fi]
         cols_j = [self._int_b_column(j) for j in fj]
         # Solutions of B_i s - B_j t = 0 with s, t >= 0 parameterize the
-        # intersection; check every extreme ray against the common cone.
+        # intersection.  Since fi's columns are independent, s holds the
+        # point's unique coordinates in fi, so the point lies in cone(common)
+        # exactly when s vanishes off common.
         rows = [[cols_i[p][k] for p in range(len(fi))] +
                 [-cols_j[q][k] for q in range(len(fj))] for k in range(self.n)]
+        outside = [p for p, i in enumerate(fi) if i not in common]
         for u in _extreme_rays_nonneg_kernel(rows):
-            point = [sum(u[p] * cols_i[p][k] for p in range(len(fi))) for k in range(self.n)]
-            if all(x == 0 for x in point):
-                continue
-            if not self._in_cone(common, point):
-                return point
+            if any(u[p] for p in outside):
+                return [sum(u[p] * cols_i[p][k] for p in range(len(fi))) for k in range(self.n)]
         return None
 
     def _wall_normal(self, wall):
@@ -236,14 +248,6 @@ class TopologicalFan:
         if len(basis) != 1:
             raise ValueError(f"wall {wall} does not span a hyperplane")
         return basis[0]
-
-    def _in_cone(self, indices, point, mode="b"):
-        if not indices:
-            return all(x == 0 for x in point)
-        cols = self.b_columns(indices) if mode == "b" else [
-            [Fraction(x) for x in col] for col in self.v_columns(indices)]
-        coeffs = linalg.solve_unique_columns(cols, point)
-        return coeffs is not None and all(s >= 0 for s in coeffs)
 
     def check_complete(self, seed=0, samples=12) -> Verdict:
         """Wall-pairing completeness plus sampled covering sanity.
@@ -289,7 +293,7 @@ class TopologicalFan:
             return Verdict(False, {"kind": "disconnected"})
         rng = random.Random(seed)
         for _ in range(samples):
-            direction = self._generic_direction(rng)
+            direction = self.generic_direction(rng, "b")
             hits = self.locate_cone(direction, mode="b")
             if len(hits) != 1:
                 return Verdict(
@@ -300,24 +304,29 @@ class TopologicalFan:
                 )
         return Verdict(True)
 
-    def _generic_direction(self, rng):
-        """A rational direction avoiding every hyperplane spanned by n-1 rays."""
-        if self._hyperplanes is None:
-            normals = []
+    def generic_direction(self, rng, part):
+        """A rational direction off every hyperplane spanned by n-1 b-rays or v-rays.
+
+        ``part`` is ``"b"`` or ``"v"``.  Candidates are drawn from ``rng`` until
+        one is nonzero and avoids every such hyperplane; the hyperplane normals
+        are computed once per part.
+        """
+        if self.n == 0:
+            raise ValueError("dimension 0 has no nonzero direction")
+        normals = self._hyperplanes.get(part)
+        if normals is None:
+            normals = set()
             if self.n > 1:
                 for subset in combinations(range(1, self.m + 1), self.n - 1):
-                    rows = [self._int_b_column(i) for i in subset]
-                    if linalg.rank(rows) == self.n - 1:
-                        normals.append(
-                            linalg.clear_denominators(linalg.kernel_basis(rows)[0])
-                        )
-            self._hyperplanes = normals
-        hyperplane_rows = self._hyperplanes
+                    kernel = linalg.kernel_basis(self._columns(subset, part))
+                    if len(kernel) == 1:
+                        normals.add(tuple(linalg.clear_denominators(kernel[0])))
+            self._hyperplanes[part] = normals
         while True:
             cand = [Fraction(rng.randint(-99, 99), rng.randint(1, 9)) for _ in range(self.n)]
             if all(x == 0 for x in cand):
                 continue
-            if any(sum(h[k] * cand[k] for k in range(self.n)) == 0 for h in hyperplane_rows):
+            if any(sum(h[k] * cand[k] for k in range(self.n)) == 0 for h in normals):
                 continue
             return cand
 
@@ -376,12 +385,29 @@ class TopologicalFan:
 
     # -- cone location ------------------------------------------------------
 
+    def coordinates(self, facet, x, part="b"):
+        """The coordinates of x in the basis of a top facet's b- or v-columns.
+
+        x lies in the facet's cone exactly when they are all >= 0, and on the
+        cone's boundary when moreover one of them is 0.  The inverse of each
+        facet's column matrix is computed once and cached.
+        """
+        if len(x) != self.n:
+            raise ValueError(f"point has {len(x)} coordinates, the fan has dimension {self.n}")
+        facet = tuple(sorted(facet))
+        inv = self._inverses.get((part, facet))
+        if inv is None:
+            if facet not in self.complex.facets or len(facet) != self.n:
+                raise ValueError(f"{facet} is not a top-dimensional facet")
+            cols = self._columns(facet, part)
+            inv = self._inverses[part, facet] = linalg.inverse(linalg.transpose(cols))
+        return linalg.mat_vec(inv, x)
+
     def locate_cone(self, x, mode="b"):
-        """Facets whose cone (b-cones or v-cones) contains the point x."""
-        if mode not in ("b", "v"):
-            raise ValueError("mode must be 'b' or 'v'")
+        """Top facets whose cone (b-cones or v-cones) contains the point x."""
         point = [Fraction(v) for v in x]
-        return [f for f in self.complex.facets if self._in_cone(f, point, mode=mode)]
+        return [f for f in self.complex.facets
+                if all(s >= 0 for s in self.coordinates(f, point, mode))]
 
     # -- serialization -------------------------------------------------------
 

@@ -62,10 +62,6 @@ def betti_numbers(fan: TopologicalFan):
     return FVector.of(fan.complex).h
 
 
-class _Monomial(tuple):
-    """Exponent tuple over the surviving generators."""
-
-
 class GradedRing:
     """Exact graded model of the cohomology ring of a fan.
 
@@ -99,24 +95,24 @@ class GradedRing:
         ]
         self._degree_cache = {}
 
-    # -- polynomials over survivors: dict _Monomial -> Fraction ---------------
+    # -- polynomials over survivors: dict exponent tuple -> Fraction ---------
 
     def _substitute_monomial(self, exponents):
         """Rewrite a monomial over all generators into survivor coordinates."""
         s = len(self.survivors)
-        poly = {_Monomial((0,) * s): Fraction(1)}
+        poly = {(0,) * s: Fraction(1)}
         survivor_pos = {j: pos for pos, j in enumerate(self.survivors)}
         for gen, power in exponents.items():
             if power == 0:
                 continue
             if gen in survivor_pos:
-                factor = {_Monomial(tuple(power if k == survivor_pos[gen] else 0
-                                          for k in range(s))): Fraction(1)}
+                factor = {tuple(power if k == survivor_pos[gen] else 0
+                                for k in range(s)): Fraction(1)}
                 poly = _poly_mul(poly, factor)
             else:
                 linear = {}
                 for pos, coeff in self.substitution[gen].items():
-                    mono = _Monomial(tuple(1 if k == pos else 0 for k in range(s)))
+                    mono = tuple(1 if k == pos else 0 for k in range(s))
                     linear[mono] = coeff
                 for _ in range(power):
                     poly = _poly_mul(poly, linear)
@@ -125,13 +121,13 @@ class GradedRing:
     def _monomials_of_degree(self, k):
         s = len(self.survivors)
         if s == 0:
-            return [_Monomial(())] if k == 0 else []
+            return [()] if k == 0 else []
         out = []
         for combo in combinations_with_replacement(range(s), k):
             exp = [0] * s
             for idx in combo:
                 exp[idx] += 1
-            out.append(_Monomial(tuple(exp)))
+            out.append(tuple(exp))
         return out
 
     def _degree_data(self, k):
@@ -157,7 +153,7 @@ class GradedRing:
             for mult in self._monomials_of_degree(k - gdeg):
                 row = [Fraction(0)] * len(columns)
                 for mono, coeff in g.items():
-                    shifted = _Monomial(tuple(a + b for a, b in zip(mono, mult)))
+                    shifted = tuple(a + b for a, b in zip(mono, mult))
                     row[col_of_mono[shifted]] += coeff
                 if any(x != 0 for x in row):
                     rows.append(row)
@@ -219,7 +215,7 @@ def _poly_mul(a, b):
     out = {}
     for ma, ca in a.items():
         for mb, cb in b.items():
-            mono = _Monomial(tuple(x + y for x, y in zip(ma, mb)))
+            mono = tuple(x + y for x, y in zip(ma, mb))
             val = out.get(mono, Fraction(0)) + ca * cb
             if val == 0:
                 out.pop(mono, None)
@@ -316,44 +312,20 @@ class DegenerateDirectionError(ValueError):
     """The supplied direction lies on a cone boundary hyperplane."""
 
 
-def _direction_is_generic(fan, direction):
-    """True when the direction avoids every hyperplane spanned by n-1 v-rays."""
-    if fan.n == 1:
-        return any(x != 0 for x in direction)
-    for subset in combinations(range(1, fan.m + 1), fan.n - 1):
-        rows = [[Fraction(x) for x in fan.ray(i).v] for i in subset]
-        if linalg.rank(rows) != fan.n - 1:
-            continue
-        normal = linalg.kernel_basis(rows)[0]
-        if sum(a * b for a, b in zip(normal, direction)) == 0:
-            return False
-    return True
-
-
-def _direction_on_cone_boundary(fan, direction):
-    """True when the direction sits on the boundary of some top v-cone."""
-    for f in fan.complex.facets:
-        cols = [[Fraction(x) for x in fan.ray(i).v] for i in f]
-        coeffs = linalg.solve_unique_columns(cols, direction)
-        if coeffs is not None and all(s >= 0 for s in coeffs) and any(s == 0 for s in coeffs):
-            return True
-    return False
-
-
 def todd_genus(fan: TopologicalFan, direction=None, seed=0) -> int:
     """Signed count of top cones in the multi-fan containing a generic direction."""
     fan.require_valid()
     weights = omni_weights(fan)
     if direction is not None:
         direction = [Fraction(x) for x in direction]
-        if all(x == 0 for x in direction) or _direction_on_cone_boundary(fan, direction):
+        if len(direction) != fan.n:
+            raise ValueError(
+                f"direction has {len(direction)} coordinates, the fan has dimension {fan.n}")
+        # on a cone's boundary: all coordinates >= 0 and one = 0
+        if all(x == 0 for x in direction) or any(
+                min(fan.coordinates(f, direction, "v")) == 0 for f in fan.complex.facets):
             raise DegenerateDirectionError(f"direction {direction} lies on a cone wall")
     else:
-        rng = random.Random(seed)
-        while True:
-            cand = [Fraction(rng.randint(-99, 99), rng.randint(1, 9)) for _ in range(fan.n)]
-            if any(x != 0 for x in cand) and _direction_is_generic(fan, cand):
-                direction = cand
-                break
+        direction = fan.generic_direction(random.Random(seed), "v")
     hits = fan.locate_cone(direction, mode="v")
     return sum(weights.w(f) for f in hits)

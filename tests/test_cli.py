@@ -1,15 +1,22 @@
 """CLI exit codes, JSON reports, and artifact round-trips."""
 
+import contextlib
+import copy
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from topfan.cli import main
 from topfan.complexes import SimplicialComplex
 from topfan.fans import TopologicalFan
-from topfan.fixtures import cp2cp2_fan
+from topfan.fixtures import cp2cp2_fan, octahedron_complex, octahedron_fan, octahedron_positions
 
 
 @pytest.fixture
@@ -112,6 +119,22 @@ def test_invariants_direction_flag(capsys, cp2cp2_path):
     code, out, _ = run_cli(capsys, "invariants", cp2cp2_path, "--todd", "--dir=-1,-3/2")
     assert code == 0
     assert json.loads(out)["result"]["todd_genus"] == 1
+
+
+@pytest.mark.parametrize("direction", ["1,2,3,4,5", "1"])
+def test_invariants_direction_of_wrong_length_exits_2(capsys, cp2cp2_path, direction):
+    code, out, err = run_cli(capsys, "invariants", cp2cp2_path, "--todd", f"--dir={direction}")
+    assert code == 2 and out == ""
+    count = len(direction.split(","))
+    assert err == f"error: direction has {count} coordinates, the fan has dimension 2\n"
+
+
+def test_todd_in_dimension_zero_exits_2(capsys, tmp_path):
+    # no nonzero direction exists, so the draw for the Todd genus must fail, not spin
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps({"n": 0, "complex": {"m": 0, "facets": []}, "rays": []}))
+    code, _, err = run_cli(capsys, "invariants", str(path), "--todd")
+    assert code == 2 and err.startswith("error:")
 
 
 def test_charts_report(capsys, cp2cp2_path):
@@ -264,6 +287,19 @@ def test_realize_sphere_mode(capsys, tmp_path):
     assert fan.validate().ok
 
 
+@pytest.mark.parametrize("positions", [5, "one position per vertex", [1] * 6, [None] * 6])
+def test_realize_sphere_malformed_positions_exit_2(capsys, tmp_path, positions):
+    from topfan.fixtures import octahedron_complex
+
+    data = octahedron_complex().to_json()
+    data["positions"] = positions
+    path = tmp_path / "oct.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "realize", str(path), "--mode", "sphere")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_fixtures_roundtrip(capsys, tmp_path):
     for name in ("cp2cp2", "barnette", "octahedron", "icosahedron", "cyclic:3:6"):
         code, out, _ = run_cli(capsys, "fixtures", name, "--dir", str(tmp_path))
@@ -295,3 +331,77 @@ def test_seed_embedded_and_deterministic(capsys, cp2cp2_path):
     r1, r2 = json.loads(out1), json.loads(out2)
     assert r1["seed"] == r2["seed"] == 5
     assert r1["result"] == r2["result"]
+
+
+# -- fuzzing the loaders through the CLI ------------------------------------------
+
+_JUNK = [None, True, 0, -1, 2, 7, 1.5, "x", "1/0", "3/2", [], [0], [1, 2, 3], {}, {"b": [1]}]
+
+
+def _json_paths(node, prefix=()):
+    yield prefix
+    children = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield from _json_paths(child, prefix + (key,))
+
+
+@st.composite
+def _mutated(draw, document):
+    """The document with one to three of its values retyped, deleted, or resized."""
+    data = json.loads(json.dumps(document))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_json_paths(data))))
+        if not path:
+            data = copy.deepcopy(draw(st.sampled_from(_JUNK)))
+            continue
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        target = parent[path[-1]]
+        kind = draw(st.sampled_from(["retype", "delete", "grow", "shrink"]))
+        if kind == "delete":
+            del parent[path[-1]]
+        elif kind == "grow" and isinstance(target, list):
+            target.append(copy.deepcopy(target[-1]) if target else 1)
+        elif kind == "shrink" and isinstance(target, list) and target:
+            target.pop()
+        else:
+            parent[path[-1]] = copy.deepcopy(draw(st.sampled_from(_JUNK)))
+    return data
+
+
+def _sphere_complex():
+    data = octahedron_complex().to_json()
+    data["positions"] = [[str(x) for x in p] for p in octahedron_positions()]
+    return data
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    fan=st.one_of(_mutated(cp2cp2_fan().to_json()), _mutated(octahedron_fan().to_json())),
+    complex_=_mutated(_sphere_complex()),
+    direction=st.sampled_from(["1,2", "1", "1,2,3", "1,2,3,4,5", "0,0", "1/0,1", "a,b",
+                               "-1,-3/2", "2,-1,3/5"]),
+)
+def test_cli_survives_mutated_inputs(fan, complex_, direction):
+    with tempfile.TemporaryDirectory() as tmp:
+        fan_path = os.path.join(tmp, "fan.json")
+        complex_path = os.path.join(tmp, "complex.json")
+        with open(fan_path, "w", encoding="utf-8") as fh:
+            json.dump(fan, fh)
+        with open(complex_path, "w", encoding="utf-8") as fh:
+            json.dump(complex_, fh)
+        runs = [
+            ["validate", fan_path],
+            ["charts", fan_path, "--transitions", "--cocycle", "--faceposet"],
+            ["invariants", fan_path, "--todd", f"--dir={direction}"],
+            ["realize", complex_path, "--mode", "sphere"],
+            ["realize", complex_path, "--mode", "mod2"],
+        ]
+        for argv in runs:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()) as err:
+                code = main(argv)
+            assert code in (0, 1, 2), (argv, code)
+            assert "Traceback" not in err.getvalue()

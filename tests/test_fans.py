@@ -2,13 +2,38 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
+from topfan import linalg
 from topfan.complexes import SimplicialComplex
 from topfan.fans import Ray, RElem, TopologicalFan, equivalent, h_canonical_form
-from topfan.fixtures import cp2cp2_fan, octahedron_fan, projective_fan, segment_fan
+from topfan.fixtures import (
+    barnette_fan,
+    cp2cp2_fan,
+    octahedron_fan,
+    projective_fan,
+    segment_fan,
+)
 from tests.conftest import random_valid_fan
+
+
+def _solve(fan, indices, point, part="b"):
+    """Coordinates of point in the given rays' b- or v-columns by a fresh row reduction.
+
+    None when the point is outside their span; this is the reference the
+    cached per-facet inverses are held against.
+    """
+    cols = fan.b_columns(indices) if part == "b" else fan.v_columns(indices)
+    return linalg.solve_unique_columns(cols, point)
+
+
+def _in_cone_by_solve(fan, indices, point, part="b"):
+    if not indices:
+        return all(x == 0 for x in point)
+    coeffs = _solve(fan, indices, point, part)
+    return coeffs is not None and all(s >= 0 for s in coeffs)
 
 
 def test_ray_invariants():
@@ -65,9 +90,9 @@ def test_fan_condition_overlap_witness():
     # the witness point really lies in both cones but not in the common one
     point = [Fraction(x) for x in verdict.witness["point"]]
     pair = [tuple(f) for f in verdict.witness["pair"]]
-    assert all(fan._in_cone(f, point) for f in pair)
+    assert all(_in_cone_by_solve(fan, f, point) for f in pair)
     common = tuple(sorted(set(pair[0]) & set(pair[1])))
-    assert not fan._in_cone(common, point)
+    assert not _in_cone_by_solve(fan, common, point)
 
 
 def test_fan_condition_more_overlap_geometries():
@@ -98,7 +123,8 @@ def test_fan_condition_more_overlap_geometries():
     verdict = crossing.check_fan_condition()
     assert not verdict.ok
     point = [Fraction(x) for x in verdict.witness["point"]]
-    assert crossing._in_cone((1, 2), point) and crossing._in_cone((3, 4), point)
+    assert _in_cone_by_solve(crossing, (1, 2), point)
+    assert _in_cone_by_solve(crossing, (3, 4), point)
 
     # sharing a ray but overlapping beyond it
     shared = TopologicalFan(
@@ -218,8 +244,72 @@ def test_locate_cone_unique_for_generic_directions(square_fan, oct_fan):
     rng = random.Random(5)
     for fan in (square_fan, oct_fan):
         for _ in range(1000):
-            direction = fan._generic_direction(rng)
+            direction = fan.generic_direction(rng, "b")
             assert len(fan.locate_cone(direction, "b")) == 1
+
+
+def _location_test_points(fan, part, rng):
+    """Ray generators, sums of two rays in or across a wall, and seeded random points."""
+    gens = [list(fan.ray(i).b) if part == "b" else list(fan.ray(i).v)
+            for i in range(1, fan.m + 1)]
+    points = list(gens)
+    for wall, facets in fan.complex.walls().items():
+        across = [i for f in facets for i in f if i not in wall]
+        for i, j in list(combinations(wall, 2)) + list(combinations(across, 2)):
+            points.append([x + y for x, y in zip(gens[i - 1], gens[j - 1])])
+    for _ in range(20):
+        points.append([Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(fan.n)])
+    return points
+
+
+def test_locate_cone_agrees_with_row_reduction():
+    fans = [cp2cp2_fan(), octahedron_fan(), barnette_fan()]
+    fans += [random_valid_fan(random.Random(seed)) for seed in range(8)]
+    boundary_hits = 0
+    for fan in fans:
+        rng = random.Random(fan.m)
+        for part in ("b", "v"):
+            for point in _location_test_points(fan, part, rng):
+                inside, boundary = [], []
+                for f in fan.complex.facets:
+                    coeffs = _solve(fan, f, point, part)
+                    if coeffs is not None and all(s >= 0 for s in coeffs):
+                        inside.append(f)
+                        if any(s == 0 for s in coeffs):
+                            boundary.append(f)
+                assert fan.locate_cone(point, part) == inside, (fan, part, point)
+                assert [f for f in fan.complex.facets
+                        if min(fan.coordinates(f, point, part)) == 0] == boundary
+                boundary_hits += len(boundary)
+    assert boundary_hits > 0
+
+
+def test_generic_direction_draws_off_every_hyperplane():
+    for seed, fan in enumerate([cp2cp2_fan(), octahedron_fan(), barnette_fan()]
+                               + [random_valid_fan(random.Random(s)) for s in range(8)]):
+        for part in ("b", "v"):
+            gens = [fan.ray(i).b if part == "b" else fan.ray(i).v for i in range(1, fan.m + 1)]
+            spans = [rows for rows in map(list, combinations(gens, fan.n - 1))
+                     if linalg.rank(rows) == fan.n - 1] if fan.n > 1 else []
+            ours, reference = random.Random(seed), random.Random(seed)
+            for _ in range(5):
+                # the reference: redraw until the candidate leaves every span
+                while True:
+                    cand = [Fraction(reference.randint(-99, 99), reference.randint(1, 9))
+                            for _ in range(fan.n)]
+                    if any(cand) and all(linalg.rank(rows + [cand]) == fan.n for rows in spans):
+                        break
+                assert fan.generic_direction(ours, part) == cand
+
+
+def test_locate_cone_rejects_non_top_facets_and_wrong_lengths(square_fan):
+    partial = TopologicalFan(2, SimplicialComplex(3, [(1, 2), (3,)]), square_fan.rays[:3])
+    with pytest.raises(ValueError, match="not a top-dimensional facet"):
+        partial.locate_cone([1, 1])
+    with pytest.raises(ValueError, match="3 coordinates"):
+        square_fan.locate_cone([1, 1, 1])
+    with pytest.raises(ValueError):
+        square_fan.locate_cone([1, 1], "c")
 
 
 def test_json_roundtrip(square_fan):
