@@ -84,9 +84,10 @@ class _Report:
         }
         self.start = time.monotonic()
 
-    def emit(self, result, stream=None):
+    def emit(self, result, stream=None, **extra):
         stream = stream or sys.stdout
         self.data["elapsed_ms"] = round(1000 * (time.monotonic() - self.start), 3)
+        self.data.update(extra)
         self.data["result"] = result
         json.dump(self.data, stream, indent=2)
         stream.write("\n")
@@ -137,7 +138,7 @@ def cmd_invariants(args):
 
 
 def cmd_charts(args):
-    report = _Report("charts", [args.fan], seed=args.seed)
+    report = _Report("charts", [args.fan])
     fan = _load_fan(args.fan)
     fan.require_valid()
     out = {}
@@ -191,7 +192,7 @@ def cmd_surgery(args):
 
 
 def cmd_realize(args):
-    report = _Report("realize", [args.complex], seed=args.seed)
+    report = _Report("realize", [args.complex])
     raw = _load_json(args.complex)
     complex_ = _parse(SimplicialComplex.from_json, raw)
 
@@ -210,7 +211,7 @@ def cmd_realize(args):
     normalization = _parse_facet(args.normalize) if args.normalize else None
     if mode == "mod2":
         result = mod2_obstruction(complex_, complex_.dim + 1)
-        report.emit(result.to_json())
+        report.emit(result.to_json(), stats=result.stats)
         return EXIT_OK if isinstance(result, LabelingSolution) else EXIT_NEGATIVE
     sign_table = None
     if mode == "toric_sign":
@@ -218,7 +219,7 @@ def cmd_realize(args):
         seed_facet = normalization or complex_.facets[0]
         derived = derive_sign_table(complex_, seed_facet, 1, ref_orders=ref_orders)
         if isinstance(derived, SignContradiction):
-            report.emit(Infeasible("sign-contradiction", derived).to_json())
+            report.emit(Infeasible("sign-contradiction", derived).to_json(), stats=None)
             return EXIT_NEGATIVE
         sign_table = derived
     problem = LabelingProblem(complex_, mode, bound=args.bound,
@@ -228,9 +229,9 @@ def cmd_realize(args):
         payload = result.to_json()
         if mode == "toric_sign":
             payload["note"] = "necessary conditions satisfied"
-        report.emit(payload)
+        report.emit(payload, stats=result.stats)
         return EXIT_OK
-    report.emit(result.to_json())
+    report.emit(result.to_json(), stats=result.stats)
     return EXIT_NEGATIVE
 
 
@@ -310,7 +311,6 @@ def build_parser():
     p.add_argument("--transitions", action="store_true")
     p.add_argument("--cocycle", action="store_true")
     p.add_argument("--faceposet", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_charts)
 
     p = sub.add_parser("equiv", help="decide fan equivalence in a given mode")
@@ -332,7 +332,6 @@ def build_parser():
                    required=True)
     p.add_argument("--bound", type=int, default=1)
     p.add_argument("--normalize", help="facet pinned to the standard basis, e.g. 1,2,3,4")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_realize)
 
     p = sub.add_parser("fixtures", help="write bundled fixture files")

@@ -378,7 +378,13 @@ class TopologicalFan:
         return report
 
     def require_valid(self):
-        report = self.validate()
+        """The validation report; raises ValueError when the fan is invalid.
+
+        An ok report already cached for any ``(seed, samples)`` is returned
+        as it is, so a command that validated with its own seed does not
+        sample completeness again with seed 0.
+        """
+        report = next((r for r in self._reports.values() if r.ok), None) or self.validate()
         if not report.ok:
             raise ValueError(f"fan is not complete non-singular: {report.witnesses}")
         return report

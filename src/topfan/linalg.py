@@ -9,6 +9,7 @@ exactness, so keep it that way.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import gcd
 
@@ -123,6 +124,78 @@ def int_det(rows):
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+@lru_cache(maxsize=None)
+def _wedge_levels(n):
+    """Expansion tables for the exterior product of n - 1 vectors of Z^n.
+
+    Level ``size`` lists, for each ``size``-subset S of the rows (in
+    ``combinations`` order), the terms ``(sign, row, index)`` of the
+    determinant on the rows S expanded along its last column: ``index`` is
+    the position of S minus ``row`` among the subsets of the level below.
+    """
+    index = {(r,): r for r in range(n)}
+    levels = []
+    for size in range(2, n):
+        subsets = list(combinations(range(n), size))
+        levels.append(tuple(
+            tuple((-1 if (t + size - 1) % 2 else 1, row, index[s[:t] + s[t + 1:]])
+                  for t, row in enumerate(s))
+            for s in subsets
+        ))
+        index = {s: i for i, s in enumerate(subsets)}
+    return tuple(levels)
+
+
+def cofactor_row(cols, position):
+    """The integer form c with ``c . x`` = det of ``cols`` with x inserted as column ``position``.
+
+    ``cols`` are n - 1 integer vectors of length n; the result is a tuple.
+    Expanding along the inserted column gives ``c_k = (-1)^(k + position)``
+    times the minor of ``cols`` without row k.  All n minors come from one
+    exterior product ``cols[0] ∧ ... ∧ cols[-1]``, built column by column
+    over row subsets.
+    """
+    n = len(cols) + 1
+    if n == 1:
+        return (1,)
+    w = cols[0]
+    for col, level in zip(cols[1:], _wedge_levels(n)):
+        wedge = []
+        for terms in level:
+            acc = 0
+            for sign, row, i in terms:
+                acc += sign * col[row] * w[i]
+            wedge.append(acc)
+        w = wedge
+    # the (n-1)-subsets come in the order that omits row n-1, n-2, ..., 0
+    return tuple(w[n - 1 - k] if (k + position) % 2 == 0 else -w[n - 1 - k] for k in range(n))
+
+
+def independent_rows(rows):
+    """Indices of a maximal independent subset of integer rows, and pivot columns.
+
+    Fraction-free elimination in list order: each row is reduced by cross
+    multiplication against the rows kept before it, and kept when something
+    is left; its pivot is its first nonzero column then.  The kept rows
+    restricted to the pivot columns form a nonsingular square block, since
+    their reductions are triangular there.
+    """
+    chosen, pivots, echelon = [], [], []
+    for i, row in enumerate(rows):
+        if len(pivots) == len(row):
+            break
+        for p, e in zip(pivots, echelon):
+            c = row[p]
+            if c:
+                row = [e[p] * a - c * b for a, b in zip(row, e)]
+        lead = next((j for j, a in enumerate(row) if a), None)
+        if lead is not None:
+            chosen.append(i)
+            pivots.append(lead)
+            echelon.append(row)
+    return chosen, pivots
 
 
 def inverse(rows):

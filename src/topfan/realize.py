@@ -16,8 +16,10 @@ independent checker re-verifies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
+from operator import mul
 from typing import Optional
 
 from . import linalg
@@ -176,6 +178,7 @@ class LabelingSolution:
     assignment: dict  # vertex -> integer tuple (or bitmask int for mod2)
     facet_dets: dict  # facet -> determinant (ascending vertex order)
     mode: str
+    stats: Optional[dict] = field(default=None, compare=False, repr=False)  # search counts
 
     def to_json(self):
         return {
@@ -191,6 +194,7 @@ class Unsat:
     """No solution with entries bounded by ``bound``; says nothing beyond it."""
 
     bound: int
+    stats: Optional[dict] = field(default=None, compare=False, repr=False)  # search counts
 
     def to_json(self):
         return {"kind": "unsat", "bound": self.bound}
@@ -202,6 +206,7 @@ class Infeasible:
 
     reason: str
     witness: object = None
+    stats: Optional[dict] = field(default=None, compare=False, repr=False)  # search counts
 
     def to_json(self):
         witness = self.witness
@@ -257,20 +262,21 @@ def _gf2_rank(masks):
 def search_labeling(problem: LabelingProblem):
     """Backtracking search for a vertex labeling satisfying the mode constraints.
 
-    Vertices outside the normalization facet are assigned in a facet-greedy
-    order; whenever a vertex completes facets, their determinant constraints
-    are linear in the new vector, so the solver enumerates the integer box
-    points of the resulting affine solution set instead of the whole box.
-    Returns a LabelingSolution, Unsat(bound), or Infeasible.
+    The normalization facet is pinned to the standard basis and the other
+    vertices are assigned in one facet-greedy order, planned once.  Whenever
+    a vertex completes facets, their determinant constraints are linear in
+    the new vector, so the candidates are the integer box points of the
+    resulting affine solution set rather than the whole box.  Returns a
+    LabelingSolution, Unsat(bound), or Infeasible, with the search's
+    ``stats`` attached: the search nodes visited (partial assignments, the
+    root and a complete one included), the candidates tried, and the
+    backtracks (vertices whose every candidate failed).
     """
     complex_ = problem.complex
     if not complex_.is_pure():
         raise ValueError("complex must be pure")
     n = complex_.dim + 1
     normalization = problem.normalization or complex_.facets[0]
-
-    if problem.mode == "mod2":
-        return _search_mod2(complex_, n, normalization)
 
     sign_table = problem.sign_table
     if problem.mode == "toric_sign":
@@ -284,176 +290,180 @@ def search_labeling(problem: LabelingProblem):
             sign_table = SignTable(
                 {f: -s for f, s in sign_table.signs.items()}, sign_table.ref_orders
             )
+    return _search(complex_, n, normalization, problem.mode, problem.bound, sign_table)
 
-    assignment = {}
-    for pos, v in enumerate(sorted(normalization)):
-        assignment[v] = tuple(1 if k == pos else 0 for k in range(n))
 
-    order = _vertex_order(complex_, set(assignment))
-    bound = problem.bound
+# linear forms kept per completed facet and search; siblings in a search tree
+# share the labels of most earlier vertices, so most forms repeat
+_FORMS_PER_FACET = 4096
 
-    def completed_facets(vertex, assigned):
-        done = []
-        for f in complex_.facets:
-            if vertex in f and all((u in assigned or u == vertex) for u in f):
-                done.append(f)
-        return done
 
-    def candidates(vertex, assigned):
-        """Integer vectors within the bound satisfying all completed facets."""
-        facets = completed_facets(vertex, assigned)
-        rows = []
-        for f in facets:
-            # The facet determinant is a linear form in the unknown column;
-            # its coefficients are the determinants with that column replaced
-            # by the standard basis vectors.
-            row = []
-            for k in range(n):
-                cols = []
-                for u in sorted(f):
-                    if u == vertex:
-                        cols.append(tuple(1 if t == k else 0 for t in range(n)))
-                    else:
-                        cols.append(assigned[u])
-                mat = [[cols[j][t] for j in range(len(cols))] for t in range(n)]
-                row.append(linalg.int_det(mat))
-            rows.append((f, row))
-        if problem.mode == "toric_sign":
-            target_sets = [[sign_table.ascending_sign(f)] for f, _ in rows]
-        else:
-            target_sets = [[1, -1] for _ in rows]
-        out = []
-        for targets in _product_lists(target_sets):
-            out.extend(_box_solutions([r for _, r in rows], list(targets), n, bound))
-        # dedupe while keeping deterministic order
-        seen = set()
-        unique = []
-        for v in out:
-            if v not in seen and any(x != 0 for x in v) and linalg.vec_gcd(v) == 1:
-                seen.add(v)
-                unique.append(v)
-        unique.sort()
-        return unique
+class _Completion:
+    """A facet completed by a step's vertex, as that step sees it."""
 
-    def backtrack(idx):
-        if idx == len(order):
+    __slots__ = ("others", "position", "allowed", "forms")
+
+    def __init__(self, others, position, allowed):
+        self.others = others  # the facet's other vertices, ascending; all assigned earlier
+        self.position = position  # the vertex's column in the facet's ascending order
+        self.allowed = allowed  # allowed determinants: (1, -1), or the sign table's sign
+        self.forms = {}  # the others' labels -> the facet's linear form, this search only
+
+
+class _Step:
+    """One depth of the search: its vertex and the facets that constrain it."""
+
+    __slots__ = ("vertex", "completes", "mates")
+
+    def __init__(self, vertex, completes, mates):
+        self.vertex = vertex
+        self.completes = completes  # a _Completion per facet the vertex completes
+        self.mates = mates  # the vertex's facets' members assigned earlier (maximal sets)
+
+
+def _plan(complex_, pinned, mode, sign_table):
+    """One step per depth; the vertex order never changes during a search.
+
+    The order is greedy: next comes the vertex completing the most facets,
+    the smallest index among ties.
+    """
+    placed = set(pinned)
+    star = {v: [] for v in range(1, complex_.m + 1)}
+    for f in complex_.facets:
+        for v in f:
+            star[v].append(f)
+    missing = {f: sum(1 for u in f if u not in placed) for f in complex_.facets}
+    remaining = [v for v in range(1, complex_.m + 1) if v not in placed]
+    plan = []
+    while remaining:
+        vertex = max(remaining, key=lambda v: (sum(1 for f in star[v] if missing[f] == 1), -v))
+        completes = []
+        mates = set()
+        for f in star[vertex]:
+            earlier = tuple(u for u in f if u in placed)
+            mates.add(frozenset(earlier))
+            if missing[f] == 1:
+                allowed = (sign_table.ascending_sign(f),) if mode == "toric_sign" else (1, -1)
+                completes.append(_Completion(earlier, f.index(vertex), allowed))
+            missing[f] -= 1
+        maximal = sorted(tuple(sorted(s)) for s in mates if not any(s < t for t in mates))
+        plan.append(_Step(vertex, tuple(completes), tuple(maximal)))
+        placed.add(vertex)
+        remaining.remove(vertex)
+    return plan
+
+
+def _search(complex_, n, normalization, mode, bound=None, sign_table=None):
+    """The backtracking kernel shared by every mode.
+
+    Pins ``normalization``, walks the plan depth by depth with the mode's
+    candidate generator, counts its work, and re-verifies a SAT answer with
+    ``verify_labeling`` before returning it.
+    """
+    if mode == "mod2":
+        assignment = {v: 1 << pos for pos, v in enumerate(sorted(normalization))}
+        generate = _mod2_candidates
+    else:
+        assignment = {v: tuple(1 if k == pos else 0 for k in range(n))
+                      for pos, v in enumerate(sorted(normalization))}
+        generate = _integer_candidates
+    plan = _plan(complex_, assignment, mode, sign_table)
+    stats = {"nodes": 0, "candidates": 0, "backtracks": 0}
+
+    def descend(depth):
+        stats["nodes"] += 1
+        if depth == len(plan):
             return True
-        vertex = order[idx]
-        for vec in candidates(vertex, assignment):
-            assignment[vertex] = vec
-            if backtrack(idx + 1):
+        step = plan[depth]
+        for value in generate(step, assignment, n, bound):
+            stats["candidates"] += 1
+            assignment[step.vertex] = value
+            if descend(depth + 1):
                 return True
-            del assignment[vertex]
+        assignment.pop(step.vertex, None)
+        stats["backtracks"] += 1
         return False
 
-    if backtrack(0):
-        ok, dets, failures = verify_labeling(
-            complex_, assignment, problem.mode, sign_table
-        )
-        if not ok:
-            raise AssertionError(f"search produced an invalid labeling: {failures}")
-        return LabelingSolution(dict(assignment), dets, problem.mode)
-    return Unsat(bound)
+    if not descend(0):
+        if mode == "mod2":
+            return Infeasible("exhausted", {"classes": (1 << n) - 1}, stats=stats)
+        return Unsat(bound, stats=stats)
+    ok, dets, failures = verify_labeling(complex_, assignment, mode, sign_table)
+    if not ok:
+        raise AssertionError(f"search produced an invalid labeling: {failures}")
+    return LabelingSolution(dict(assignment), dets, mode, stats=stats)
 
 
-def _vertex_order(complex_, assigned):
-    """Greedy max-constraint order: most completed facets first, then index."""
-    order = []
-    assigned = set(assigned)
-    remaining = [v for v in range(1, complex_.m + 1) if v not in assigned]
-    while remaining:
-        def score(v):
-            return sum(
-                1
-                for f in complex_.facets
-                if v in f and all(u in assigned or u == v for u in f)
-            )
-        best = max(remaining, key=lambda v: (score(v), -v))
-        order.append(best)
-        assigned.add(best)
-        remaining.remove(best)
-    return order
+def _integer_candidates(step, assignment, n, bound):
+    """Vectors x with |x_i| <= bound giving each completed facet an allowed determinant.
 
-
-def _product_lists(lists):
-    if not lists:
-        yield ()
-        return
-    for head in lists[0]:
-        for tail in _product_lists(lists[1:]):
-            yield (head,) + tail
-
-
-def _box_solutions(rows, targets, n, bound):
-    """Integer points x with rows . x = targets and |x_i| <= bound.
-
-    Solves the rational system, then enumerates the free coordinates over the
-    box; pivot coordinates must come out integral and in range.
+    Each completed facet's determinant is the linear form ``cofactor_row``
+    of its other columns.  One nonsingular r x r block A of r independent
+    forms, on pivot coordinates P, is factored once as its determinant D and
+    adjugate.  For targets t of those forms and free coordinates y in the
+    box, ``D·x_P = adj·t - adj·B·y`` (B: the forms' free columns), which must
+    divide by D and stay in the bound; each dependent form is then checked
+    by one dot product.  Sorted ascending.  A form equal to ±1 makes x
+    primitive, so only the unconstrained box needs filtering.
     """
-    if not rows:
-        return _full_box(n, bound)
-    aug = [list(map(Fraction, row)) + [Fraction(t)] for row, t in zip(rows, targets)]
-    reduced, pivots = linalg.rref(aug)
-    if n in pivots:
-        return []
-    free = [c for c in range(n) if c not in pivots]
+    span = range(-bound, bound + 1)
+    if not step.completes:
+        return [x for x in product(span, repeat=n) if any(x) and linalg.vec_gcd(x) == 1]
+    forms = []
+    for c in step.completes:
+        labels = tuple(assignment[u] for u in c.others)
+        form = c.forms.get(labels)
+        if form is None:
+            form = linalg.cofactor_row(labels, c.position)
+            if len(c.forms) < _FORMS_PER_FACET:
+                c.forms[labels] = form
+        forms.append(form)
+    chosen, pivots = linalg.independent_rows(forms)
+    if not chosen:
+        return []  # every form vanishes, and no allowed determinant is 0
+    dependent = [(forms[i], c.allowed) for i, c in enumerate(step.completes)
+                 if i not in chosen]
+    free = [j for j in range(n) if j not in pivots]
+    kept = [forms[i] for i in chosen]
+    cols = tuple(tuple(f[p] for f in kept) for p in pivots)  # the columns of A
+    adj = [linalg.cofactor_row(cols[:k] + cols[k + 1:], k) for k in range(len(cols))]
+    det = sum(map(mul, adj[0], cols[0]))
+    shift = [[sum(map(mul, row, [f[j] for f in kept])) for j in free] for row in adj]
+    tops = [[sum(map(mul, row, t)) for row in adj]
+            for t in product(*(step.completes[i].allowed for i in chosen))]
     out = []
-    span = list(range(-bound, bound + 1))
-    for values in _product_lists([span] * len(free)):
-        x = [Fraction(0)] * n
-        for c, val in zip(free, values):
-            x[c] = Fraction(val)
-        ok = True
-        for r, p in enumerate(pivots):
-            val = reduced[r][n] - sum(reduced[r][c] * x[c] for c in free)
-            if val.denominator != 1 or abs(val) > bound:
-                ok = False
-                break
-            x[p] = val
-        if ok:
-            out.append(tuple(int(v) for v in x))
+    x = [0] * n
+    for y in product(span, repeat=len(free)):
+        for j, value in zip(free, y):
+            x[j] = value
+        moved = [sum(map(mul, row, y)) for row in shift]
+        for top in tops:
+            for p, a, b in zip(pivots, top, moved):
+                num = a - b
+                if num % det or abs(num // det) > bound:
+                    break
+                x[p] = num // det
+            else:
+                if all(sum(map(mul, form, x)) in allowed for form, allowed in dependent):
+                    out.append(tuple(x))
+    out.sort()
     return out
 
 
-def _full_box(n, bound):
-    span = list(range(-bound, bound + 1))
-    return [tuple(v) for v in _product_lists([span] * n)]
+def _mod2_candidates(step, assignment, n, bound=None):
+    """The nonzero classes outside the span of each facet's earlier members, ascending.
 
-
-def _search_mod2(complex_, n, normalization):
-    """Exhaustive backtracking over nonzero mod-2 classes; bound-free."""
-    assignment = {}
-    for pos, v in enumerate(sorted(normalization)):
-        assignment[v] = 1 << pos
-    order = _vertex_order(complex_, set(assignment))
-    classes = list(range(1, 1 << n))
-
-    def consistent(vertex):
-        for f in complex_.facets:
-            if vertex not in f:
-                continue
-            vecs = [assignment[u] for u in f if u in assignment]
-            if _gf2_rank(vecs) != len(vecs):
-                return False
-        return True
-
-    def backtrack(idx):
-        if idx == len(order):
-            return True
-        vertex = order[idx]
-        for c in classes:
-            assignment[vertex] = c
-            if consistent(vertex) and backtrack(idx + 1):
-                return True
-            del assignment[vertex]
-        return False
-
-    if backtrack(0):
-        ok, dets, failures = verify_labeling(complex_, assignment, "mod2")
-        if not ok:
-            raise AssertionError(f"search produced an invalid labeling: {failures}")
-        return LabelingSolution(dict(assignment), dets, "mod2")
-    return Infeasible("exhausted", {"classes": len(classes)})
+    Those members are independent (every earlier step kept them so), so a
+    class keeps a facet independent exactly when it avoids their span.
+    """
+    forbidden = {0}
+    for members in step.mates:
+        span = {0}
+        for u in members:
+            x = assignment[u]
+            span |= {s ^ x for s in span}
+        forbidden |= span
+    return [c for c in range(1, 1 << n) if c not in forbidden]
 
 
 # -- pigeonhole obstruction ------------------------------------------------------
@@ -503,7 +513,7 @@ def mod2_obstruction(complex_, n):
     clique = find_clique(complex_, (1 << n))
     if clique is not None:
         return Infeasible("clique", {"clique": clique, "classes": (1 << n) - 1})
-    return _search_mod2(complex_, n, complex_.facets[0])
+    return _search(complex_, n, complex_.facets[0], "mod2")
 
 
 # -- four-color realization of 2-spheres ------------------------------------------

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from topfan.cli import main
-from topfan.complexes import SimplicialComplex
+from topfan.complexes import SimplicialComplex, cyclic_polytope_boundary
 from topfan.fans import TopologicalFan
 from topfan.fixtures import cp2cp2_fan, octahedron_complex, octahedron_fan, octahedron_positions
 
@@ -236,6 +236,63 @@ def test_realize_barnette_toric_sign_unsat(capsys, tmp_path):
     assert code == 0
     dets = json.loads(out)["result"]["facet_dets"]
     assert all(abs(d) == 1 for d in dets.values())
+
+
+def test_realize_report_carries_search_stats(capsys, tmp_path):
+    """The search's counts sit next to the result, never inside it."""
+    run_cli(capsys, "fixtures", "barnette", "--dir", str(tmp_path))
+    path = str(tmp_path / "barnette.complex.json")
+    code, out, _ = run_cli(capsys, "realize", path, "--mode", "toric-sign", "--bound", "1")
+    assert code == 1
+    report = json.loads(out)
+    assert report["result"] == {"kind": "unsat", "bound": 1}
+    assert report["seed"] is None
+    stats = report["stats"]
+    assert set(stats) == {"nodes", "candidates", "backtracks"}
+    assert stats["nodes"] == stats["backtracks"] == stats["candidates"] + 1 > 1
+
+    code, out, _ = run_cli(capsys, "realize", path, "--mode", "mod2")
+    assert code == 0
+    assert json.loads(out)["stats"]["nodes"] == 5  # the root, four free vertices
+
+    k = cyclic_polytope_boundary(4, 16)
+    clique_path = tmp_path / "c4_16.json"
+    clique_path.write_text(json.dumps(k.to_json()))
+    code, out, _ = run_cli(capsys, "realize", str(clique_path), "--mode", "mod2")
+    assert code == 1
+    assert json.loads(out)["stats"] is None  # the clique decides; no search runs
+
+
+def test_charts_and_realize_take_no_seed(capsys, tmp_path, cp2cp2_path):
+    code, out, _ = run_cli(capsys, "charts", cp2cp2_path, "--cocycle")
+    assert code == 0 and json.loads(out)["seed"] is None
+    code, _, _ = run_cli(capsys, "charts", cp2cp2_path, "--cocycle", "--seed", "5")
+    assert code == 2
+    path = tmp_path / "oct.json"
+    path.write_text(json.dumps(octahedron_complex().to_json()))
+    code, _, _ = run_cli(capsys, "realize", str(path), "--mode", "mod2", "--seed", "5")
+    assert code == 2
+
+
+def test_invariants_samples_completeness_once(capsys, monkeypatch, cp2cp2_path):
+    """The command's own --seed validation is the only one; the invariants reuse it."""
+    code, out, _ = run_cli(capsys, "invariants", cp2cp2_path, "--seed", "0")
+    assert code == 0
+    expected = json.loads(out)["result"]
+    seeds = []
+    check_complete = TopologicalFan.check_complete
+
+    def counted(self, seed=0, samples=12):
+        seeds.append(seed)
+        return check_complete(self, seed=seed, samples=samples)
+
+    monkeypatch.setattr(TopologicalFan, "check_complete", counted)
+    code, out, _ = run_cli(capsys, "invariants", cp2cp2_path, "--seed", "5")
+    assert code == 0
+    assert seeds == [5]
+    report = json.loads(out)
+    assert report["seed"] == 5
+    assert report["result"] == expected
 
 
 def test_realize_toric_sign_contradiction(capsys, tmp_path):
