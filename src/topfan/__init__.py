@@ -9,7 +9,7 @@ fan surgeries, and runs integer-labeling realizability searches.  All
 arithmetic is exact.
 """
 
-from .complexes import FVector, SimplicialComplex, cyclic_polytope_boundary, f_h_vectors
+from .complexes import FVector, SimplicialComplex, cyclic_polytope_boundary
 from .fans import (
     Isomorphism,
     Ray,
@@ -24,7 +24,6 @@ __all__ = [
     "FVector",
     "SimplicialComplex",
     "cyclic_polytope_boundary",
-    "f_h_vectors",
     "Isomorphism",
     "Ray",
     "TopologicalFan",

@@ -186,9 +186,7 @@ class FacePoset:
     """The orbit-space face poset: simplices under reverse inclusion.
 
     The empty face is the top element (the whole orbit space) and the facets
-    are minimal.  ``cube_zero_set`` embeds each face into the unit cube model:
-    face J corresponds to the cube face where exactly the coordinates in J
-    vanish.
+    are minimal.
     """
 
     elements: tuple[tuple[int, ...], ...]
@@ -202,9 +200,6 @@ class FacePoset:
         for e in self.elements:
             counts[len(e)] = counts.get(len(e), 0) + 1
         return counts
-
-    def cube_zero_set(self, element):
-        return tuple(element)
 
     def leq(self, a, b):
         """a <= b in the poset, i.e. the face a is contained in the face b."""

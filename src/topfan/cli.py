@@ -207,6 +207,8 @@ def cmd_realize(args):
         sys.stdout.write("\n")
         return EXIT_OK
 
+    if not complex_.facets:
+        raise ValueError("the complex has no facets")
     mode = args.mode.replace("-", "_")
     normalization = _parse_facet(args.normalize) if args.normalize else None
     if mode == "mod2":

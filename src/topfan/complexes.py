@@ -230,10 +230,6 @@ class FVector:
         return FVector(f, h)
 
 
-def f_h_vectors(complex_: SimplicialComplex) -> FVector:
-    return FVector.of(complex_)
-
-
 def cyclic_polytope_boundary(n, m) -> SimplicialComplex:
     """Boundary complex of the cyclic polytope with m vertices in dimension n.
 

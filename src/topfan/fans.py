@@ -17,7 +17,7 @@ from typing import Optional
 
 from . import linalg
 from .complexes import SimplicialComplex
-from .ring import MU0, RElem, RVec, dual_basis, orientation_sign, pairing
+from .ring import MU0, DualBasis, RElem, RVec
 
 
 @dataclass(frozen=True)
@@ -116,11 +116,12 @@ class ValidationReport:
 class TopologicalFan:
     """A pair (complex, rays) with exact validation and chart data."""
 
-    # Caches of data derived from the (immutable) rays and complex.  The chart
-    # tables are filled by ``charts`` and the graded ring by ``invariants``;
-    # each lives and dies with its fan.
+    # Caches of data derived from the (immutable) rays and complex.  One
+    # ``DualBasis`` per facet serves validation, cone location, the chart
+    # tables (filled by ``charts``) and the orientation weights; the graded
+    # ring is filled by ``invariants``.  Each lives and dies with its fan.
     __slots__ = ("n", "complex", "rays", "_rvecs", "_dual_cache", "_chart_tables", "_ring",
-                 "_structure", "_reports", "_int_b", "_hyperplanes", "_inverses")
+                 "_structure", "_reports", "_int_b", "_hyperplanes")
 
     def __init__(self, n, complex_: SimplicialComplex, rays):
         rays = tuple(rays)
@@ -140,7 +141,6 @@ class TopologicalFan:
         self._reports = {}
         self._int_b = None
         self._hyperplanes = {}
-        self._inverses = {}
 
     @property
     def m(self):
@@ -175,13 +175,25 @@ class TopologicalFan:
 
     # -- chart data ---------------------------------------------------------
 
+    def _dual(self, facet):
+        """The cached factorization of a sorted facet's rays.
+
+        Built on first use with two ``linalg.inverse`` calls; a bad block
+        raises only when the record's ``alphas`` are read.
+        """
+        record = self._dual_cache.get(facet)
+        if record is None:
+            record = self._dual_cache[facet] = DualBasis({i: self.rvec(i) for i in facet})
+        return record
+
     def dual_basis(self, facet):
+        """The facet's dual basis; raises BSingularError or VNotUnimodularError on a bad block."""
         key = tuple(sorted(facet))
-        if key not in self._dual_cache:
-            if key not in self.complex.facets:
-                raise ValueError(f"{key} is not a facet")
-            self._dual_cache[key] = dual_basis({i: self.rvec(i) for i in key})
-        return self._dual_cache[key]
+        if key not in self.complex.facets:
+            raise ValueError(f"{key} is not a facet")
+        record = self._dual(key)
+        record.alphas  # raises when a block is bad
+        return record
 
     # -- validation ---------------------------------------------------------
 
@@ -220,12 +232,7 @@ class TopologicalFan:
         common = tuple(sorted(set(fi) & set(fj)))
         # Adjacent full facets: a strict separating wall settles the pair.
         if len(fi) == len(fj) == self.n and len(common) == self.n - 1:
-            x = next(iter(set(fi) - set(common)))
-            y = next(iter(set(fj) - set(common)))
-            phi = self._wall_normal(common)
-            sx = linalg.mat_vec([phi], list(self.ray(x).b))[0]
-            sy = linalg.mat_vec([phi], list(self.ray(y).b))[0]
-            if sx * sy < 0:
+            if self._opposite_sides(fi, fj):
                 return None
             # fall through to the general computation to produce a witness
         cols_i = [self._int_b_column(i) for i in fi]
@@ -242,12 +249,21 @@ class TopologicalFan:
                 return [sum(u[p] * cols_i[p][k] for p in range(len(fi))) for k in range(self.n)]
         return None
 
-    def _wall_normal(self, wall):
-        rows = [list(self.ray(w).b) for w in wall]
-        basis = linalg.kernel_basis(rows) if rows else linalg.kernel_basis([[Fraction(0)] * self.n])
-        if len(basis) != 1:
-            raise ValueError(f"wall {wall} does not span a hyperplane")
-        return basis[0]
+    def _opposite_sides(self, f0, f1):
+        """True when the rays of two top facets off their common wall lie strictly on opposite sides.
+
+        Let x and y be the vertices of f0 and f1 off the wall W.  In f0's
+        basis, b_y = sum_w a_w b_w + a_x b_x, and a wall normal phi vanishes
+        on every b_w, so phi . b_y = a_x (phi . b_x): the sides are opposite
+        exactly when the coordinate a_x is negative.  It is read from f0's
+        cached inverse; a singular f0 counts as one side.
+        """
+        (x,), (y,) = set(f0) - set(f1), set(f1) - set(f0)
+        b_inv = self._dual(f0).b_inv
+        if b_inv is None:
+            return False
+        row = b_inv[f0.index(x)]
+        return sum(a * b for a, b in zip(row, self.ray(y).b)) < 0
 
     def check_complete(self, seed=0, samples=12) -> Verdict:
         """Wall-pairing completeness plus sampled covering sanity.
@@ -278,12 +294,7 @@ class TopologicalFan:
                     {"kind": "boundary-wall" if len(facets) < 2 else "overcrowded-wall",
                      "wall": list(wall), "facets": [list(f) for f in facets]},
                 )
-            x = next(iter(set(facets[0]) - set(wall)))
-            y = next(iter(set(facets[1]) - set(wall)))
-            phi = self._wall_normal(wall)
-            sx = linalg.mat_vec([phi], list(self.ray(x).b))[0]
-            sy = linalg.mat_vec([phi], list(self.ray(y).b))[0]
-            if not sx * sy < 0:
+            if not self._opposite_sides(*facets):
                 return Verdict(
                     False,
                     {"kind": "same-side-wall", "wall": list(wall),
@@ -395,18 +406,20 @@ class TopologicalFan:
         """The coordinates of x in the basis of a top facet's b- or v-columns.
 
         x lies in the facet's cone exactly when they are all >= 0, and on the
-        cone's boundary when moreover one of them is 0.  The inverse of each
-        facet's column matrix is computed once and cached.
+        cone's boundary when moreover one of them is 0.  They are read from
+        the block inverses of the facet's cached ``DualBasis``.
         """
         if len(x) != self.n:
             raise ValueError(f"point has {len(x)} coordinates, the fan has dimension {self.n}")
         facet = tuple(sorted(facet))
-        inv = self._inverses.get((part, facet))
+        if facet not in self.complex.facets or len(facet) != self.n:
+            raise ValueError(f"{facet} is not a top-dimensional facet")
+        if part not in ("b", "v"):
+            raise ValueError("part must be 'b' or 'v'")
+        record = self._dual(facet)
+        inv = record.b_inv if part == "b" else record.v_inv
         if inv is None:
-            if facet not in self.complex.facets or len(facet) != self.n:
-                raise ValueError(f"{facet} is not a top-dimensional facet")
-            cols = self._columns(facet, part)
-            inv = self._inverses[part, facet] = linalg.inverse(linalg.transpose(cols))
+            raise ValueError(f"the {part}-columns of {facet} are singular")
         return linalg.mat_vec(inv, x)
 
     def locate_cone(self, x, mode="b"):

@@ -17,7 +17,6 @@ from itertools import combinations, combinations_with_replacement
 from . import linalg
 from .complexes import FVector
 from .fans import TopologicalFan
-from .ring import orientation_sign
 
 
 def minimal_non_faces(complex_):
@@ -302,10 +301,8 @@ class OmniWeights:
 
 def omni_weights(fan: TopologicalFan) -> OmniWeights:
     fan.require_valid()
-    weights = {}
-    for f in fan.complex.facets:
-        weights[f] = orientation_sign([fan.rvec(i) for i in f])
-    return OmniWeights(weights)
+    # sign det B · det V, from each facet's cached factorization
+    return OmniWeights({f: fan._dual(f).sign for f in fan.complex.facets})
 
 
 class DegenerateDirectionError(ValueError):

@@ -18,10 +18,6 @@ def to_fractions(rows):
     return [[Fraction(x) for x in row] for row in rows]
 
 
-def identity_matrix(n):
-    return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-
-
 def transpose(rows):
     return [list(col) for col in zip(*rows)]
 
@@ -72,31 +68,6 @@ def rref(rows):
 
 def rank(rows):
     return len(rref(rows)[1])
-
-
-def det(rows):
-    """Determinant over the rationals (fraction Gaussian elimination)."""
-    m = to_fractions(rows)
-    n = len(m)
-    result = Fraction(1)
-    for col in range(n):
-        pivot_row = None
-        for i in range(col, n):
-            if m[i][col] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != col:
-            m[col], m[pivot_row] = m[pivot_row], m[col]
-            result = -result
-        result *= m[col][col]
-        inv = Fraction(1) / m[col][col]
-        for i in range(col + 1, n):
-            if m[i][col] != 0:
-                f = m[i][col] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[col])]
-    return result
 
 
 def int_det(rows):
@@ -200,13 +171,30 @@ def independent_rows(rows):
 
 
 def inverse(rows):
-    """Inverse of a square rational matrix; raises ValueError when singular."""
+    """Inverse and determinant of a square rational matrix, from one Gauss–Jordan pass.
+
+    Returns ``(inverse, det)``; the inverse is None when the matrix is
+    singular, and its determinant is 0 then.
+    """
     n = len(rows)
-    aug = [list(map(Fraction, row)) + identity_matrix(n)[i] for i, row in enumerate(rows)]
-    red, pivots = rref(aug)
-    if pivots[:n] != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in red[:n]]
+    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(rows)]
+    det = Fraction(1)
+    for col in range(n):
+        pivot_row = next((i for i in range(col, n) if m[i][col] != 0), None)
+        if pivot_row is None:
+            return None, Fraction(0)
+        if pivot_row != col:
+            m[col], m[pivot_row] = m[pivot_row], m[col]
+            det = -det
+        pivot = m[col][col]
+        det *= pivot
+        m[col] = [x / pivot for x in m[col]]
+        for i in range(n):
+            f = m[i][col]
+            if i != col and f != 0:
+                m[i] = [a - f * b for a, b in zip(m[i], m[col])]
+    return [row[n:] for row in m], det
 
 
 def kernel_basis(rows):
@@ -249,10 +237,6 @@ def vec_gcd(values):
     for v in values:
         g = gcd(g, abs(int(v)))
     return g
-
-
-def is_primitive(vec):
-    return vec_gcd(vec) == 1
 
 
 def maximal_minor_gcd(int_rows, size):

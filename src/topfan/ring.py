@@ -14,6 +14,7 @@ for omniorientation weights.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -35,11 +36,6 @@ class RElem:
     b: Fraction
     c: Fraction
     v: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "b", Fraction(self.b))
-        object.__setattr__(self, "c", Fraction(self.c))
-        object.__setattr__(self, "v", int(self.v))
 
     def __mul__(self, other: "RElem") -> "RElem":
         # Matrix product self . other; composition (g^other)^self = g^(self*other).
@@ -131,10 +127,6 @@ class RVec:
         """Componentwise beta^k * mu (scalar acting on the source side)."""
         return RVec(tuple(e * mu for e in self.entries))
 
-    def left_mul(self, mu: RElem) -> "RVec":
-        """Componentwise mu * alpha^k (scalar acting on the target side)."""
-        return RVec(tuple(mu * e for e in self.entries))
-
     def conjugate(self) -> "RVec":
         return RVec(tuple(e.conjugate() for e in self.entries))
 
@@ -174,12 +166,48 @@ def pairing(alpha: RVec, beta: RVec) -> RElem:
     return total
 
 
-@dataclass(frozen=True)
 class DualBasis:
-    """Vectors ``alpha_i`` with pairing(alpha_i, beta_j) = delta_ij * ONE."""
+    """The block inverse of n ring vectors, from one elimination of each block.
 
-    indices: tuple[int, ...]
-    alphas: tuple[RVec, ...]
+    Writing the rays columnwise as the block matrix [[B, 0], [C, V]], one
+    ``linalg.inverse`` call per block gives ``b_inv`` and ``b_det``, ``v_inv``
+    and ``v_det`` (an inverse is None when its block is singular).  ``sign``
+    is the sign of det(B) * det(V), the orientation sign of the rays, and 0
+    when a block is singular.  The dual vectors ``alphas``, with
+    pairing(alpha_i, beta_j) = delta_ij * ONE, are the rows of
+    [[B^-1, 0], [-V^-1 C B^-1, V^-1]].  They are built on first read, which
+    requires B invertible over Q and V invertible over Z; the two failure
+    modes are reported distinctly because they correspond to defects in
+    different parts of the fan data.
+    """
+
+    def __init__(self, betas: Mapping[int, RVec]):
+        self.indices = indices = tuple(sorted(betas))
+        n = len(indices)
+        for i in indices:
+            if len(betas[i]) != n:
+                raise ValueError("each vector must have length equal to the number of vectors")
+        columns = [betas[i] for i in indices]
+        self._c = [[col[k].c for col in columns] for k in range(n)]
+        self.b_inv, self.b_det = linalg.inverse([[col[k].b for col in columns] for k in range(n)])
+        self.v_inv, self.v_det = linalg.inverse([[col[k].v for col in columns] for k in range(n)])
+        product = self.b_det * self.v_det
+        self.sign = (product > 0) - (product < 0)
+
+    @cached_property
+    def alphas(self) -> tuple[RVec, ...]:
+        if self.b_inv is None:
+            raise BSingularError(f"real parts of rays {self.indices} are linearly dependent")
+        if abs(self.v_det) != 1:
+            raise VNotUnimodularError(
+                f"winding parts of rays {self.indices} have determinant {self.v_det}, "
+                "not a Z-basis"
+            )
+        c_block = linalg.mat_mul(linalg.mat_mul(self.v_inv, self._c), self.b_inv)
+        return tuple(
+            RVec(tuple(RElem(b, -c, int(v)) for b, c, v in zip(b_row, c_row, v_row)))
+            for b_row, c_row, v_row in zip(self.b_inv, c_block, self.v_inv)
+        )
 
     def __getitem__(self, index) -> RVec:
         return self.alphas[self.indices.index(index)]
@@ -189,42 +217,13 @@ class DualBasis:
 
 
 def dual_basis(betas: Mapping[int, RVec]) -> DualBasis:
-    """Dual set of n ring vectors, built from the block inverse.
+    """The dual set of n ring vectors; raises BSingularError or VNotUnimodularError.
 
-    Writing the rays columnwise as the block matrix [[B, 0], [C, V]], the dual
-    vectors are the rows of [[B^-1, 0], [-V^-1 C B^-1, V^-1]].  Requires B
-    invertible over Q and V invertible over Z; the two failure modes are
-    reported distinctly because they correspond to defects in different parts
-    of the fan data.
+    See ``DualBasis`` for the construction.
     """
-    indices = tuple(sorted(betas))
-    n = len(indices)
-    for i in indices:
-        if len(betas[i]) != n:
-            raise ValueError("each vector must have length equal to the number of vectors")
-    b_mat = [[betas[i][k].b for i in indices] for k in range(n)]
-    c_mat = [[betas[i][k].c for i in indices] for k in range(n)]
-    v_mat = [[Fraction(betas[i][k].v) for i in indices] for k in range(n)]
-
-    try:
-        b_inv = linalg.inverse(b_mat)
-    except ValueError:
-        raise BSingularError(f"real parts of rays {indices} are linearly dependent")
-    v_det = linalg.det(v_mat)
-    if abs(v_det) != 1:
-        raise VNotUnimodularError(
-            f"winding parts of rays {indices} have determinant {v_det}, not a Z-basis"
-        )
-    v_inv = linalg.inverse(v_mat)
-    c_block = [[-x for x in row] for row in linalg.mat_mul(linalg.mat_mul(v_inv, c_mat), b_inv)]
-
-    alphas = []
-    for row in range(n):
-        entries = tuple(
-            RElem(b_inv[row][k], c_block[row][k], int(v_inv[row][k])) for k in range(n)
-        )
-        alphas.append(RVec(entries))
-    return DualBasis(indices, tuple(alphas))
+    duals = DualBasis(betas)
+    duals.alphas  # raises when a block is bad
+    return duals
 
 
 def orientation_sign(betas: Iterable[RVec]) -> int:
@@ -233,11 +232,7 @@ def orientation_sign(betas: Iterable[RVec]) -> int:
     In block form the determinant is det(B) * det(V); it is invariant under
     reordering the rays, since a swap flips both block determinants.
     """
-    vecs = list(betas)
-    n = len(vecs)
-    b_mat = [[vecs[j][k].b for j in range(n)] for k in range(n)]
-    v_mat = [[Fraction(vecs[j][k].v) for j in range(n)] for k in range(n)]
-    product = linalg.det(b_mat) * linalg.det(v_mat)
-    if product == 0:
+    sign = DualBasis(dict(enumerate(betas))).sign
+    if sign == 0:
         raise ValueError("singular input: rays do not span")
-    return 1 if product > 0 else -1
+    return sign

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from topfan import linalg
 from topfan.cli import main
 from topfan.complexes import SimplicialComplex, cyclic_polytope_boundary
 from topfan.fans import TopologicalFan
@@ -92,11 +93,30 @@ def test_loader_failures_exit_2(capsys, tmp_path, case):
         assert out == ""
 
 
-def test_complex_loader_failure_exits_2(capsys, tmp_path):
+@pytest.mark.parametrize("data, mode", [([1, 2], "mod2")] + [
+    ({"m": 0, "facets": []}, mode) for mode in ("mod2", "unimodular", "toric-sign")])
+def test_complex_loader_failure_exits_2(capsys, tmp_path, data, mode):
     path = tmp_path / "bad_complex.json"
-    path.write_text(json.dumps([1, 2]))
-    code, _, err = run_cli(capsys, "realize", str(path), "--mode", "mod2")
-    assert code == 2 and err.startswith("error:")
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "realize", str(path), "--mode", mode)
+    assert code == 2 and err.startswith("error:") and out == ""
+
+
+@pytest.mark.parametrize("fan", [cp2cp2_fan(), octahedron_fan()], ids=["cp2cp2", "octahedron"])
+def test_each_top_facet_is_factored_once_per_command(capsys, monkeypatch, tmp_path, fan):
+    """Two ``linalg.inverse`` calls per top facet (its b- and v-blocks) serve a whole command."""
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps(fan.to_json()))
+    calls = []
+    inverse = linalg.inverse
+    monkeypatch.setattr(linalg, "inverse", lambda rows: calls.append(rows) or inverse(rows))
+    base = ",".join(map(str, fan.complex.facets[0]))
+    for argv in (["validate"], ["charts", "--kernel", base, "--transitions", "--cocycle",
+                                "--faceposet"], ["invariants"]):
+        calls.clear()
+        code, _, _ = run_cli(capsys, argv[0], str(path), *argv[1:])
+        assert code == 0
+        assert len(calls) == 2 * len(fan.complex.facets), argv
 
 
 def test_validate_bad_usage(capsys):

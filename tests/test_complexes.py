@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from topfan.complexes import FVector, SimplicialComplex, cyclic_polytope_boundary, f_h_vectors
+from topfan.complexes import FVector, SimplicialComplex, cyclic_polytope_boundary
 from topfan.fixtures import barnette_complex, octahedron_complex
 
 
@@ -58,7 +58,7 @@ def test_link_of_suspension_pole_recovers_base():
 def test_link_octahedron_is_square():
     oct_ = octahedron_complex()
     link = oct_.link(1)
-    fv = f_h_vectors(link)
+    fv = FVector.of(link)
     assert fv.f == (4, 4)
 
 
@@ -93,13 +93,13 @@ def test_stellar_rejects_non_facets():
 def test_suspension_of_two_points_is_square():
     k = SimplicialComplex(2, [(1,), (2,)])
     susp = k.suspend()
-    assert f_h_vectors(susp).f == (4, 4)
+    assert FVector.of(susp).f == (4, 4)
     assert susp.is_pseudomanifold()
 
 
 def test_suspension_of_square_is_octahedron():
     susp = square().suspend()
-    assert f_h_vectors(susp).f == (6, 12, 8)
+    assert FVector.of(susp).f == (6, 12, 8)
 
 
 def _brute_faces(complex_):
@@ -120,14 +120,14 @@ def test_suspension_face_counts_join_formula():
 
 
 def test_f_h_vectors_frozen():
-    assert f_h_vectors(square()) == FVector((4, 4), (1, 2, 1))
-    assert f_h_vectors(octahedron_complex()) == FVector((6, 12, 8), (1, 3, 3, 1))
+    assert FVector.of(square()) == FVector((4, 4), (1, 2, 1))
+    assert FVector.of(octahedron_complex()) == FVector((6, 12, 8), (1, 3, 3, 1))
 
 
 def test_simplex_boundary_binomials():
     n = 4
     k = SimplicialComplex(n + 1, list(combinations(range(1, n + 2), n)))
-    fv = f_h_vectors(k)
+    fv = FVector.of(k)
     assert fv.f == tuple(comb(n + 1, j + 1) for j in range(n))
 
 

@@ -312,6 +312,41 @@ def test_locate_cone_rejects_non_top_facets_and_wrong_lengths(square_fan):
         square_fan.locate_cone([1, 1], "c")
 
 
+def _kernel_normal_sides(fan, f0, f1):
+    """The reference wall test: a kernel normal of the common wall's b-rows.
+
+    True when the normal takes strictly opposite signs on the two rays off
+    the wall.
+    """
+    wall = [list(fan.ray(w).b) for w in sorted(set(f0) & set(f1))]
+    (phi,) = linalg.kernel_basis(wall or [[Fraction(0)] * fan.n])
+    (x,), (y,) = set(f0) - set(f1), set(f1) - set(f0)
+    sx, sy = (sum(p * b for p, b in zip(phi, fan.ray(i).b)) for i in (x, y))
+    return sx * sy < 0
+
+
+def _negate_b(fan, k):
+    ray = fan.rays[k]
+    rays = list(fan.rays)
+    rays[k] = Ray(tuple(-x for x in ray.b), ray.c, ray.v)
+    return TopologicalFan(fan.n, fan.complex, rays)
+
+
+def test_wall_test_matches_kernel_normal_signs(fan_generator):
+    """The wall test read from a facet's cached inverse, on every wall, both facet orders."""
+    fans = [cp2cp2_fan(), octahedron_fan(), projective_fan(3), segment_fan()]
+    fans += [fan_generator(random.Random(seed)) for seed in range(8)]
+    verdicts = set()
+    for fan in fans:
+        for subject in [fan] + [_negate_b(fan, k) for k in range(fan.m)]:
+            for f0, f1 in subject.complex.walls().values():
+                for a, b in ((f0, f1), (f1, f0)):
+                    expected = _kernel_normal_sides(subject, a, b)
+                    assert subject._opposite_sides(a, b) == expected, (subject, a, b)
+                    verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
 def test_json_roundtrip(square_fan):
     data = square_fan.to_json()
     assert TopologicalFan.from_json(data) == square_fan

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from topfan import invariants
+from topfan import invariants, linalg
+from topfan.fans import TopologicalFan
 from topfan.fixtures import cp2cp2_fan, octahedron_fan, projective_fan, segment_fan
 from topfan.invariants import (
     DegenerateDirectionError,
@@ -19,6 +20,7 @@ from topfan.invariants import (
     todd_genus,
 )
 from topfan.realize import product_fan, suspend_fan
+from topfan.ring import MU0
 from tests.conftest import random_valid_fan
 
 
@@ -131,6 +133,28 @@ def test_omni_weights_square(square_fan):
 def test_omni_weights_ordinary_fans_positive(oct_fan):
     for fan in (oct_fan, projective_fan(2), projective_fan(3)):
         assert set(omni_weights(fan).weights.values()) == {1}
+
+
+def _reference_weight(fan, facet):
+    """sign det B · det V from integer determinants of the facet's columns."""
+    b_rows = linalg.transpose([linalg.clear_denominators(fan.ray(i).b) for i in facet])
+    v_rows = linalg.transpose([list(fan.ray(i).v) for i in facet])
+    d = linalg.int_det(b_rows) * linalg.int_det(v_rows)
+    assert d != 0
+    return 1 if d > 0 else -1
+
+
+def test_omni_weights_match_integer_determinants(fan_generator):
+    fans = [cp2cp2_fan(), octahedron_fan(), projective_fan(2), projective_fan(3), segment_fan()]
+    fans += [fan_generator(random.Random(seed)) for seed in range(8)]
+    seen = set()
+    for fan in fans:
+        twin = TopologicalFan(fan.n, fan.complex, [ray.right_mul(MU0) for ray in fan.rays])
+        for f in (fan, twin):
+            weights = omni_weights(f).weights
+            assert weights == {facet: _reference_weight(f, facet) for facet in f.complex.facets}
+            seen.update(weights.values())
+    assert seen == {1, -1}
 
 
 def test_weight_flip_under_v_negation(square_fan):

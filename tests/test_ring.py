@@ -1,5 +1,6 @@
 """Ring arithmetic against an explicit 2x2-matrix oracle."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from topfan.ring import (
     ONE,
     ZERO,
     BSingularError,
+    DualBasis,
     RElem,
     RVec,
     VNotUnimodularError,
@@ -180,6 +182,40 @@ def test_dual_basis_error_kinds():
         dual_basis(bad_v)
 
 
+def test_dual_basis_record_defers_block_errors():
+    """A bad block leaves the record's inverses, determinants and sign readable."""
+    degenerate_b = {
+        1: RVec.from_parts((1, 0), (0, 0), (1, 0)),
+        2: RVec.from_parts((2, 0), (0, 0), (0, 1)),
+    }
+    record = DualBasis(degenerate_b)
+    assert record.b_inv is None and record.b_det == 0
+    assert record.v_det == 1 and record.sign == 0
+    with pytest.raises(BSingularError):
+        record.alphas
+    bad_v = DualBasis({
+        1: RVec.from_parts((1, 0), (0, 0), (1, 0)),
+        2: RVec.from_parts((0, 1), (0, 0), (0, 2)),
+    })
+    assert bad_v.v_det == 2 and bad_v.sign == 1
+    with pytest.raises(VNotUnimodularError):
+        bad_v.alphas
+
+
+def test_inverse_returns_the_determinant():
+    rng = random.Random(23)
+    for _ in range(200):
+        n = rng.randint(0, 4)
+        rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        inv, det = linalg.inverse(rows)
+        assert det == linalg.int_det(rows)
+        if det == 0:
+            assert inv is None
+        else:
+            identity = [[int(i == j) for j in range(n)] for i in range(n)]
+            assert linalg.mat_mul(rows, inv) == identity
+
+
 def _random_unimodular(rng, n):
     mat = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     for _ in range(3 * n):
@@ -200,7 +236,7 @@ def test_dual_basis_property_random():
         while True:
             b = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
                  for _ in range(n)]
-            if linalg.det(b) != 0:
+            if linalg.inverse(b)[1] != 0:
                 break
         c = [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
         betas = {
@@ -225,6 +261,12 @@ def test_product_matches_oracle_hypothesis(bn1, bd1, cn1, cd1, v1, bn2, bd2, cn2
     x = RElem(Fraction(bn1, bd1), Fraction(cn1, cd1), v1)
     y = RElem(Fraction(bn2, bd2), Fraction(cn2, cd2), v2)
     assert (x * y).as_matrix() == mat_oracle_mul(x, y)
+
+
+def test_integer_and_fraction_parts_give_one_element():
+    ints, fractions = RElem(1, 0, 1), RElem(Fraction(1), Fraction(0), 1)
+    assert ints == fractions and hash(ints) == hash(fractions)
+    assert json.dumps(ints.to_json()) == json.dumps(fractions.to_json())
 
 
 def test_orientation_sign_examples():
