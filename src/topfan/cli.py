@@ -140,7 +140,10 @@ def cmd_invariants(args):
 def cmd_charts(args):
     report = _Report("charts", [args.fan])
     fan = _load_fan(args.fan)
-    fan.require_valid()
+    validation = fan.validate()
+    if not validation.ok:
+        report.emit({"validation": validation.to_json()})
+        return EXIT_NEGATIVE
     out = {}
     if args.kernel:
         facet = _parse_facet(args.kernel)

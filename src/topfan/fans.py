@@ -200,10 +200,38 @@ class TopologicalFan:
     def check_fan_condition(self) -> Verdict:
         """Per-facet independence of b's and v's, and proper cone intersections.
 
-        Cone intersections are compared on facet pairs only; for simplicial
-        cones the pairwise facet condition implies the condition for all
-        simplex pairs (each simplex sits in a facet and representations in a
-        simplicial cone are unique).
+        Once the b-columns of every facet are independent, a fan that passes
+        ``check_complete`` certifies its own intersections by a local
+        argument, the degree of a multi-fan (Hattori-Masuda, Osaka J. Math.
+        40, 2003).  For n >= 2 that check asks K to be pure of dimension n-1
+        with every wall in exactly two facets, the two rays off every wall
+        strictly on opposite sides, and one regular direction (off every
+        hyperplane spanned by n-1 rays) in exactly one cone.  Then:
+
+        - Orientation: opposite sides give the two facets at a wall opposite
+          signs of det(B_wall, b_extra), so ordering every facet to make
+          det B positive orients K coherently, and each cone containing a
+          regular direction counts +1 in the degree of |K| -> S^{n-1}.
+        - Constant count: along a path of regular directions that crosses
+          wall images only in their relative interiors, each crossing
+          leaves one facet at that wall and enters the other, so the count
+          d of cones over a regular direction is the same everywhere; d >= 1
+          since a direction inside any cone counts.
+        - Codimension 2: the images of faces of K of dimension n-3 or less
+          have codimension at least 2 in the sphere, so they do not
+          disconnect the regular directions and such a path always exists.
+        - No overlaps when d = 1: if cone(F) and cone(G) meet at a point p
+          outside cone(F & G), p lies in the relative interiors of the cones
+          of two distinct faces R of F and R' of G.  The link of each face
+          satisfies the same hypotheses one dimension lower, so its degree
+          is at least 1 and the star of each face covers a whole
+          neighbourhood of p.  A regular direction near p then has a
+          preimage near R and another near R', a count of at least 2.
+
+        For n = 1 the check accepts exactly two rays on opposite sides,
+        which meet only at the origin.  When the certificate is not taken
+        the cones are compared facet pair by facet pair
+        (``_check_facet_pairs``), which also produces every witness.
         """
         for f in self.complex.facets:
             if linalg.rank(linalg.transpose(self.b_columns(f))) != len(f):
@@ -211,6 +239,17 @@ class TopologicalFan:
             if linalg.rank(linalg.transpose([[Fraction(x) for x in col]
                                              for col in self.v_columns(f)])) != len(f):
                 return Verdict(False, {"kind": "dependent-v", "facet": list(f)})
+        if self.check_complete().ok:
+            return Verdict(True)
+        return self._check_facet_pairs()
+
+    def _check_facet_pairs(self) -> Verdict:
+        """Proper cone intersections compared on every facet pair.
+
+        Facet pairs suffice: each simplex sits in a facet and
+        representations in a simplicial cone are unique.  Requires
+        independent b-columns in every facet.
+        """
         facets = self.complex.facets
         for a in range(len(facets)):
             for b in range(a + 1, len(facets)):
@@ -265,13 +304,16 @@ class TopologicalFan:
         row = b_inv[f0.index(x)]
         return sum(a * b for a, b in zip(row, self.ray(y).b)) < 0
 
-    def check_complete(self, seed=0, samples=12) -> Verdict:
-        """Wall-pairing completeness plus sampled covering sanity.
+    def check_complete(self, seed=0) -> Verdict:
+        """Wall-pairing completeness decided by one generic direction.
 
         Pure of top dimension, every wall in exactly two facets with the two
         opposite rays strictly on opposite sides, connected dual graph; then
-        ``samples`` generic directions are each located in exactly one facet
-        cone as a guard against implementation bugs.
+        one direction drawn from ``Random(seed)`` must lie in exactly one
+        facet cone.  Once the walls pass, every regular direction lies in the
+        same number d >= 1 of cones (see ``check_fan_condition``), so that one
+        draw decides for all of them: it passes on a complete fan, and where
+        d >= 2 it and every later draw would be multi-covered.
         """
         if self.n == 0:
             return Verdict(True)
@@ -302,17 +344,15 @@ class TopologicalFan:
                 )
         if not self.complex.dual_graph_connected():
             return Verdict(False, {"kind": "disconnected"})
-        rng = random.Random(seed)
-        for _ in range(samples):
-            direction = self.generic_direction(rng, "b")
-            hits = self.locate_cone(direction, mode="b")
-            if len(hits) != 1:
-                return Verdict(
-                    False,
-                    {"kind": "uncovered-direction" if not hits else "multi-covered-direction",
-                     "direction": [str(x) for x in direction],
-                     "facets": [list(f) for f in hits]},
-                )
+        direction = self.generic_direction(random.Random(seed), "b")
+        hits = self.locate_cone(direction, mode="b")
+        if len(hits) != 1:
+            return Verdict(
+                False,
+                {"kind": "uncovered-direction" if not hits else "multi-covered-direction",
+                 "direction": [str(x) for x in direction],
+                 "facets": [list(f) for f in hits]},
+            )
         return Verdict(True)
 
     def generic_direction(self, rng, part):
@@ -359,20 +399,19 @@ class TopologicalFan:
     def check_involutive(self) -> bool:
         return all(all(x == 0 for x in ray.c) for ray in self.rays)
 
-    def validate(self, seed=0, samples=12) -> ValidationReport:
-        """The validation report, cached per ``(seed, samples)``.
+    def validate(self, seed=0) -> ValidationReport:
+        """The validation report, cached per ``seed``.
 
-        Only the sampled completeness layer depends on the arguments; the fan
-        condition and non-singularity verdicts are computed once per fan.
+        Only the completeness draw depends on the seed; the fan condition and
+        non-singularity verdicts are computed once per fan.
         """
-        key = (seed, samples)
-        if key in self._reports:
-            return self._reports[key]
+        if seed in self._reports:
+            return self._reports[seed]
         if self._structure is None:
             self._structure = (self.check_fan_condition(), self.check_nonsingular())
         fan_v, nonsing_v = self._structure
         if fan_v.ok:
-            complete_v = self.check_complete(seed=seed, samples=samples)
+            complete_v = self.check_complete(seed=seed)
         else:
             complete_v = Verdict(False, {"kind": "fan-condition-failed"})
         witnesses = {}
@@ -385,15 +424,15 @@ class TopologicalFan:
         report = ValidationReport(
             fan_v.ok, complete_v.ok, nonsing_v.ok, self.check_involutive(), witnesses
         )
-        self._reports[key] = report
+        self._reports[seed] = report
         return report
 
     def require_valid(self):
         """The validation report; raises ValueError when the fan is invalid.
 
-        An ok report already cached for any ``(seed, samples)`` is returned
-        as it is, so a command that validated with its own seed does not
-        sample completeness again with seed 0.
+        An ok report already cached for any seed is returned as it is, so a
+        command that validated with its own seed does not draw a completeness
+        direction again with seed 0.
         """
         report = next((r for r in self._reports.values() if r.ok), None) or self.validate()
         if not report.ok:

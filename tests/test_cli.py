@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from topfan import linalg
 from topfan.cli import main
 from topfan.complexes import SimplicialComplex, cyclic_polytope_boundary
-from topfan.fans import TopologicalFan
+from topfan.fans import Ray, TopologicalFan
 from topfan.fixtures import cp2cp2_fan, octahedron_complex, octahedron_fan, octahedron_positions
 
 
@@ -294,25 +294,47 @@ def test_charts_and_realize_take_no_seed(capsys, tmp_path, cp2cp2_path):
     assert code == 2
 
 
-def test_invariants_samples_completeness_once(capsys, monkeypatch, cp2cp2_path):
+def test_invariants_draws_completeness_once(capsys, monkeypatch, cp2cp2_path):
     """The command's own --seed validation is the only one; the invariants reuse it."""
     code, out, _ = run_cli(capsys, "invariants", cp2cp2_path, "--seed", "0")
     assert code == 0
     expected = json.loads(out)["result"]
-    seeds = []
+    seeds, draws = [], []
     check_complete = TopologicalFan.check_complete
+    generic_direction = TopologicalFan.generic_direction
 
-    def counted(self, seed=0, samples=12):
+    def counted(self, seed=0):
         seeds.append(seed)
-        return check_complete(self, seed=seed, samples=samples)
+        return check_complete(self, seed=seed)
+
+    def drawn(self, rng, part):
+        draws.append(part)
+        return generic_direction(self, rng, part)
 
     monkeypatch.setattr(TopologicalFan, "check_complete", counted)
+    monkeypatch.setattr(TopologicalFan, "generic_direction", drawn)
     code, out, _ = run_cli(capsys, "invariants", cp2cp2_path, "--seed", "5")
     assert code == 0
-    assert seeds == [5]
+    # the fan condition's certificate draws with seed 0, the validation with --seed
+    assert seeds == [0, 5]
+    assert draws.count("b") == 2
     report = json.loads(out)
     assert report["seed"] == 5
     assert report["result"] == expected
+
+
+def test_charts_on_an_invalid_fan_exits_1_like_invariants(capsys, tmp_path):
+    fan = TopologicalFan(1, SimplicialComplex(3, [(1,), (2,), (3,)]),
+                         [Ray.from_parts((1,)), Ray.from_parts((-1,)), Ray.from_parts((1,))])
+    path = tmp_path / "three_rays.json"
+    path.write_text(json.dumps(fan.to_json()))
+    code, out, err = run_cli(capsys, "invariants", str(path))
+    assert code == 1 and err == ""
+    validation = json.loads(out)["result"]["validation"]
+    assert validation["witnesses"]["fan_condition"]["kind"] == "cone-overlap"
+    code, out, err = run_cli(capsys, "charts", str(path), "--cocycle")
+    assert code == 1 and err == ""
+    assert json.loads(out)["result"] == {"validation": validation}
 
 
 def test_realize_toric_sign_contradiction(capsys, tmp_path):

@@ -6,6 +6,7 @@ from itertools import combinations
 
 import pytest
 
+from topfan import fans as fans_module
 from topfan import linalg
 from topfan.complexes import SimplicialComplex
 from topfan.fans import Ray, RElem, TopologicalFan, equivalent, h_canonical_form
@@ -16,6 +17,7 @@ from topfan.fixtures import (
     projective_fan,
     segment_fan,
 )
+from topfan.realize import product_fan, suspend_fan
 from tests.conftest import random_valid_fan
 
 
@@ -52,14 +54,14 @@ def test_square_fan_validates(square_fan):
     assert report.involutive
 
 
-def test_validate_cache_is_keyed_on_seed_and_samples(monkeypatch, square_fan):
+def test_validate_cache_is_keyed_on_seed(monkeypatch, square_fan):
     calls = []
     check_complete = TopologicalFan.check_complete
     check_fan_condition = TopologicalFan.check_fan_condition
 
-    def spy_complete(self, seed=0, samples=12):
-        calls.append(("complete", seed, samples))
-        return check_complete(self, seed=seed, samples=samples)
+    def spy_complete(self, seed=0):
+        calls.append(("complete", seed))
+        return check_complete(self, seed=seed)
 
     def spy_fan_condition(self):
         calls.append(("fan-condition",))
@@ -67,13 +69,27 @@ def test_validate_cache_is_keyed_on_seed_and_samples(monkeypatch, square_fan):
 
     monkeypatch.setattr(TopologicalFan, "check_complete", spy_complete)
     monkeypatch.setattr(TopologicalFan, "check_fan_condition", spy_fan_condition)
-    first = square_fan.validate(seed=0, samples=12)
-    other = square_fan.validate(seed=5, samples=1)
+    first = square_fan.validate(seed=0)
+    other = square_fan.validate(seed=5)
     assert other is not first and other.ok
-    assert square_fan.validate(seed=0, samples=12) is first
-    assert square_fan.validate(seed=5, samples=1) is other
-    # the argument-free checks run once per fan
-    assert calls == [("fan-condition",), ("complete", 0, 12), ("complete", 5, 1)]
+    assert square_fan.validate(seed=0) is first
+    assert square_fan.validate(seed=5) is other
+    # the argument-free checks run once per fan; the fan condition's
+    # certificate is the completeness check with seed 0
+    assert calls == [("fan-condition",), ("complete", 0), ("complete", 0), ("complete", 5)]
+
+
+def test_completeness_draws_one_direction(monkeypatch, oct_fan):
+    draws = []
+    generic_direction = TopologicalFan.generic_direction
+
+    def spy(self, rng, part):
+        draws.append(part)
+        return generic_direction(self, rng, part)
+
+    monkeypatch.setattr(TopologicalFan, "generic_direction", spy)
+    assert oct_fan.check_complete(seed=3).ok
+    assert draws == ["b"]
 
 
 def test_fan_condition_overlap_witness():
@@ -485,6 +501,90 @@ def test_facet_pairs_suffice_for_all_simplex_pairs(fan_generator):
             for b in range(a + 1, len(faces)):
                 assert fan._cone_pair_witness(faces[a], faces[b]) is None, \
                     (faces[a], faces[b])
+
+
+def _subfan(fan, facets):
+    """The fan on the given facets, vertices relabeled onto the ones they cover."""
+    kept = sorted({v for f in facets for v in f})
+    label = {v: k for k, v in enumerate(kept, start=1)}
+    complex_ = SimplicialComplex(len(kept), [[label[v] for v in f] for f in facets])
+    return TopologicalFan(fan.n, complex_, [fan.ray(v) for v in kept])
+
+
+def _certificate_cases():
+    """(fan, known complete) pairs: fixtures, seeded fans and their involutive
+    twins, then their b-negated, incomplete and non-pure relatives and fans
+    on the line, some of which are fans and some not."""
+    complete = [cp2cp2_fan(), octahedron_fan(), projective_fan(2), barnette_fan(), segment_fan()]
+    for seed in range(8):
+        fan = random_valid_fan(random.Random(seed))
+        complete.append(fan)
+        complete.append(TopologicalFan(fan.n, fan.complex,
+                                       [Ray(r.b, (0,) * fan.n, r.v) for r in fan.rays]))
+    one_dim = [
+        TopologicalFan(1, SimplicialComplex(3, [(1,), (2,), (3,)]),
+                       [Ray.from_parts((1,)), Ray.from_parts((-1,)), Ray.from_parts((1,))]),
+        TopologicalFan(1, SimplicialComplex(2, [(1,), (2,)]),
+                       [Ray.from_parts((1,)), Ray.from_parts((2,), v=(1,))]),
+        TopologicalFan(1, SimplicialComplex(1, [(1,)]), [Ray.from_parts((-1,))]),
+    ]
+    # an 8-cycle winding twice around the origin passes every wall test, and
+    # so does its suspension; one direction then lies in two cones
+    twice = TopologicalFan(2, SimplicialComplex(8, [(k, k % 8 + 1) for k in range(1, 9)]),
+                           [Ray.from_parts(b) for b in [(1, 0), (0, 1), (-1, 0), (0, -1),
+                                                        (1, 1), (-1, 1), (-1, -1), (1, -1)]])
+    degree_two = [twice, suspend_fan(twice, validate=False)]
+    assert all(f.check_complete().witness["kind"] == "multi-covered-direction"
+               for f in degree_two)
+    cases = [(fan, True) for fan in complete] + [(fan, False) for fan in one_dim + degree_two]
+    for k, fan in enumerate(complete):
+        relatives = [_negate_b(fan, k % fan.m)]
+        if len(fan.complex.facets) > 2:
+            relatives.append(_subfan(fan, fan.complex.facets[1:]))
+        if fan.n >= 2:
+            rest = [f for f in fan.complex.facets if fan.m not in f]
+            relatives.append(_subfan(fan, rest + [(fan.m,)]))
+        for other in list(relatives):
+            relatives.append(_negate_b(other, 0))
+        cases += [(other, False) for other in relatives]
+    return cases
+
+
+def test_certificate_agrees_with_pairwise_scan(monkeypatch):
+    """The degree-one certificate against the facet-pair scan it short-cuts:
+    same verdict and witness everywhere, and no scan on complete fans."""
+    scans = []
+    check_facet_pairs = TopologicalFan._check_facet_pairs
+
+    def spy(self):
+        scans.append(self)
+        return check_facet_pairs(self)
+
+    monkeypatch.setattr(TopologicalFan, "_check_facet_pairs", spy)
+    verdicts = set()
+    for fan, complete in _certificate_cases():
+        scans.clear()
+        verdict = fan.check_fan_condition()
+        if complete:
+            assert verdict.ok and not scans, fan
+        assert verdict == check_facet_pairs(fan), fan
+        verdicts.add(verdict.ok)
+    assert verdicts == {True, False}
+
+
+def test_complete_fans_skip_the_extreme_ray_scan(monkeypatch):
+    calls = []
+    kernel = fans_module._extreme_rays_nonneg_kernel
+    monkeypatch.setattr(fans_module, "_extreme_rays_nonneg_kernel",
+                        lambda rows: calls.append(rows) or kernel(rows))
+    for fan in [cp2cp2_fan(), barnette_fan(),
+                product_fan(projective_fan(3), projective_fan(3), validate=False),
+                product_fan(projective_fan(3), projective_fan(4), validate=False)]:
+        assert fan.validate().ok
+    assert calls == []
+    verdict = _negate_b(barnette_fan(), 0).check_fan_condition()
+    assert calls
+    assert not verdict.ok and verdict.witness["kind"] == "cone-overlap"
 
 
 def test_canonical_form_h_identity_on_random_fans(fan_generator):
