@@ -1,7 +1,7 @@
 """Command-line interface.
 
-Verdict commands print a run report (command echo, input digests, seed,
-timings, result) as JSON on stdout and use the exit code contract: 0 for
+Verdict commands print a run report (command echo, input digests, timings,
+result) as JSON on stdout and use the exit code contract: 0 for
 success / SAT / true, 1 for a semantic negative, 2 for usage or parse errors.
 Commands that produce fans or complexes print the bare artifact JSON so their
 output can be fed back in.
@@ -76,12 +76,8 @@ def _load_fan(path):
 
 
 class _Report:
-    def __init__(self, command, inputs, seed=None):
-        self.data = {
-            "command": command,
-            "inputs": {p: _digest(p) for p in inputs},
-            "seed": seed,
-        }
+    def __init__(self, command, inputs):
+        self.data = {"command": command, "inputs": {p: _digest(p) for p in inputs}}
         self.start = time.monotonic()
 
     def emit(self, result, stream=None, **extra):
@@ -106,17 +102,17 @@ def _parse_positions(positions):
 
 
 def cmd_validate(args):
-    report = _Report("validate", [args.fan], seed=args.seed)
+    report = _Report("validate", [args.fan])
     fan = _load_fan(args.fan)
-    result = fan.validate(seed=args.seed)
+    result = fan.validate()
     report.emit(result.to_json())
     return EXIT_OK if result.ok else EXIT_NEGATIVE
 
 
 def cmd_invariants(args):
-    report = _Report("invariants", [args.fan], seed=args.seed)
+    report = _Report("invariants", [args.fan])
     fan = _load_fan(args.fan)
-    validation = fan.validate(seed=args.seed)
+    validation = fan.validate()
     if not validation.ok:
         report.emit({"validation": validation.to_json()})
         return EXIT_NEGATIVE
@@ -132,7 +128,7 @@ def cmd_invariants(args):
         out["weights"] = omni_weights(fan).to_json()
     if args.todd or everything:
         direction = _parse_direction(args.dir) if args.dir else None
-        out["todd_genus"] = todd_genus(fan, direction=direction, seed=args.seed)
+        out["todd_genus"] = todd_genus(fan, direction=direction)
     report.emit(out)
     return EXIT_OK
 
@@ -297,7 +293,6 @@ def build_parser():
 
     p = sub.add_parser("validate", help="check the fan and completeness conditions")
     p.add_argument("fan")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("invariants", help="Betti numbers, Pontrjagin class, weights, Todd genus")
@@ -307,7 +302,6 @@ def build_parser():
     p.add_argument("--weights", action="store_true")
     p.add_argument("--todd", action="store_true")
     p.add_argument("--dir", help="explicit direction for the Todd genus, e.g. 1,2/3")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_invariants)
 
     p = sub.add_parser("charts", help="kernel presentation, transitions, cocycle, face poset")

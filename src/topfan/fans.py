@@ -121,7 +121,7 @@ class TopologicalFan:
     # tables (filled by ``charts``) and the orientation weights; the graded
     # ring is filled by ``invariants``.  Each lives and dies with its fan.
     __slots__ = ("n", "complex", "rays", "_rvecs", "_dual_cache", "_chart_tables", "_ring",
-                 "_structure", "_reports", "_int_b", "_hyperplanes")
+                 "_complete", "_report", "_int_b")
 
     def __init__(self, n, complex_: SimplicialComplex, rays):
         rays = tuple(rays)
@@ -137,10 +137,9 @@ class TopologicalFan:
         self._dual_cache = {}
         self._chart_tables = {}
         self._ring = None
-        self._structure = None
-        self._reports = {}
+        self._complete = None
+        self._report = None
         self._int_b = None
-        self._hyperplanes = {}
 
     @property
     def m(self):
@@ -159,13 +158,6 @@ class TopologicalFan:
 
     def v_columns(self, indices):
         return [list(self.ray(i).v) for i in indices]
-
-    def _columns(self, indices, part):
-        if part == "b":
-            return self.b_columns(indices)
-        if part == "v":
-            return self.v_columns(indices)
-        raise ValueError("part must be 'b' or 'v'")
 
     def _int_b_column(self, i):
         # cone arithmetic is scale-invariant, so integer-primitive b's suffice
@@ -205,8 +197,8 @@ class TopologicalFan:
         argument, the degree of a multi-fan (Hattori-Masuda, Osaka J. Math.
         40, 2003).  For n >= 2 that check asks K to be pure of dimension n-1
         with every wall in exactly two facets, the two rays off every wall
-        strictly on opposite sides, and one regular direction (off every
-        hyperplane spanned by n-1 rays) in exactly one cone.  Then:
+        strictly on opposite sides, and one regular direction (nonzero and
+        in no wall's cone, see ``is_regular``) in exactly one cone.  Then:
 
         - Orientation: opposite sides give the two facets at a wall opposite
           signs of det(B_wall, b_extra), so ordering every facet to make
@@ -234,10 +226,9 @@ class TopologicalFan:
         (``_check_facet_pairs``), which also produces every witness.
         """
         for f in self.complex.facets:
-            if linalg.rank(linalg.transpose(self.b_columns(f))) != len(f):
+            if len(linalg.independent_rows([self._int_b_column(i) for i in f])[0]) != len(f):
                 return Verdict(False, {"kind": "dependent-b", "facet": list(f)})
-            if linalg.rank(linalg.transpose([[Fraction(x) for x in col]
-                                             for col in self.v_columns(f)])) != len(f):
+            if len(linalg.independent_rows([self.ray(i).v for i in f])[0]) != len(f):
                 return Verdict(False, {"kind": "dependent-v", "facet": list(f)})
         if self.check_complete().ok:
             return Verdict(True)
@@ -304,17 +295,24 @@ class TopologicalFan:
         row = b_inv[f0.index(x)]
         return sum(a * b for a, b in zip(row, self.ray(y).b)) < 0
 
-    def check_complete(self, seed=0) -> Verdict:
-        """Wall-pairing completeness decided by one generic direction.
+    def check_complete(self) -> Verdict:
+        """Wall-pairing completeness decided by one generic direction, cached per fan.
 
         Pure of top dimension, every wall in exactly two facets with the two
         opposite rays strictly on opposite sides, connected dual graph; then
-        one direction drawn from ``Random(seed)`` must lie in exactly one
-        facet cone.  Once the walls pass, every regular direction lies in the
-        same number d >= 1 of cones (see ``check_fan_condition``), so that one
-        draw decides for all of them: it passes on a complete fan, and where
-        d >= 2 it and every later draw would be multi-covered.
+        one regular direction drawn from ``Random(0)`` must lie in exactly
+        one facet cone.  Once the walls pass, every regular direction lies in
+        the same number d >= 1 of cones (see ``check_fan_condition``), so that
+        one draw decides for all of them: it passes on a complete fan, and
+        where d >= 2 every draw would be multi-covered.  The verdict is
+        computed once and serves both the fan condition's certificate and
+        the completeness verdict of ``validate``.
         """
+        if self._complete is None:
+            self._complete = self._wall_pairing_verdict()
+        return self._complete
+
+    def _wall_pairing_verdict(self) -> Verdict:
         if self.n == 0:
             return Verdict(True)
         if not self.complex.facets:
@@ -344,7 +342,7 @@ class TopologicalFan:
                 )
         if not self.complex.dual_graph_connected():
             return Verdict(False, {"kind": "disconnected"})
-        direction = self.generic_direction(random.Random(seed), "b")
+        direction = self.generic_direction(random.Random(0), "b")
         hits = self.locate_cone(direction, mode="b")
         if len(hits) != 1:
             return Verdict(
@@ -356,30 +354,28 @@ class TopologicalFan:
         return Verdict(True)
 
     def generic_direction(self, rng, part):
-        """A rational direction off every hyperplane spanned by n-1 b-rays or v-rays.
+        """A regular rational direction for the b-cones or the v-cones (see ``is_regular``).
 
-        ``part`` is ``"b"`` or ``"v"``.  Candidates are drawn from ``rng`` until
-        one is nonzero and avoids every such hyperplane; the hyperplane normals
-        are computed once per part.
+        ``part`` is ``"b"`` or ``"v"``.  Candidates are drawn from ``rng``
+        until one passes ``is_regular``; every top facet's part must be
+        nonsingular.
         """
         if self.n == 0:
             raise ValueError("dimension 0 has no nonzero direction")
-        normals = self._hyperplanes.get(part)
-        if normals is None:
-            normals = set()
-            if self.n > 1:
-                for subset in combinations(range(1, self.m + 1), self.n - 1):
-                    kernel = linalg.kernel_basis(self._columns(subset, part))
-                    if len(kernel) == 1:
-                        normals.add(tuple(linalg.clear_denominators(kernel[0])))
-            self._hyperplanes[part] = normals
         while True:
             cand = [Fraction(rng.randint(-99, 99), rng.randint(1, 9)) for _ in range(self.n)]
-            if all(x == 0 for x in cand):
-                continue
-            if any(sum(h[k] * cand[k] for k in range(self.n)) == 0 for h in normals):
-                continue
-            return cand
+            if self.is_regular(cand, part):
+                return cand
+
+    def is_regular(self, x, part="b"):
+        """True when x is nonzero and lies in no wall's cone of the b-cones or v-cones.
+
+        That is, no top facet gives x coordinates that are all >= 0 with one
+        of them 0 (``coordinates``).  Regular directions are the ones the
+        degree argument of ``check_fan_condition`` counts over.
+        """
+        return any(x) and all(min(self.coordinates(f, x, part)) != 0
+                              for f in self.complex.facets)
 
     def check_nonsingular(self) -> Verdict:
         """Every facet's v-columns extend to a Z-basis (subsets inherit)."""
@@ -399,19 +395,17 @@ class TopologicalFan:
     def check_involutive(self) -> bool:
         return all(all(x == 0 for x in ray.c) for ray in self.rays)
 
-    def validate(self, seed=0) -> ValidationReport:
-        """The validation report, cached per ``seed``.
+    def validate(self) -> ValidationReport:
+        """The validation report, computed once per fan.
 
-        Only the completeness draw depends on the seed; the fan condition and
-        non-singularity verdicts are computed once per fan.
+        The completeness verdict is the one ``check_fan_condition`` already
+        read as its certificate; it is not drawn again.
         """
-        if seed in self._reports:
-            return self._reports[seed]
-        if self._structure is None:
-            self._structure = (self.check_fan_condition(), self.check_nonsingular())
-        fan_v, nonsing_v = self._structure
+        if self._report is not None:
+            return self._report
+        fan_v, nonsing_v = self.check_fan_condition(), self.check_nonsingular()
         if fan_v.ok:
-            complete_v = self.check_complete(seed=seed)
+            complete_v = self.check_complete()
         else:
             complete_v = Verdict(False, {"kind": "fan-condition-failed"})
         witnesses = {}
@@ -421,20 +415,14 @@ class TopologicalFan:
             witnesses["completeness"] = complete_v.witness
         if not nonsing_v.ok:
             witnesses["nonsingularity"] = nonsing_v.witness
-        report = ValidationReport(
+        self._report = ValidationReport(
             fan_v.ok, complete_v.ok, nonsing_v.ok, self.check_involutive(), witnesses
         )
-        self._reports[seed] = report
-        return report
+        return self._report
 
     def require_valid(self):
-        """The validation report; raises ValueError when the fan is invalid.
-
-        An ok report already cached for any seed is returned as it is, so a
-        command that validated with its own seed does not draw a completeness
-        direction again with seed 0.
-        """
-        report = next((r for r in self._reports.values() if r.ok), None) or self.validate()
+        """The validation report; raises ValueError when the fan is invalid."""
+        report = self.validate()
         if not report.ok:
             raise ValueError(f"fan is not complete non-singular: {report.witnesses}")
         return report

@@ -306,11 +306,15 @@ def omni_weights(fan: TopologicalFan) -> OmniWeights:
 
 
 class DegenerateDirectionError(ValueError):
-    """The supplied direction lies on a cone boundary hyperplane."""
+    """The supplied direction is zero or lies in a wall's cone."""
 
 
-def todd_genus(fan: TopologicalFan, direction=None, seed=0) -> int:
-    """Signed count of top cones in the multi-fan containing a generic direction."""
+def todd_genus(fan: TopologicalFan, direction=None) -> int:
+    """Signed count of top cones in the multi-fan containing a regular direction.
+
+    Without ``direction`` one is drawn from ``Random(0)``; a given one must
+    pass ``TopologicalFan.is_regular`` for the v-cones.
+    """
     fan.require_valid()
     weights = omni_weights(fan)
     if direction is not None:
@@ -318,11 +322,9 @@ def todd_genus(fan: TopologicalFan, direction=None, seed=0) -> int:
         if len(direction) != fan.n:
             raise ValueError(
                 f"direction has {len(direction)} coordinates, the fan has dimension {fan.n}")
-        # on a cone's boundary: all coordinates >= 0 and one = 0
-        if all(x == 0 for x in direction) or any(
-                min(fan.coordinates(f, direction, "v")) == 0 for f in fan.complex.facets):
+        if not fan.is_regular(direction, "v"):
             raise DegenerateDirectionError(f"direction {direction} lies on a cone wall")
     else:
-        direction = fan.generic_direction(random.Random(seed), "v")
+        direction = fan.generic_direction(random.Random(0), "v")
     hits = fan.locate_cone(direction, mode="v")
     return sum(weights.w(f) for f in hits)

@@ -38,7 +38,7 @@ def test_validate_ok(capsys, cp2cp2_path):
     assert code == 0
     report = json.loads(out)
     assert report["result"]["ok"]
-    assert report["seed"] == 0
+    assert "seed" not in report
     assert cp2cp2_path in report["inputs"]
 
 
@@ -266,7 +266,7 @@ def test_realize_report_carries_search_stats(capsys, tmp_path):
     assert code == 1
     report = json.loads(out)
     assert report["result"] == {"kind": "unsat", "bound": 1}
-    assert report["seed"] is None
+    assert "seed" not in report
     stats = report["stats"]
     assert set(stats) == {"nodes", "candidates", "backtracks"}
     assert stats["nodes"] == stats["backtracks"] == stats["candidates"] + 1 > 1
@@ -284,43 +284,36 @@ def test_realize_report_carries_search_stats(capsys, tmp_path):
 
 
 def test_charts_and_realize_take_no_seed(capsys, tmp_path, cp2cp2_path):
+    """No verdict command takes a seed: every direction is drawn from Random(0)."""
     code, out, _ = run_cli(capsys, "charts", cp2cp2_path, "--cocycle")
-    assert code == 0 and json.loads(out)["seed"] is None
-    code, _, _ = run_cli(capsys, "charts", cp2cp2_path, "--cocycle", "--seed", "5")
-    assert code == 2
+    assert code == 0 and "seed" not in json.loads(out)
     path = tmp_path / "oct.json"
     path.write_text(json.dumps(octahedron_complex().to_json()))
-    code, _, _ = run_cli(capsys, "realize", str(path), "--mode", "mod2", "--seed", "5")
-    assert code == 2
+    for argv in (["validate", cp2cp2_path], ["invariants", cp2cp2_path],
+                 ["charts", cp2cp2_path, "--cocycle"], ["equiv", cp2cp2_path, cp2cp2_path],
+                 ["realize", str(path), "--mode", "mod2"]):
+        code, out, _ = run_cli(capsys, *argv, "--seed", "5")
+        assert code == 2 and out == "", argv
 
 
 def test_invariants_draws_completeness_once(capsys, monkeypatch, cp2cp2_path):
-    """The command's own --seed validation is the only one; the invariants reuse it."""
-    code, out, _ = run_cli(capsys, "invariants", cp2cp2_path, "--seed", "0")
+    """The command's validation is the only one; the invariants reuse it."""
+    code, out, _ = run_cli(capsys, "invariants", cp2cp2_path)
     assert code == 0
     expected = json.loads(out)["result"]
-    seeds, draws = [], []
-    check_complete = TopologicalFan.check_complete
+    draws = []
     generic_direction = TopologicalFan.generic_direction
-
-    def counted(self, seed=0):
-        seeds.append(seed)
-        return check_complete(self, seed=seed)
 
     def drawn(self, rng, part):
         draws.append(part)
         return generic_direction(self, rng, part)
 
-    monkeypatch.setattr(TopologicalFan, "check_complete", counted)
     monkeypatch.setattr(TopologicalFan, "generic_direction", drawn)
-    code, out, _ = run_cli(capsys, "invariants", cp2cp2_path, "--seed", "5")
+    code, out, _ = run_cli(capsys, "invariants", cp2cp2_path)
     assert code == 0
-    # the fan condition's certificate draws with seed 0, the validation with --seed
-    assert seeds == [0, 5]
-    assert draws.count("b") == 2
-    report = json.loads(out)
-    assert report["seed"] == 5
-    assert report["result"] == expected
+    # one completeness draw, read by the fan condition and the validation; one Todd draw
+    assert draws == ["b", "v"]
+    assert json.loads(out)["result"] == expected
 
 
 def test_charts_on_an_invalid_fan_exits_1_like_invariants(capsys, tmp_path):
@@ -424,12 +417,11 @@ def test_console_script_subprocess(cp2cp2_path):
     assert json.loads(proc.stdout)["result"]["ok"]
 
 
-def test_seed_embedded_and_deterministic(capsys, cp2cp2_path):
-    code1, out1, _ = run_cli(capsys, "invariants", cp2cp2_path, "--todd", "--seed", "5")
-    code2, out2, _ = run_cli(capsys, "invariants", cp2cp2_path, "--todd", "--seed", "5")
-    r1, r2 = json.loads(out1), json.loads(out2)
-    assert r1["seed"] == r2["seed"] == 5
-    assert r1["result"] == r2["result"]
+def test_invariants_deterministic(capsys, cp2cp2_path):
+    code1, out1, _ = run_cli(capsys, "invariants", cp2cp2_path, "--todd")
+    code2, out2, _ = run_cli(capsys, "invariants", cp2cp2_path, "--todd")
+    assert code1 == code2 == 0
+    assert json.loads(out1)["result"] == json.loads(out2)["result"]
 
 
 # -- fuzzing the loaders through the CLI ------------------------------------------

@@ -1,5 +1,6 @@
 """Fan validation, cone location, canonical forms, and the three equivalences."""
 
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -8,6 +9,7 @@ import pytest
 
 from topfan import fans as fans_module
 from topfan import linalg
+from topfan.cli import main
 from topfan.complexes import SimplicialComplex
 from topfan.fans import Ray, RElem, TopologicalFan, equivalent, h_canonical_form
 from topfan.fixtures import (
@@ -54,29 +56,37 @@ def test_square_fan_validates(square_fan):
     assert report.involutive
 
 
-def test_validate_cache_is_keyed_on_seed(monkeypatch, square_fan):
-    calls = []
+def test_validate_computes_one_cached_report(monkeypatch, square_fan):
+    calls, verdicts, draws = [], [], []
     check_complete = TopologicalFan.check_complete
     check_fan_condition = TopologicalFan.check_fan_condition
+    generic_direction = TopologicalFan.generic_direction
 
-    def spy_complete(self, seed=0):
-        calls.append(("complete", seed))
-        return check_complete(self, seed=seed)
+    def spy_complete(self):
+        calls.append("complete")
+        verdicts.append(check_complete(self))
+        return verdicts[-1]
 
     def spy_fan_condition(self):
-        calls.append(("fan-condition",))
+        calls.append("fan-condition")
         return check_fan_condition(self)
+
+    def spy_draw(self, rng, part):
+        draws.append(part)
+        return generic_direction(self, rng, part)
 
     monkeypatch.setattr(TopologicalFan, "check_complete", spy_complete)
     monkeypatch.setattr(TopologicalFan, "check_fan_condition", spy_fan_condition)
-    first = square_fan.validate(seed=0)
-    other = square_fan.validate(seed=5)
-    assert other is not first and other.ok
-    assert square_fan.validate(seed=0) is first
-    assert square_fan.validate(seed=5) is other
-    # the argument-free checks run once per fan; the fan condition's
-    # certificate is the completeness check with seed 0
-    assert calls == [("fan-condition",), ("complete", 0), ("complete", 0), ("complete", 5)]
+    monkeypatch.setattr(TopologicalFan, "generic_direction", spy_draw)
+    first = square_fan.validate()
+    assert first.ok
+    assert square_fan.validate() is first
+    assert square_fan.require_valid() is first
+    # the fan condition runs once; its certificate and the completeness
+    # verdict are one computed result, from one draw
+    assert calls == ["fan-condition", "complete", "complete"]
+    assert verdicts[0] is verdicts[1]
+    assert draws == ["b"]
 
 
 def test_completeness_draws_one_direction(monkeypatch, oct_fan):
@@ -88,7 +98,7 @@ def test_completeness_draws_one_direction(monkeypatch, oct_fan):
         return generic_direction(self, rng, part)
 
     monkeypatch.setattr(TopologicalFan, "generic_direction", spy)
-    assert oct_fan.check_complete(seed=3).ok
+    assert oct_fan.check_complete().ok
     assert draws == ["b"]
 
 
@@ -296,6 +306,7 @@ def test_locate_cone_agrees_with_row_reduction():
                 assert fan.locate_cone(point, part) == inside, (fan, part, point)
                 assert [f for f in fan.complex.facets
                         if min(fan.coordinates(f, point, part)) == 0] == boundary
+                assert fan.is_regular(point, part) == (any(point) and not boundary)
                 boundary_hits += len(boundary)
     assert boundary_hits > 0
 
@@ -584,6 +595,31 @@ def test_complete_fans_skip_the_extreme_ray_scan(monkeypatch):
     assert calls == []
     verdict = _negate_b(barnette_fan(), 0).check_fan_condition()
     assert calls
+    assert not verdict.ok and verdict.witness["kind"] == "cone-overlap"
+
+
+def test_validation_and_todd_call_no_row_reduction(monkeypatch, capsys, tmp_path):
+    """Counts, not times: complete fans are validated, and the Todd genus drawn,
+    from the cached facet inverses; only the pairwise scan row-reduces."""
+    reductions, scans = [], []
+    for name in ("kernel_basis", "rref"):
+        original = getattr(linalg, name)
+        monkeypatch.setattr(linalg, name,
+                            lambda *args, _name=name, _f=original: reductions.append(_name)
+                            or _f(*args))
+    kernel = fans_module._extreme_rays_nonneg_kernel
+    monkeypatch.setattr(fans_module, "_extreme_rays_nonneg_kernel",
+                        lambda rows: scans.append(rows) or kernel(rows))
+    for fan in [cp2cp2_fan(), barnette_fan(),
+                product_fan(projective_fan(3), projective_fan(3), validate=False)]:
+        assert fan.validate().ok
+    path = tmp_path / "cp2cp2.json"
+    path.write_text(json.dumps(cp2cp2_fan().to_json()))
+    assert main(["invariants", str(path), "--todd"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"] == {"todd_genus": 1}
+    assert reductions == [] and scans == []
+    verdict = _negate_b(barnette_fan(), 0).check_fan_condition()
+    assert scans and "kernel_basis" in reductions
     assert not verdict.ok and verdict.witness["kind"] == "cone-overlap"
 
 

@@ -179,20 +179,22 @@ def test_todd_genus_square(square_fan):
     assert todd_genus(square_fan, [1, 1]) == 1
     assert todd_genus(square_fan, [Fraction(-1), Fraction(-3, 2)]) == 1
     for seed in range(100):
-        assert todd_genus(square_fan, seed=seed) == 1
+        assert todd_genus(square_fan, square_fan.generic_direction(random.Random(seed), "v")) == 1
 
 
 def test_todd_genus_ordinary_fan_is_one(oct_fan):
     for seed in range(20):
-        assert todd_genus(oct_fan, seed=seed) == 1
-    assert todd_genus(projective_fan(3), seed=3) == 1
+        assert todd_genus(oct_fan, oct_fan.generic_direction(random.Random(seed), "v")) == 1
+    p3 = projective_fan(3)
+    assert todd_genus(p3, p3.generic_direction(random.Random(3), "v")) == 1
 
 
 def test_todd_genus_direction_independent_on_random_fans(fan_generator):
     rng = random.Random(83)
     for _ in range(8):
         fan = fan_generator(rng, max_m=6)
-        values = {todd_genus(fan, seed=s) for s in range(10)}
+        values = {todd_genus(fan, fan.generic_direction(random.Random(s), "v"))
+                  for s in range(10)}
         assert len(values) == 1
 
 

@@ -216,6 +216,19 @@ def test_inverse_returns_the_determinant():
             assert linalg.mat_mul(rows, inv) == identity
 
 
+def test_independent_rows_agrees_with_rank():
+    """Fraction-free independence against the row-reduction rank, on 1-8
+    integer vectors in Z^1..Z^6, more vectors than coordinates included."""
+    rng = random.Random(29)
+    for _ in range(2000):
+        n, k = rng.randint(1, 6), rng.randint(1, 8)
+        rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(k)]
+        chosen, pivots = linalg.independent_rows(rows)
+        assert len(chosen) == len(pivots) == linalg.rank(rows), rows
+        # the kept rows on the pivot columns form a nonsingular block
+        assert linalg.int_det([[rows[i][p] for p in pivots] for i in chosen]) != 0
+
+
 def _random_unimodular(rng, n):
     mat = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     for _ in range(3 * n):
