@@ -63,12 +63,15 @@ def _load_json(path):
 def _parse(from_json, data):
     """Build an object from parsed JSON; a field of the wrong JSON type is a ValueError.
 
-    Such a field surfaces as TypeError or AttributeError inside the loader.
+    Such a field surfaces as TypeError or AttributeError inside the loader,
+    and a missing one as KeyError.
     """
     try:
         return from_json(data)
     except (TypeError, AttributeError) as exc:
         raise ValueError(f"malformed input: {exc}") from exc
+    except KeyError as exc:
+        raise ValueError(f"malformed input: missing field {exc}") from exc
 
 
 def _load_fan(path):
@@ -127,7 +130,7 @@ def cmd_invariants(args):
     if args.weights or everything:
         out["weights"] = omni_weights(fan).to_json()
     if args.todd or everything:
-        direction = _parse_direction(args.dir) if args.dir else None
+        direction = _parse_direction(args.dir) if args.dir is not None else None
         out["todd_genus"] = todd_genus(fan, direction=direction)
     report.emit(out)
     return EXIT_OK
@@ -141,7 +144,7 @@ def cmd_charts(args):
         report.emit({"validation": validation.to_json()})
         return EXIT_NEGATIVE
     out = {}
-    if args.kernel:
+    if args.kernel is not None:
         facet = _parse_facet(args.kernel)
         out["kernel"] = kernel_presentation(fan, facet).to_json()
     if args.transitions:
@@ -175,16 +178,12 @@ def cmd_equiv(args):
 
 def cmd_surgery(args):
     fan = _load_fan(args.fan)
-    if args.stellar:
+    if args.stellar is not None:
         out = stellar_subdivide_fan(fan, _parse_facet(args.stellar))
     elif args.suspend:
         out = suspend_fan(fan)
-    elif args.product:
-        other = _load_fan(args.product)
-        out = product_fan(fan, other)
     else:
-        print("surgery requires one of --stellar/--suspend/--product", file=sys.stderr)
-        return EXIT_USAGE
+        out = product_fan(fan, _load_fan(args.product))
     json.dump(out.to_json(), sys.stdout, indent=2)
     sys.stdout.write("\n")
     return EXIT_OK
@@ -209,7 +208,7 @@ def cmd_realize(args):
     if not complex_.facets:
         raise ValueError("the complex has no facets")
     mode = args.mode.replace("-", "_")
-    normalization = _parse_facet(args.normalize) if args.normalize else None
+    normalization = _parse_facet(args.normalize) if args.normalize is not None else None
     if mode == "mod2":
         result = mod2_obstruction(complex_, complex_.dim + 1)
         report.emit(result.to_json(), stats=result.stats)
@@ -320,9 +319,10 @@ def build_parser():
 
     p = sub.add_parser("surgery", help="stellar subdivision, suspension, or product")
     p.add_argument("fan")
-    p.add_argument("--stellar", help="facet to subdivide, e.g. 1,2")
-    p.add_argument("--suspend", action="store_true")
-    p.add_argument("--product", help="second fan file")
+    operation = p.add_mutually_exclusive_group(required=True)
+    operation.add_argument("--stellar", help="facet to subdivide, e.g. 1,2")
+    operation.add_argument("--suspend", action="store_true")
+    operation.add_argument("--product", help="second fan file")
     p.set_defaults(func=cmd_surgery)
 
     p = sub.add_parser("realize", help="labeling searches and 2-sphere realization")

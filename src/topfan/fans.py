@@ -13,6 +13,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 from typing import Optional
 
 from . import linalg
@@ -117,11 +118,13 @@ class TopologicalFan:
     """A pair (complex, rays) with exact validation and chart data."""
 
     # Caches of data derived from the (immutable) rays and complex.  One
-    # ``DualBasis`` per facet serves validation, cone location, the chart
-    # tables (filled by ``charts``) and the orientation weights; the graded
-    # ring is filled by ``invariants``.  Each lives and dies with its fan.
+    # integer wall normal per (part, wall) answers every cone-side question:
+    # wall tests, cone location and regularity.  One ``DualBasis`` per facet
+    # is built only for the chart tables (filled by ``charts``), which read
+    # its dual vectors; the graded ring is filled by ``invariants``.  Each
+    # lives and dies with its fan.
     __slots__ = ("n", "complex", "rays", "_rvecs", "_dual_cache", "_chart_tables", "_ring",
-                 "_complete", "_report", "_int_b")
+                 "_complete", "_report", "_int_b", "_normals")
 
     def __init__(self, n, complex_: SimplicialComplex, rays):
         rays = tuple(rays)
@@ -140,6 +143,7 @@ class TopologicalFan:
         self._complete = None
         self._report = None
         self._int_b = None
+        self._normals = {}
 
     @property
     def m(self):
@@ -165,25 +169,36 @@ class TopologicalFan:
             self._int_b = tuple(linalg.clear_denominators(r.b) for r in self.rays)
         return self._int_b[i - 1]
 
+    def _int_columns(self, part, indices):
+        """The integer b-columns (``_int_b_column``) or the v-columns of the given rays."""
+        if part == "b":
+            return [self._int_b_column(i) for i in indices]
+        return [self.ray(i).v for i in indices]
+
+    def _wall_normal(self, part, wall):
+        """The integer form phi with phi . x = det(x, wall's columns), cached per fan.
+
+        ``wall`` is a sorted tuple of n - 1 vertices and ``part`` is ``"b"``
+        or ``"v"``.  phi vanishes on every column of the wall, so its sign on
+        a point tells the wall's side.  The b-columns are the integer ones of
+        ``_int_b_column``: a positive rescaling moves no sign.
+        """
+        key = (part, wall)
+        normal = self._normals.get(key)
+        if normal is None:
+            normal = self._normals[key] = linalg.cofactor_row(self._int_columns(part, wall), 0)
+        return normal
+
     # -- chart data ---------------------------------------------------------
 
-    def _dual(self, facet):
-        """The cached factorization of a sorted facet's rays.
-
-        Built on first use with two ``linalg.inverse`` calls; a bad block
-        raises only when the record's ``alphas`` are read.
-        """
-        record = self._dual_cache.get(facet)
-        if record is None:
-            record = self._dual_cache[facet] = DualBasis({i: self.rvec(i) for i in facet})
-        return record
-
     def dual_basis(self, facet):
-        """The facet's dual basis; raises BSingularError or VNotUnimodularError on a bad block."""
+        """The facet's dual basis, cached; raises BSingularError or VNotUnimodularError on a bad block."""
         key = tuple(sorted(facet))
         if key not in self.complex.facets:
             raise ValueError(f"{key} is not a facet")
-        record = self._dual(key)
+        record = self._dual_cache.get(key)
+        if record is None:
+            record = self._dual_cache[key] = DualBasis({i: self.rvec(i) for i in key})
         record.alphas  # raises when a block is bad
         return record
 
@@ -220,15 +235,21 @@ class TopologicalFan:
           neighbourhood of p.  A regular direction near p then has a
           preimage near R and another near R', a count of at least 2.
 
+        Every side question above is a sign of phi_W . x for an integer
+        wall normal phi_W (``_wall_normal``): the wall test compares the
+        signs at the two rays off W, and locating a direction reads the
+        signs of its coordinates in each facet (``coordinates``).  No
+        rational inverse is built.
+
         For n = 1 the check accepts exactly two rays on opposite sides,
         which meet only at the origin.  When the certificate is not taken
         the cones are compared facet pair by facet pair
         (``_check_facet_pairs``), which also produces every witness.
         """
         for f in self.complex.facets:
-            if len(linalg.independent_rows([self._int_b_column(i) for i in f])[0]) != len(f):
+            if len(linalg.independent_rows(self._int_columns("b", f))[0]) != len(f):
                 return Verdict(False, {"kind": "dependent-b", "facet": list(f)})
-            if len(linalg.independent_rows([self.ray(i).v for i in f])[0]) != len(f):
+            if len(linalg.independent_rows(self._int_columns("v", f))[0]) != len(f):
                 return Verdict(False, {"kind": "dependent-v", "facet": list(f)})
         if self.check_complete().ok:
             return Verdict(True)
@@ -282,18 +303,13 @@ class TopologicalFan:
     def _opposite_sides(self, f0, f1):
         """True when the rays of two top facets off their common wall lie strictly on opposite sides.
 
-        Let x and y be the vertices of f0 and f1 off the wall W.  In f0's
-        basis, b_y = sum_w a_w b_w + a_x b_x, and a wall normal phi vanishes
-        on every b_w, so phi . b_y = a_x (phi . b_x): the sides are opposite
-        exactly when the coordinate a_x is negative.  It is read from f0's
-        cached inverse; a singular f0 counts as one side.
+        With x and y the vertices of f0 and f1 off the wall W, that is
+        (phi_W . b_x)(phi_W . b_y) < 0 for the wall's normal.  A singular
+        facet counts as one side, since its ray off W makes the product 0.
         """
         (x,), (y,) = set(f0) - set(f1), set(f1) - set(f0)
-        b_inv = self._dual(f0).b_inv
-        if b_inv is None:
-            return False
-        row = b_inv[f0.index(x)]
-        return sum(a * b for a, b in zip(row, self.ray(y).b)) < 0
+        phi = self._wall_normal("b", tuple(sorted(set(f0) & set(f1))))
+        return _dot(phi, self._int_b_column(x)) * _dot(phi, self._int_b_column(y)) < 0
 
     def check_complete(self) -> Verdict:
         """Wall-pairing completeness decided by one generic direction, cached per fan.
@@ -374,8 +390,9 @@ class TopologicalFan:
         of them 0 (``coordinates``).  Regular directions are the ones the
         degree argument of ``check_fan_condition`` counts over.
         """
-        return any(x) and all(min(self.coordinates(f, x, part)) != 0
-                              for f in self.complex.facets)
+        point = self._int_point(x, part)
+        return any(point) and all(min(self._scaled_coordinates(f, point, part)) != 0
+                                  for f in self.complex.facets)
 
     def check_nonsingular(self) -> Verdict:
         """Every facet's v-columns extend to a Z-basis (subsets inherit)."""
@@ -430,30 +447,60 @@ class TopologicalFan:
     # -- cone location ------------------------------------------------------
 
     def coordinates(self, facet, x, part="b"):
-        """The coordinates of x in the basis of a top facet's b- or v-columns.
+        """The exact coordinates of x in the basis of a top facet's b- or v-columns.
 
         x lies in the facet's cone exactly when they are all >= 0, and on the
-        cone's boundary when moreover one of them is 0.  They are read from
-        the block inverses of the facet's cached ``DualBasis``.
+        cone's boundary when moreover one of them is 0.  The normal phi of
+        the facet's wall without its k-th column vanishes on every other
+        column, so coordinate k is phi . x / phi . col_k.
         """
-        if len(x) != self.n:
-            raise ValueError(f"point has {len(x)} coordinates, the fan has dimension {self.n}")
+        self._check_point(x, part)
         facet = tuple(sorted(facet))
         if facet not in self.complex.facets or len(facet) != self.n:
             raise ValueError(f"{facet} is not a top-dimensional facet")
-        if part not in ("b", "v"):
-            raise ValueError("part must be 'b' or 'v'")
-        record = self._dual(facet)
-        inv = record.b_inv if part == "b" else record.v_inv
-        if inv is None:
-            raise ValueError(f"the {part}-columns of {facet} are singular")
-        return linalg.mat_vec(inv, x)
+        cols = self.b_columns(facet) if part == "b" else self.v_columns(facet)
+        coords = []
+        for k, col in enumerate(cols):
+            phi = self._wall_normal(part, facet[:k] + facet[k + 1:])
+            denominator = _dot(phi, col)
+            if denominator == 0:
+                raise ValueError(f"the {part}-columns of {facet} are singular")
+            coords.append(Fraction(_dot(phi, x)) / denominator)
+        return coords
 
     def locate_cone(self, x, mode="b"):
         """Top facets whose cone (b-cones or v-cones) contains the point x."""
-        point = [Fraction(v) for v in x]
+        point = self._int_point(x, mode)
         return [f for f in self.complex.facets
-                if all(s >= 0 for s in self.coordinates(f, point, mode))]
+                if min(self._scaled_coordinates(f, point, mode)) >= 0]
+
+    def _int_point(self, x, part):
+        """x scaled by a positive number to a primitive integer vector, which moves no sign."""
+        self._check_point(x, part)
+        return linalg.clear_denominators(x)
+
+    def _check_point(self, x, part):
+        if len(x) != self.n:
+            raise ValueError(f"point has {len(x)} coordinates, the fan has dimension {self.n}")
+        if part not in ("b", "v"):
+            raise ValueError("part must be 'b' or 'v'")
+
+    def _scaled_coordinates(self, facet, point, part):
+        """Positive multiples of an integer point's coordinates in a sorted top facet's basis.
+
+        Coordinate k is phi_k . x / phi_k . col_k (see ``coordinates``), and
+        phi_k . col_k = (-1)^k det of the facet's columns, so entry k is
+        phi_k . x with the sign of that denominator.  Raises ValueError on a
+        non-top facet or a singular block.
+        """
+        if len(facet) != self.n:
+            raise ValueError(f"{facet} is not a top-dimensional facet")
+        normals = [self._wall_normal(part, facet[:k] + facet[k + 1:]) for k in range(self.n)]
+        det = _dot(normals[0], self._int_columns(part, facet[:1])[0])
+        if det == 0:
+            raise ValueError(f"the {part}-columns of {facet} are singular")
+        return [_dot(phi, point) if (det > 0) == (k % 2 == 0) else -_dot(phi, point)
+                for k, phi in enumerate(normals)]
 
     # -- serialization -------------------------------------------------------
 
@@ -490,6 +537,10 @@ class TopologicalFan:
 
     def __repr__(self):
         return f"TopologicalFan(n={self.n}, m={self.m}, facets={len(self.complex.facets)})"
+
+
+def _dot(a, b):
+    return sum(map(mul, a, b))
 
 
 def _extreme_rays_nonneg_kernel(rows):

@@ -301,8 +301,12 @@ class OmniWeights:
 
 def omni_weights(fan: TopologicalFan) -> OmniWeights:
     fan.require_valid()
-    # sign det B · det V, from each facet's cached factorization
-    return OmniWeights({f: fan._dual(f).sign for f in fan.complex.facets})
+    # sign det B · det V of the integer blocks; a positive rescaling of the b's moves no sign
+    weights = {}
+    for f in fan.complex.facets:
+        det = linalg.int_det(fan._int_columns("b", f)) * linalg.int_det(fan._int_columns("v", f))
+        weights[f] = 1 if det > 0 else -1
+    return OmniWeights(weights)
 
 
 class DegenerateDirectionError(ValueError):
@@ -323,7 +327,8 @@ def todd_genus(fan: TopologicalFan, direction=None) -> int:
             raise ValueError(
                 f"direction has {len(direction)} coordinates, the fan has dimension {fan.n}")
         if not fan.is_regular(direction, "v"):
-            raise DegenerateDirectionError(f"direction {direction} lies on a cone wall")
+            raise DegenerateDirectionError(
+                f"direction {','.join(map(linalg.format_rational, direction))} lies on a cone wall")
     else:
         direction = fan.generic_direction(random.Random(0), "v")
     hits = fan.locate_cone(direction, mode="v")

@@ -178,7 +178,9 @@ class DualBasis:
     [[B^-1, 0], [-V^-1 C B^-1, V^-1]].  They are built on first read, which
     requires B invertible over Q and V invertible over Z; the two failure
     modes are reported distinctly because they correspond to defects in
-    different parts of the fan data.
+    different parts of the fan data.  A fan builds one per facet only for its
+    chart tables, which read ``alphas``; its wall, cone, regularity and
+    orientation tests use integer wall normals and determinants instead.
     """
 
     def __init__(self, betas: Mapping[int, RVec]):

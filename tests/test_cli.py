@@ -104,19 +104,23 @@ def test_complex_loader_failure_exits_2(capsys, tmp_path, data, mode):
 
 @pytest.mark.parametrize("fan", [cp2cp2_fan(), octahedron_fan()], ids=["cp2cp2", "octahedron"])
 def test_each_top_facet_is_factored_once_per_command(capsys, monkeypatch, tmp_path, fan):
-    """Two ``linalg.inverse`` calls per top facet (its b- and v-blocks) serve a whole command."""
+    """Validation and invariants build no rational inverse; the chart tables build
+    two per top facet (its b- and v-blocks) for a whole command."""
     path = tmp_path / "fan.json"
     path.write_text(json.dumps(fan.to_json()))
     calls = []
     inverse = linalg.inverse
     monkeypatch.setattr(linalg, "inverse", lambda rows: calls.append(rows) or inverse(rows))
     base = ",".join(map(str, fan.complex.facets[0]))
-    for argv in (["validate"], ["charts", "--kernel", base, "--transitions", "--cocycle",
-                                "--faceposet"], ["invariants"]):
+    for argv, expected in (
+            (["validate"], 0),
+            (["charts", "--kernel", base, "--transitions", "--cocycle", "--faceposet"],
+             2 * len(fan.complex.facets)),
+            (["invariants"], 0)):
         calls.clear()
         code, _, _ = run_cli(capsys, argv[0], str(path), *argv[1:])
         assert code == 0
-        assert len(calls) == 2 * len(fan.complex.facets), argv
+        assert len(calls) == expected, argv
 
 
 def test_validate_bad_usage(capsys):
@@ -219,6 +223,66 @@ def test_surgery_roundtrip(capsys, tmp_path, cp2cp2_path):
 def test_surgery_requires_an_operation(capsys, cp2cp2_path):
     code, _, err = run_cli(capsys, "surgery", cp2cp2_path)
     assert code == 2
+
+
+@pytest.mark.parametrize("flags", [["--stellar", "1,2", "--suspend"],
+                                   ["--suspend", "--product", "other.json"],
+                                   ["--stellar", "1,2", "--product", "other.json"]])
+def test_surgery_takes_exactly_one_operation(capsys, cp2cp2_path, flags):
+    code, out, err = run_cli(capsys, "surgery", cp2cp2_path, *flags)
+    assert code == 2
+    assert out == ""
+    assert "not allowed with argument" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["invariants", "--todd", "--dir="],
+    ["charts", "--kernel="],
+    ["surgery", "--stellar="],
+])
+def test_empty_option_values_are_parsed_not_ignored(capsys, cp2cp2_path, argv):
+    code, out, err = run_cli(capsys, argv[0], cp2cp2_path, *argv[1:])
+    assert code == 2, (out, err)
+    assert err.startswith("error: ")
+
+
+def test_realize_empty_normalize_is_parsed_not_ignored(capsys, tmp_path):
+    path = tmp_path / "square.json"
+    path.write_text(json.dumps(SimplicialComplex(4, [(1, 2), (2, 3), (3, 4), (4, 1)]).to_json()))
+    code, out, err = run_cli(capsys, "realize", str(path), "--mode", "unimodular",
+                             "--normalize=")
+    assert code == 2
+    assert out == "" and err.startswith("error: ")
+
+
+def test_degenerate_direction_prints_rationals(capsys, cp2cp2_path):
+    code, out, err = run_cli(capsys, "invariants", cp2cp2_path, "--todd", "--dir=0,0")
+    assert code == 2
+    assert err == "error: direction 0,0 lies on a cone wall\n"
+    code, out, err = run_cli(capsys, "invariants", cp2cp2_path, "--todd", "--dir=1/2,0")
+    assert code == 2
+    assert err == "error: direction 1/2,0 lies on a cone wall\n"
+
+
+@pytest.mark.parametrize("field", ["n", "complex", "rays"])
+def test_missing_top_level_field_is_named(capsys, tmp_path, field):
+    data = cp2cp2_fan().to_json()
+    del data[field]
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert code == 2
+    assert err == f"error: malformed input: missing field '{field}'\n"
+
+
+def test_missing_complex_field_is_named(capsys, tmp_path):
+    data = cp2cp2_fan().to_json()
+    del data["complex"]["m"]
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run_cli(capsys, "validate", str(path))
+    assert code == 2
+    assert err == "error: malformed input: missing field 'm'\n"
 
 
 def test_realize_square_toric(capsys, tmp_path):

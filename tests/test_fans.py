@@ -20,6 +20,7 @@ from topfan.fixtures import (
     segment_fan,
 )
 from topfan.realize import product_fan, suspend_fan
+from topfan.ring import DualBasis
 from tests.conftest import random_valid_fan
 
 
@@ -309,6 +310,94 @@ def test_locate_cone_agrees_with_row_reduction():
                 assert fan.is_regular(point, part) == (any(point) and not boundary)
                 boundary_hits += len(boundary)
     assert boundary_hits > 0
+
+
+def _seeded_fan_of_dimension(rng, n):
+    """A valid seeded fan of dimension n: a random fan of dimension <= 3 times further ones."""
+    fan = random_valid_fan(rng, max_m=6, max_n=min(n, 3))
+    while fan.n < n:
+        fan = product_fan(fan, random_valid_fan(rng, max_m=5, max_n=min(n - fan.n, 3)),
+                          validate=False)
+    return fan
+
+
+def _oracle_points(fan, part, rng):
+    """Ray generators, points inside and across a few walls, and seeded random points."""
+    gens = [list(fan.ray(i).b) if part == "b" else list(fan.ray(i).v)
+            for i in range(1, fan.m + 1)]
+    points = [list(g) for g in gens]
+    walls = sorted(fan.complex.walls().items())
+    for wall, facets in rng.sample(walls, min(3, len(walls))):
+        across = [i for f in facets for i in f if i not in wall]
+        for group in (wall, across, wall[:2]):
+            points.append([sum(gens[i - 1][k] for i in group) for k in range(fan.n)])
+    for _ in range(5):
+        points.append([Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(fan.n)])
+    return points
+
+
+def test_cone_tests_agree_with_dual_basis_inverses_and_row_reduction():
+    """Coordinates, cone location and regularity from the integer wall normals, held against
+    each facet's ``DualBasis`` block inverse and a fresh row reduction, for n = 1..6."""
+    fans = [cp2cp2_fan(), octahedron_fan(), barnette_fan(), segment_fan(), projective_fan(3)]
+    fans += [_seeded_fan_of_dimension(random.Random(100 * n + seed), n)
+             for n in range(1, 7) for seed in range(2 if n <= 4 else 1)]
+    assert {fan.n for fan in fans} == set(range(1, 7))
+    boundary_hits = 0
+    for fan in fans:
+        rng = random.Random(fan.m)
+        duals = {f: DualBasis({i: fan.rvec(i) for i in f}) for f in fan.complex.facets}
+        for part in ("b", "v"):
+            for point in _oracle_points(fan, part, rng):
+                inside, boundary = [], []
+                for f in fan.complex.facets:
+                    coords = fan.coordinates(f, point, part)
+                    inv = duals[f].b_inv if part == "b" else duals[f].v_inv
+                    assert coords == linalg.mat_vec(inv, point) == _solve(fan, f, point, part)
+                    assert all(isinstance(x, Fraction) for x in coords)
+                    if min(coords) >= 0:
+                        inside.append(f)
+                        if min(coords) == 0:
+                            boundary.append(f)
+                assert fan.locate_cone(point, part) == inside, (fan, part, point)
+                assert fan.is_regular(point, part) == (any(point) and not boundary)
+                boundary_hits += len(boundary)
+        walls = {w for f in fan.complex.facets for w in combinations(f, fan.n - 1)}
+        assert len(fan._normals) <= 2 * len(walls)
+    assert boundary_hits > 0
+
+
+def test_cone_tests_reject_singular_and_non_top_facets():
+    b = [(1, 0), (2, 1), (-1, 0), (0, -1)]
+    v = [(1, 0), (0, 1), (-1, 0), (0, -1)]
+    complex_ = SimplicialComplex(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
+    # b-columns of (1, 3) are dependent; so are the v-columns of (1, 3)
+    fan = TopologicalFan(2, SimplicialComplex(4, [(1, 3), (2, 4)]),
+                         [Ray.from_parts(bb, v=vv) for bb, vv in zip(b, v)])
+    for part in ("b", "v"):
+        with pytest.raises(ValueError, match=f"the {part}-columns of \\(1, 3\\) are singular"):
+            fan.coordinates((3, 1), [1, 1], part)
+        with pytest.raises(ValueError, match="singular"):
+            fan.locate_cone([1, 1], part)
+        with pytest.raises(ValueError, match="singular"):
+            fan.is_regular([1, 1], part)
+    # only the v-block of (1, 2) is singular
+    v_singular = TopologicalFan(2, complex_, [Ray.from_parts(bb, v=vv) for bb, vv in
+                                              zip(b, [(1, 0), (1, 0), (-1, 0), (0, -1)])])
+    assert v_singular.coordinates((1, 2), [1, 1], "b") == [Fraction(-1), Fraction(1)]
+    with pytest.raises(ValueError, match="v-columns of \\(1, 2\\) are singular"):
+        v_singular.coordinates((1, 2), [1, 1], "v")
+    partial = TopologicalFan(2, SimplicialComplex(3, [(1, 2), (3,)]),
+                             [Ray.from_parts(bb, v=vv) for bb, vv in zip(b[:3], v[:3])])
+    for part in ("b", "v"):
+        with pytest.raises(ValueError, match="not a top-dimensional facet"):
+            partial.coordinates((3,), [1, 1], part)
+        with pytest.raises(ValueError, match="not a top-dimensional facet"):
+            partial.locate_cone([1, 1], part)
+        with pytest.raises(ValueError, match="not a top-dimensional facet"):
+            partial.is_regular([1, 1], part)
+        with pytest.raises(ValueError, match="not a top-dimensional facet"):
+            fan.coordinates((1, 2), [1, 1], part)
 
 
 def test_generic_direction_draws_off_every_hyperplane():
