@@ -10,6 +10,7 @@ output can be fed back in.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -190,6 +191,10 @@ def cmd_surgery(args):
 
 
 def cmd_realize(args):
+    if args.mode in ("sphere", "mod2"):
+        for option, value in (("--normalize", args.normalize), ("--bound", args.bound)):
+            if value is not None:
+                raise ValueError(f"{option} does not apply to --mode {args.mode}")
     report = _Report("realize", [args.complex])
     raw = _load_json(args.complex)
     complex_ = _parse(SimplicialComplex.from_json, raw)
@@ -222,7 +227,8 @@ def cmd_realize(args):
             report.emit(Infeasible("sign-contradiction", derived).to_json(), stats=None)
             return EXIT_NEGATIVE
         sign_table = derived
-    problem = LabelingProblem(complex_, mode, bound=args.bound,
+    bound = 1 if args.bound is None else args.bound
+    problem = LabelingProblem(complex_, mode, bound=bound,
                               normalization=normalization, sign_table=sign_table)
     result = search_labeling(problem)
     if isinstance(result, LabelingSolution):
@@ -283,7 +289,9 @@ def cmd_fixtures(args):
     return EXIT_OK
 
 
+@functools.cache
 def build_parser():
+    """The CLI parser, built on first use and shared by every ``main`` call: do not mutate it."""
     parser = argparse.ArgumentParser(
         prog="topfan",
         description="Exact computations with topological fans.",
@@ -329,7 +337,7 @@ def build_parser():
     p.add_argument("complex")
     p.add_argument("--mode", choices=["unimodular", "toric-sign", "mod2", "sphere"],
                    required=True)
-    p.add_argument("--bound", type=int, default=1)
+    p.add_argument("--bound", type=int)
     p.add_argument("--normalize", help="facet pinned to the standard basis, e.g. 1,2,3,4")
     p.set_defaults(func=cmd_realize)
 

@@ -514,6 +514,8 @@ def mod2_obstruction(complex_, n):
     1-skeleton is a bound-free obstruction (adjacent vertices need distinct
     classes).  Otherwise the finite search decides.
     """
+    if not complex_.is_pure():
+        raise ValueError("complex must be pure")
     clique = find_clique(complex_, (1 << n))
     if clique is not None:
         return Infeasible("clique", {"clique": clique, "classes": (1 << n) - 1})

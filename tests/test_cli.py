@@ -5,6 +5,7 @@ import copy
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -13,8 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from topfan import linalg
-from topfan.cli import main
+from topfan import cli, linalg
+from topfan.cli import build_parser, main
 from topfan.complexes import SimplicialComplex, cyclic_polytope_boundary
 from topfan.fans import Ray, TopologicalFan
 from topfan.fixtures import cp2cp2_fan, octahedron_complex, octahedron_fan, octahedron_positions
@@ -255,6 +256,29 @@ def test_realize_empty_normalize_is_parsed_not_ignored(capsys, tmp_path):
     assert out == "" and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("mode", ["sphere", "mod2"])
+@pytest.mark.parametrize("option, value", [("--normalize", "9,9,9"), ("--bound", "7"),
+                                           ("--bound", "0")])
+def test_realize_options_of_the_labeling_modes_exit_2_elsewhere(capsys, tmp_path, mode,
+                                                                 option, value):
+    data = octahedron_complex().to_json()
+    data["positions"] = [[str(x) for x in p] for p in octahedron_positions()]
+    path = tmp_path / "oct.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "realize", str(path), "--mode", mode, option, value)
+    assert code == 2 and out == ""
+    assert err == f"error: {option} does not apply to --mode {mode}\n"
+
+
+@pytest.mark.parametrize("mode", ["mod2", "unimodular", "toric-sign"])
+def test_realize_non_pure_complex_exits_2_in_every_labeling_mode(capsys, tmp_path, mode):
+    path = tmp_path / "non_pure.json"
+    path.write_text(json.dumps({"m": 4, "facets": [[1, 2], [2, 3, 4]]}))
+    code, out, err = run_cli(capsys, "realize", str(path), "--mode", mode)
+    assert code == 2 and out == ""
+    assert err == "error: complex must be pure\n"
+
+
 def test_degenerate_direction_prints_rationals(capsys, cp2cp2_path):
     code, out, err = run_cli(capsys, "invariants", cp2cp2_path, "--todd", "--dir=0,0")
     assert code == 2
@@ -479,6 +503,39 @@ def test_console_script_subprocess(cp2cp2_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"]["ok"]
+
+
+def test_parser_is_built_once_and_shared(capsys, cp2cp2_path):
+    for argv in (["validate", cp2cp2_path], ["validate"], ["charts", cp2cp2_path]):
+        run_cli(capsys, *argv)
+    assert build_parser() is build_parser()
+    assert build_parser.cache_info().currsize == 1
+
+
+def _outcome(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    return code, re.sub(r'"elapsed_ms": [0-9.]+', '"elapsed_ms": _', out), err
+
+
+def test_shared_parser_keeps_no_state_between_calls(capsys, monkeypatch, cp2cp2_path):
+    argvs = [
+        ["validate", cp2cp2_path],
+        ["surgery", cp2cp2_path, "--suspend", "--stellar", "1"],
+        ["--help"],
+        ["validate", "--help"],
+        ["charts", cp2cp2_path, "--kernel", "1,2"],
+    ]
+    first = []
+    for argv in argvs:
+        build_parser.cache_clear()
+        first.append(_outcome(capsys, argv))
+    assert [code for code, _, _ in first] == [0, 2, 0, 0, 0]
+    assert first[2][1].startswith("usage: topfan") and "not allowed with" in first[1][2]
+    for order in (range(len(argvs)), reversed(range(len(argvs)))):
+        for i in order:
+            assert _outcome(capsys, argvs[i]) == first[i], argvs[i]
+    monkeypatch.setattr(cli, "build_parser", build_parser.__wrapped__)
+    assert [_outcome(capsys, argv) for argv in argvs] == first
 
 
 def test_invariants_deterministic(capsys, cp2cp2_path):
