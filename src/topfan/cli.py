@@ -169,11 +169,12 @@ def cmd_equiv(args):
     report = _Report("equiv", [args.fan_a, args.fan_b])
     fan_a = _load_fan(args.fan_a)
     fan_b = _load_fan(args.fan_b)
-    iso = equivalent(fan_a, fan_b, mode=args.mode)
+    stats = {}
+    iso = equivalent(fan_a, fan_b, mode=args.mode, stats=stats)
     if iso is None:
-        report.emit({"equivalent": False, "mode": args.mode})
+        report.emit({"equivalent": False, "mode": args.mode}, stats=stats)
         return EXIT_NEGATIVE
-    report.emit({"equivalent": True, "mode": args.mode, **iso.to_json()})
+    report.emit({"equivalent": True, "mode": args.mode, **iso.to_json()}, stats=stats)
     return EXIT_OK
 
 

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
+from .linalg import parse_int
+
 
 class SimplicialComplex:
     """An abstract simplicial complex on the vertex set ``{1, .., m}``."""
@@ -28,10 +30,12 @@ class SimplicialComplex:
             if t[0] < 1 or t[-1] > m:
                 raise ValueError(f"facet {t} out of vertex range 1..{m}")
             facet_set.add(t)
-        for f in facet_set:
-            for g in facet_set:
-                if f != g and set(f) <= set(g):
-                    raise ValueError(f"facet {f} is contained in facet {g}")
+        # only a strictly smaller facet can lie in another: pure complexes skip the scan
+        if len({len(f) for f in facet_set}) > 1:
+            for f in facet_set:
+                for g in facet_set:
+                    if len(f) < len(g) and set(f) <= set(g):
+                        raise ValueError(f"facet {f} is contained in facet {g}")
         covered = set()
         for f in facet_set:
             covered.update(f)
@@ -190,7 +194,8 @@ class SimplicialComplex:
         labels = None
         if "labels" in data and data["labels"]:
             labels = {int(v): lab for v, lab in data["labels"].items()}
-        return SimplicialComplex(data["m"], data["facets"], labels)
+        facets = [[parse_int(v, "facets") for v in f] for f in data["facets"]]
+        return SimplicialComplex(parse_int(data["m"], "m"), facets, labels)
 
     def __eq__(self, other):
         return (

@@ -30,8 +30,11 @@ class Ray:
     v: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "b", tuple(Fraction(x) for x in self.b))
-        object.__setattr__(self, "c", tuple(Fraction(x) for x in self.c))
+        # entries parsed by ``from_json`` are Fractions already and are kept
+        object.__setattr__(self, "b", tuple(x if type(x) is Fraction else Fraction(x)
+                                            for x in self.b))
+        object.__setattr__(self, "c", tuple(x if type(x) is Fraction else Fraction(x)
+                                            for x in self.c))
         object.__setattr__(self, "v", tuple(int(x) for x in self.v))
         if not (len(self.b) == len(self.c) == len(self.v)):
             raise ValueError("b, c, v must have equal lengths")
@@ -66,7 +69,7 @@ class Ray:
         return Ray(
             tuple(linalg.parse_rational(x) for x in data["b"]),
             tuple(linalg.parse_rational(x) for x in data.get("c", [0] * len(data["b"]))),
-            tuple(int(x) for x in data["v"]),
+            tuple(linalg.parse_int(x, "v") for x in data["v"]),
         )
 
     @staticmethod
@@ -595,21 +598,22 @@ def _extreme_rays_nonneg_kernel(rows):
 def h_canonical_form(fan: TopologicalFan) -> TopologicalFan:
     """Normalize every ray inside its orbit under the homeomorphism scalars.
 
-    One scalar (s, t, eps) is applied per ray so that afterwards b has L1 norm
-    one, the first nonzero entry of v is positive, and c is orthogonal to v.
-    Idempotent and constant on orbits.
+    One scalar (s, t, eps) is applied per ray (``_h_canonical_ray``) so that
+    afterwards b has L1 norm one, the first nonzero entry of v is positive,
+    and c is orthogonal to v.  Idempotent and constant on orbits.
     """
-    new_rays = []
-    for ray in fan.rays:
-        norm = sum(abs(x) for x in ray.b)
-        s = Fraction(1) / norm
-        vv = sum(x * x for x in ray.v)
-        cv = sum(Fraction(cx) * vx for cx, vx in zip(ray.c, ray.v))
-        t = -cv / vv * s
-        first = next(x for x in ray.v if x != 0)
-        eps = 1 if first > 0 else -1
-        new_rays.append(ray.right_mul(RElem(s, t, eps)))
-    return TopologicalFan(fan.n, fan.complex, new_rays)
+    return TopologicalFan(fan.n, fan.complex, [_h_canonical_ray(ray) for ray in fan.rays])
+
+
+def _h_canonical_ray(ray: Ray) -> Ray:
+    norm = sum(abs(x) for x in ray.b)
+    s = Fraction(1) / norm
+    vv = sum(x * x for x in ray.v)
+    cv = sum(Fraction(cx) * vx for cx, vx in zip(ray.c, ray.v))
+    t = -cv / vv * s
+    first = next(x for x in ray.v if x != 0)
+    eps = 1 if first > 0 else -1
+    return ray.right_mul(RElem(s, t, eps))
 
 
 # -- equivalence --------------------------------------------------------------
@@ -672,25 +676,61 @@ def _ray_match_scalar(source: Ray, target: Ray, mode) -> Optional[RElem]:
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def equivalent(a: TopologicalFan, b: TopologicalFan, mode="strict") -> Optional[Isomorphism]:
+# One key per mode, constant on the orbits of the rays under that mode's
+# scalars, so ``_ray_match_scalar(s, t, mode)`` is None whenever the keys of s
+# and t differ.  'd' flips v only, and the h-canonical ray is the one
+# representative ``h_canonical_form`` picks in each orbit.
+_ORBIT_KEYS = {
+    "strict": lambda ray: ray,
+    "d": lambda ray: (ray.b, ray.c, max(ray.v, tuple(-x for x in ray.v))),
+    "h": _h_canonical_ray,
+}
+
+
+def equivalent(a: TopologicalFan, b: TopologicalFan, mode="strict",
+               stats=None) -> Optional[Isomorphism]:
     """Search for a simplicial isomorphism matching rays in the given mode.
 
     mode 'strict' requires equal rays, 'd' allows the v-flip scalar per ray,
-    'h' allows any homeomorphism scalar per ray.  Exhaustive backtracking over
-    vertex bijections with facet-structure pruning; the returned sigma is the
-    lexicographically least one.
+    'h' allows any homeomorphism scalar per ray; any other mode raises
+    ValueError.  The target's rays are bucketed once by an orbit key that is
+    constant on the mode's orbits: the ray itself ('strict'), the ray with v
+    up to sign ('d'), or its h-canonical form ('h').  Only the targets in a
+    source ray's own bucket are tried, and ``_ray_match_scalar`` alone
+    decides each pair, so the key only skips pairs that cannot match.
+    Exhaustive backtracking over vertex bijections then assigns vertices
+    1..m in order and candidates in ascending order, pruned by the stars of
+    the target's vertices; the returned sigma is the lexicographically least
+    one.
+
+    When ``stats`` is a dict, it receives the counts of the call: the
+    ``candidates`` (source, target) pairs that shared a key, the search
+    ``nodes`` visited (partial bijections, the empty and a complete one
+    included) and the ``backtracks`` (vertices whose every candidate failed).
     """
     mode = mode.lower()
+    if stats is None:
+        stats = {}
+    stats.update(candidates=0, nodes=0, backtracks=0)
     if a.n != b.n or a.m != b.m or len(a.complex.facets) != len(b.complex.facets):
         return None
     if sorted(map(len, a.complex.facets)) != sorted(map(len, b.complex.facets)):
         return None
+    key = _ORBIT_KEYS.get(mode)
+    if key is None:
+        raise ValueError(f"unknown mode {mode!r}")
     m = a.m
+    buckets = {}
+    for j in range(1, m + 1):
+        buckets.setdefault(key(b.ray(j)), []).append(j)
     allowed = {}
     for i in range(1, m + 1):
+        source = a.ray(i)
+        candidates = buckets.get(key(source), ())
+        stats["candidates"] += len(candidates)
         opts = {}
-        for j in range(1, m + 1):
-            mu = _ray_match_scalar(a.ray(i), b.ray(j), mode)
+        for j in candidates:
+            mu = _ray_match_scalar(source, b.ray(j), mode)
             if mu is not None:
                 opts[j] = mu
         if not opts:
@@ -698,23 +738,28 @@ def equivalent(a: TopologicalFan, b: TopologicalFan, mode="strict") -> Optional[
         allowed[i] = opts
 
     facets_b = set(b.complex.facets)
+    star_b = {j: [] for j in range(1, m + 1)}
+    for g in b.complex.facets:
+        face = frozenset(g)
+        for j in g:
+            star_b[j].append(face)
     facets_of_vertex = {i: [f for f in a.complex.facets if i in f] for i in range(1, m + 1)}
     sigma = {}
     used = set()
 
     def consistent(i):
+        # every facet through i has a partial image through sigma[i]
         for f in facets_of_vertex[i]:
             image = [sigma[v] for v in f if v in sigma]
             if len(image) == len(f):
                 if tuple(sorted(image)) not in facets_b:
                     return False
-            else:
-                img = set(image)
-                if not any(img <= set(g) for g in facets_b):
-                    return False
+            elif not any(face.issuperset(image) for face in star_b[sigma[i]]):
+                return False
         return True
 
     def backtrack(i):
+        stats["nodes"] += 1
         if i > m:
             return True
         for j in sorted(allowed[i]):
@@ -726,6 +771,7 @@ def equivalent(a: TopologicalFan, b: TopologicalFan, mode="strict") -> Optional[
                 return True
             del sigma[i]
             used.remove(j)
+        stats["backtracks"] += 1
         return False
 
     if not backtrack(1):

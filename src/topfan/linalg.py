@@ -280,5 +280,12 @@ def parse_rational(value):
     raise ValueError(f"not a rational: {value!r}")
 
 
+def parse_int(value, field):
+    """Parse a JSON integer of the named field; a float, a bool or a string is a ValueError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"not an integer in {field}: {value!r}")
+    return value
+
+
 def format_rational(value):
     return str(Fraction(value))

@@ -197,13 +197,19 @@ def test_equiv_command(capsys, tmp_path, cp2cp2_path):
 
     code, out, _ = run_cli(capsys, "equiv", cp2cp2_path, str(other), "--mode", "h")
     assert code == 0
-    result = json.loads(out)["result"]
+    report = json.loads(out)
+    assert list(report) == ["command", "inputs", "elapsed_ms", "stats", "result"]
+    assert report["stats"] == {"candidates": 4, "nodes": 5, "backtracks": 0}
+    result = report["result"]
     assert result["equivalent"]
     assert result["sigma"] == {"1": 1, "2": 2, "3": 3, "4": 4}
     assert result["scalars"]["1"] == [2, 1, 3, 1, 1]
 
-    code, _, _ = run_cli(capsys, "equiv", cp2cp2_path, str(other), "--mode", "strict")
+    code, out, _ = run_cli(capsys, "equiv", cp2cp2_path, str(other), "--mode", "strict")
     assert code == 1
+    report = json.loads(out)
+    assert report["result"] == {"equivalent": False, "mode": "strict"}
+    assert report["stats"] == {"candidates": 0, "nodes": 0, "backtracks": 0}
 
 
 def test_surgery_roundtrip(capsys, tmp_path, cp2cp2_path):
@@ -307,6 +313,54 @@ def test_missing_complex_field_is_named(capsys, tmp_path):
     code, _, err = run_cli(capsys, "validate", str(path))
     assert code == 2
     assert err == "error: malformed input: missing field 'm'\n"
+
+
+def _set_first_v_entry(data, value):
+    data["rays"][0]["v"][0] = value
+
+
+def _set_first_vertex(data, value):
+    data["complex"]["facets"][0][0] = value
+
+
+def _set_m(data, value):
+    data["complex"]["m"] = value
+
+
+@pytest.mark.parametrize("mutate, field, value", [
+    (_set_first_v_entry, "v", 1.4),
+    (_set_first_vertex, "facets", 1.7),
+    (_set_first_vertex, "facets", True),
+    (_set_m, "m", 4.0),
+])
+def test_non_integer_v_entry_or_fan_vertex_exits_2(capsys, tmp_path, mutate, field, value):
+    data = cp2cp2_fan().to_json()
+    mutate(data, value)
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps(data))
+    for argv in (["validate", str(path)], ["equiv", str(path), str(path)]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: not an integer in {field}: {value!r}\n"
+
+
+def _octahedron_with_first_vertex(value):
+    data = octahedron_complex().to_json()
+    data["facets"][0][0] = value
+    return data
+
+
+@pytest.mark.parametrize("data, field, value", [
+    (_octahedron_with_first_vertex(1.7), "facets", 1.7),
+    (_octahedron_with_first_vertex(True), "facets", True),
+    ({"m": True, "facets": [[1]]}, "m", True),
+])
+def test_non_integer_complex_vertex_or_m_exits_2(capsys, tmp_path, data, field, value):
+    path = tmp_path / "complex.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "realize", str(path), "--mode", "mod2")
+    assert (code, out) == (2, "")
+    assert err == f"error: not an integer in {field}: {value!r}\n"
 
 
 def test_realize_square_toric(capsys, tmp_path):
@@ -610,7 +664,7 @@ def test_cli_survives_mutated_inputs(fan, complex_, direction):
             ["invariants", fan_path, "--todd", f"--dir={direction}"],
             ["realize", complex_path, "--mode", "sphere"],
             ["realize", complex_path, "--mode", "mod2"],
-        ]
+        ] + [["equiv", fan_path, fan_path, "--mode", mode] for mode in ("strict", "d", "h")]
         for argv in runs:
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(io.StringIO()) as err:

@@ -21,6 +21,7 @@ from topfan.fixtures import (
 )
 from topfan.realize import product_fan, suspend_fan
 from topfan.ring import DualBasis
+from tests import equivalence_oracle
 from tests.conftest import random_valid_fan
 
 
@@ -735,3 +736,106 @@ def test_strict_implies_d_implies_h(fan_generator):
         assert equivalent(fan, relabeled, "strict") is not None
         assert equivalent(fan, relabeled, "d") is not None
         assert equivalent(fan, relabeled, "h") is not None
+
+
+# -- orbit-keyed candidates, held against the all-pairs oracle -------------------
+
+
+def _relabeled(fan, rng, transform=lambda ray: ray):
+    """fan with its vertices permuted at random and ``transform`` applied to every ray."""
+    mapping = dict(zip(range(1, fan.m + 1), rng.sample(range(1, fan.m + 1), fan.m)))
+    return TopologicalFan(fan.n, fan.complex.relabeled(mapping),
+                          [transform(fan.ray(old)) for old in sorted(mapping, key=mapping.get)])
+
+
+def _moved(fan, rng):
+    """fan with one ray's b replaced by a direction off every ray's b (n >= 2)."""
+    rays = list(fan.rays)
+    k = rng.randrange(fan.m)
+    lines = {tuple(linalg.clear_denominators(r.b)) for r in fan.rays}
+    while True:
+        b = tuple(Fraction(rng.randint(-5, 5)) for _ in range(fan.n))
+        if any(b) and tuple(linalg.clear_denominators(b)) not in lines:
+            break
+    rays[k] = Ray(b, rays[k].c, rays[k].v)
+    return TopologicalFan(fan.n, fan.complex, rays)
+
+
+def _pooled(fan, rng):
+    """fan with every ray drawn from two of its rays, so rays repeat and buckets hold several."""
+    pool = rng.sample(fan.rays, min(2, fan.m))
+    return TopologicalFan(fan.n, fan.complex, [rng.choice(pool) for _ in fan.rays])
+
+
+def _random_homeo_scalar(rng):
+    return RElem(Fraction(rng.randint(1, 5), rng.randint(1, 3)),
+                 Fraction(rng.randint(-3, 3), rng.randint(1, 3)), rng.choice([1, -1]))
+
+
+def test_equivalent_matches_the_all_pairs_oracle(fan_generator):
+    from topfan.ring import MU0
+
+    rng = random.Random(113)
+    outcomes = {mode: set() for mode in ("strict", "d", "h")}
+    for _ in range(30):
+        fan = fan_generator(rng, max_m=8)
+        pooled = _pooled(fan, rng)
+        targets = [
+            (fan, _relabeled(fan, rng)),
+            (fan, _relabeled(fan, rng, lambda r: r.right_mul(_random_homeo_scalar(rng)))),
+            (fan, _relabeled(fan, rng, lambda r: r.right_mul(MU0) if rng.random() < 0.5 else r)),
+            (pooled, _relabeled(pooled, rng)),
+            (pooled, _relabeled(pooled, rng, lambda r: r.right_mul(MU0))),
+        ]
+        if fan.n >= 2:
+            targets.append((fan, _moved(_relabeled(fan, rng), rng)))
+        for source, target in targets:
+            for mode in ("strict", "d", "h"):
+                got = equivalent(source, target, mode)
+                want = equivalence_oracle.equivalent(source, target, mode)
+                if want is None:
+                    assert got is None, (source, target, mode)
+                else:
+                    assert got is not None, (source, target, mode)
+                    assert got.sigma == want.sigma and got.scalars == want.scalars
+                outcomes[mode].add(want is not None)
+    assert all(seen == {True, False} for seen in outcomes.values())
+
+
+def test_orbit_key_is_necessary_for_a_ray_match(fan_generator):
+    from topfan.ring import MU0
+
+    rng = random.Random(127)
+    matches = {mode: 0 for mode in ("strict", "d", "h")}
+    for _ in range(40):
+        fan = fan_generator(rng, max_m=7)
+        rays = list(fan.rays)
+        images = rays + [r.right_mul(MU0) for r in rays]
+        images += [r.right_mul(_random_homeo_scalar(rng)) for r in rays]
+        for source in rays:
+            for target in images:
+                for mode, key in fans_module._ORBIT_KEYS.items():
+                    if fans_module._ray_match_scalar(source, target, mode) is not None:
+                        matches[mode] += 1
+                        assert key(source) == key(target), (source, target, mode)
+    assert all(matches.values())
+
+
+def test_ray_match_is_tried_only_on_same_key_pairs(monkeypatch):
+    fan = barnette_fan()
+    assert len(set(fan.rays)) == fan.m
+    copy = _relabeled(fan, random.Random(131))
+    calls = []
+    match = fans_module._ray_match_scalar
+    monkeypatch.setattr(fans_module, "_ray_match_scalar",
+                        lambda s, t, mode: calls.append((s, t)) or match(s, t, mode))
+    stats = {}
+    iso = equivalent(fan, copy, "strict", stats=stats)
+    assert iso is not None
+    assert len(calls) == fan.m
+    assert stats == {"candidates": fan.m, "nodes": fan.m + 1, "backtracks": 0}
+
+
+def test_equivalent_rejects_an_unknown_mode(square_fan):
+    with pytest.raises(ValueError, match="unknown mode 'x'"):
+        equivalent(square_fan, square_fan, "x")
