@@ -18,7 +18,7 @@ from .fans import (
     equivalent,
     h_canonical_form,
 )
-from .ring import MU0, ONE, ZERO, DualBasis, RElem, RVec, dual_basis, orientation_sign, pairing
+from .ring import MU0, ONE, ZERO, RElem, RVec, pairing
 
 __all__ = [
     "FVector",
@@ -33,11 +33,8 @@ __all__ = [
     "MU0",
     "ONE",
     "ZERO",
-    "DualBasis",
     "RElem",
     "RVec",
-    "dual_basis",
-    "orientation_sign",
     "pairing",
 ]
 

@@ -44,13 +44,6 @@ def _top_facets(fan: TopologicalFan):
     return [f for f in fan.complex.facets if len(f) == fan.n]
 
 
-def _require_top_facet(fan: TopologicalFan, facet):
-    key = tuple(sorted(facet))
-    if key not in fan.complex.facets or len(key) != fan.n:
-        raise ValueError(f"{key} is not a top-dimensional facet")
-    return key
-
-
 def chart_table(fan: TopologicalFan, facet):
     """The matrix D_J·R of the top facet J, cached on the fan.
 
@@ -60,20 +53,20 @@ def chart_table(fan: TopologicalFan, facet):
     give the kernel generators over the base J, and its columns at J itself
     certify the cocycle (see ``check_cocycle``).
     """
-    key = _require_top_facet(fan, facet)
+    key = fan._top_facet(facet)
     table = fan._chart_tables.get(key)
     if table is None:
         betas = [fan.rvec(k) for k in range(1, fan.m + 1)]
         table = tuple(
             tuple(pairing(alpha, beta) for beta in betas)
-            for _, alpha in fan.dual_basis(key).items()
+            for alpha in fan.dual_basis(key).values()
         )
         fan._chart_tables[key] = table
     return table
 
 
 def kernel_presentation(fan: TopologicalFan, facet) -> KernelPresentation:
-    base = _require_top_facet(fan, facet)
+    base = fan._top_facet(facet)
     table = chart_table(fan, base)
     generators = {}
     for k in range(1, fan.m + 1):
@@ -84,17 +77,6 @@ def kernel_presentation(fan: TopologicalFan, facet) -> KernelPresentation:
             exps[i] = -row[k - 1]
         generators[k] = exps
     return KernelPresentation(base, generators)
-
-
-def kernel_residual(fan: TopologicalFan, pres: KernelPresentation, k):
-    """sum_j ray_j * E_j for generator k; the zero vector certifies membership."""
-    out = []
-    for coord in range(fan.n):
-        total = ZERO
-        for j, exp in pres.generators[k].items():
-            total = total + fan.rvec(j)[coord] * exp
-        out.append(total)
-    return out
 
 
 @dataclass
@@ -125,8 +107,8 @@ class TransitionMatrix:
 
 def transition_matrix(fan: TopologicalFan, source, target) -> TransitionMatrix:
     """The columns of ``chart_table(fan, target)`` at the source facet."""
-    src = _require_top_facet(fan, source)
-    tgt = _require_top_facet(fan, target)
+    src = fan._top_facet(source)
+    tgt = fan._top_facet(target)
     table = chart_table(fan, tgt)
     entries = {(j, i): row[i - 1] for j, row in zip(tgt, table) for i in src}
     return TransitionMatrix(src, tgt, entries)

@@ -58,7 +58,15 @@ def _digest(path):
 
 def _load_json(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError("malformed input: JSON nested too deeply") from None
+
+
+def _write_json(data, stream):
+    """The artifact or report as indented JSON and a newline, in one write."""
+    stream.write(json.dumps(data, indent=2) + "\n")
 
 
 def _parse(from_json, data):
@@ -89,8 +97,7 @@ class _Report:
         self.data["elapsed_ms"] = round(1000 * (time.monotonic() - self.start), 3)
         self.data.update(extra)
         self.data["result"] = result
-        json.dump(self.data, stream, indent=2)
-        stream.write("\n")
+        _write_json(self.data, stream)
 
 
 def _parse_facet(text):
@@ -186,8 +193,7 @@ def cmd_surgery(args):
         out = suspend_fan(fan)
     else:
         out = product_fan(fan, _load_fan(args.product))
-    json.dump(out.to_json(), sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    _write_json(out.to_json(), sys.stdout)
     return EXIT_OK
 
 
@@ -207,8 +213,7 @@ def cmd_realize(args):
                   file=sys.stderr)
             return EXIT_USAGE
         fan = realize_2sphere(complex_, _parse(_parse_positions, positions))
-        json.dump(fan.to_json(), sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        _write_json(fan.to_json(), sys.stdout)
         return EXIT_OK
 
     if not complex_.facets:
@@ -282,11 +287,9 @@ def cmd_fixtures(args):
     for filename, data in files.items():
         path = os.path.join(args.dir, filename)
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(data, fh, indent=2)
-            fh.write("\n")
+            _write_json(data, fh)
         manifest[filename] = _digest(path)
-    json.dump({"written": manifest, "dir": args.dir}, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    _write_json({"written": manifest, "dir": args.dir}, sys.stdout)
     return EXIT_OK
 
 

@@ -10,7 +10,7 @@ trust their fixtures.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, count
 from math import comb
 
 from .linalg import parse_int
@@ -39,9 +39,11 @@ class SimplicialComplex:
         covered = set()
         for f in facet_set:
             covered.update(f)
-        if covered != set(range(1, m + 1)):
-            missing = sorted(set(range(1, m + 1)) - covered)
-            raise ValueError(f"vertices {missing} appear in no facet")
+        # covered lies in 1..m, so counting suffices; m may be far beyond any facet
+        missing = m - len(covered)
+        if missing > 0:
+            first = next(v for v in count(1) if v not in covered)
+            raise ValueError(f"vertex {first} appears in no facet ({missing} uncovered in all)")
         self.m = int(m)
         self.facets = tuple(sorted(facet_set))
         self.labels = dict(labels) if labels else None

@@ -18,7 +18,7 @@ from typing import Optional
 
 from . import linalg
 from .complexes import SimplicialComplex
-from .ring import MU0, DualBasis, RElem, RVec
+from .ring import MU0, BSingularError, RElem, RVec, VNotUnimodularError
 
 
 @dataclass(frozen=True)
@@ -51,8 +51,10 @@ class Ray:
         return RVec.from_parts(self.b, self.c, self.v)
 
     def right_mul(self, mu: RElem) -> "Ray":
-        vec = self.rvec().right_mul(mu)
-        return Ray(tuple(vec.b_part()), tuple(vec.c_part()), tuple(vec.v_part()))
+        """The ray with each coordinate's ring entry times mu on the right (``RElem.__mul__``)."""
+        return Ray(tuple(b * mu.b for b in self.b),
+                   tuple(c * mu.b + v * mu.c for c, v in zip(self.c, self.v)),
+                   tuple(v * mu.v for v in self.v))
 
     def conjugate(self) -> "Ray":
         return Ray(self.b, tuple(-x for x in self.c), tuple(-x for x in self.v))
@@ -121,13 +123,14 @@ class TopologicalFan:
     """A pair (complex, rays) with exact validation and chart data."""
 
     # Caches of data derived from the (immutable) rays and complex.  One
-    # integer wall normal per (part, wall) answers every cone-side question:
-    # wall tests, cone location and regularity.  One ``DualBasis`` per facet
-    # is built only for the chart tables (filled by ``charts``), which read
-    # its dual vectors; the graded ring is filled by ``invariants``.  Each
-    # lives and dies with its fan.
-    __slots__ = ("n", "complex", "rays", "_rvecs", "_dual_cache", "_chart_tables", "_ring",
-                 "_complete", "_report", "_int_b", "_normals")
+    # integer wall normal per (part, wall) settles the wall tests; one
+    # (det, adjugate) record per (part, top facet), assembled from its wall
+    # normals, is the facet's only factorization: cone location,
+    # regularity, orientation weights and the dual bases of the chart tables
+    # (filled by ``charts``) all read it.  The graded ring is filled by
+    # ``invariants``.  Each lives and dies with its fan.
+    __slots__ = ("n", "complex", "rays", "_rvecs", "_chart_tables", "_ring",
+                 "_complete", "_report", "_int_b", "_normals", "_adjugates")
 
     def __init__(self, n, complex_: SimplicialComplex, rays):
         rays = tuple(rays)
@@ -140,13 +143,13 @@ class TopologicalFan:
         self.complex = complex_
         self.rays = rays
         self._rvecs = None
-        self._dual_cache = {}
         self._chart_tables = {}
         self._ring = None
         self._complete = None
         self._report = None
         self._int_b = None
         self._normals = {}
+        self._adjugates = {}
 
     @property
     def m(self):
@@ -159,9 +162,6 @@ class TopologicalFan:
         if self._rvecs is None:
             self._rvecs = tuple(ray.rvec() for ray in self.rays)
         return self._rvecs[i - 1]
-
-    def b_columns(self, indices):
-        return [list(self.ray(i).b) for i in indices]
 
     def v_columns(self, indices):
         return [list(self.ray(i).v) for i in indices]
@@ -192,18 +192,63 @@ class TopologicalFan:
             normal = self._normals[key] = linalg.cofactor_row(self._int_columns(part, wall), 0)
         return normal
 
+    def _adjugate(self, part, facet):
+        """``(det, rows)`` of a sorted top facet's integer b- or v-block, cached per fan.
+
+        The block's columns are ``_int_columns(part, facet)``.  Row k of its
+        adjugate is the form x -> det of the block with x in place of
+        column k, which is (-1)^k times the normal of the wall without
+        column k (``_wall_normal`` puts x first).  So adj . x is det times
+        the point's coordinates, and det = row 0 . column 0.  A singular
+        block has det 0.
+        """
+        key = (part, facet)
+        record = self._adjugates.get(key)
+        if record is None:
+            normals = [self._wall_normal(part, facet[:k] + facet[k + 1:]) for k in range(self.n)]
+            rows = tuple(row if k % 2 == 0 else tuple(-x for x in row)
+                         for k, row in enumerate(normals))
+            det = _dot(rows[0], self._int_columns(part, facet[:1])[0])
+            record = self._adjugates[key] = (det, rows)
+        return record
+
+    def _top_facet(self, facet):
+        key = tuple(sorted(facet))
+        if key not in self.complex.facets or len(key) != self.n:
+            raise ValueError(f"{key} is not a top-dimensional facet")
+        return key
+
     # -- chart data ---------------------------------------------------------
 
     def dual_basis(self, facet):
-        """The facet's dual basis, cached; raises BSingularError or VNotUnimodularError on a bad block."""
-        key = tuple(sorted(facet))
-        if key not in self.complex.facets:
-            raise ValueError(f"{key} is not a facet")
-        record = self._dual_cache.get(key)
-        if record is None:
-            record = self._dual_cache[key] = DualBasis({i: self.rvec(i) for i in key})
-        record.alphas  # raises when a block is bad
-        return record
+        """The dual basis ``{j: alpha_j}`` of a top facet J: pairing(alpha_j, beta_i) = delta_ij.
+
+        Writing J's rays columnwise as [[B, 0], [C, V]], alpha_j is the row
+        of [[B^-1, 0], [-V^-1 C B^-1, V^-1]] at j, read off the cached
+        adjugates (``_adjugate``).  With b_j = s_j * ``_int_b_column(j)``
+        for some s_j > 0, row j of B^-1 is the adjugate's row over
+        s_j * det, which is that row dotted with b_j; V^-1 = det V * adj V
+        since det V = +-1.  Raises BSingularError when B is singular and
+        VNotUnimodularError when det V != +-1.
+        """
+        facet = self._top_facet(facet)
+        b_det, b_adj = self._adjugate("b", facet)
+        if b_det == 0:
+            raise BSingularError(f"real parts of rays {facet} are linearly dependent")
+        v_det, v_adj = self._adjugate("v", facet)
+        if abs(v_det) != 1:
+            raise VNotUnimodularError(
+                f"winding parts of rays {facet} have determinant {v_det}, not a Z-basis")
+        divisors = [_dot(row, self.ray(j).b) for row, j in zip(b_adj, facet)]
+        b_inv = [[a / d for a in row] for row, d in zip(b_adj, divisors)]
+        v_inv = [[v_det * a for a in row] for row in v_adj]
+        vc = [[_dot(row, self.ray(j).c) for j in facet] for row in v_inv]  # V^-1 C
+        b_cols = list(zip(*b_inv))
+        return {
+            j: RVec(tuple(RElem(b, -_dot(vc_row, col), v)
+                          for b, col, v in zip(b_row, b_cols, v_row)))
+            for j, b_row, vc_row, v_row in zip(facet, b_inv, vc, v_inv)
+        }
 
     # -- validation ---------------------------------------------------------
 
@@ -453,23 +498,17 @@ class TopologicalFan:
         """The exact coordinates of x in the basis of a top facet's b- or v-columns.
 
         x lies in the facet's cone exactly when they are all >= 0, and on the
-        cone's boundary when moreover one of them is 0.  The normal phi of
-        the facet's wall without its k-th column vanishes on every other
-        column, so coordinate k is phi . x / phi . col_k.
+        cone's boundary when moreover one of them is 0.  Row k of the
+        facet's adjugate (``_adjugate``) vanishes on every other column, so
+        coordinate k is row_k . x / row_k . col_k.
         """
         self._check_point(x, part)
-        facet = tuple(sorted(facet))
-        if facet not in self.complex.facets or len(facet) != self.n:
-            raise ValueError(f"{facet} is not a top-dimensional facet")
-        cols = self.b_columns(facet) if part == "b" else self.v_columns(facet)
-        coords = []
-        for k, col in enumerate(cols):
-            phi = self._wall_normal(part, facet[:k] + facet[k + 1:])
-            denominator = _dot(phi, col)
-            if denominator == 0:
-                raise ValueError(f"the {part}-columns of {facet} are singular")
-            coords.append(Fraction(_dot(phi, x)) / denominator)
-        return coords
+        facet = self._top_facet(facet)
+        det, adj = self._adjugate(part, facet)
+        if det == 0:
+            raise ValueError(f"the {part}-columns of {facet} are singular")
+        cols = [self.ray(i).b if part == "b" else self.ray(i).v for i in facet]
+        return [Fraction(_dot(row, x)) / _dot(row, col) for row, col in zip(adj, cols)]
 
     def locate_cone(self, x, mode="b"):
         """Top facets whose cone (b-cones or v-cones) contains the point x."""
@@ -491,19 +530,18 @@ class TopologicalFan:
     def _scaled_coordinates(self, facet, point, part):
         """Positive multiples of an integer point's coordinates in a sorted top facet's basis.
 
-        Coordinate k is phi_k . x / phi_k . col_k (see ``coordinates``), and
-        phi_k . col_k = (-1)^k det of the facet's columns, so entry k is
-        phi_k . x with the sign of that denominator.  Raises ValueError on a
-        non-top facet or a singular block.
+        adj . x is det times the coordinates (``_adjugate``), so entry k is
+        row_k . x with the sign of det.  Raises ValueError on a non-top
+        facet or a singular block.
         """
         if len(facet) != self.n:
             raise ValueError(f"{facet} is not a top-dimensional facet")
-        normals = [self._wall_normal(part, facet[:k] + facet[k + 1:]) for k in range(self.n)]
-        det = _dot(normals[0], self._int_columns(part, facet[:1])[0])
+        det, adj = self._adjugate(part, facet)
         if det == 0:
             raise ValueError(f"the {part}-columns of {facet} are singular")
-        return [_dot(phi, point) if (det > 0) == (k % 2 == 0) else -_dot(phi, point)
-                for k, phi in enumerate(normals)]
+        if det > 0:
+            return [_dot(row, point) for row in adj]
+        return [-_dot(row, point) for row in adj]
 
     # -- serialization -------------------------------------------------------
 

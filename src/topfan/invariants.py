@@ -301,10 +301,11 @@ class OmniWeights:
 
 def omni_weights(fan: TopologicalFan) -> OmniWeights:
     fan.require_valid()
-    # sign det B · det V of the integer blocks; a positive rescaling of the b's moves no sign
+    # sign det B · det V of the facet's cached integer blocks; a positive
+    # rescaling of the b's moves no sign
     weights = {}
     for f in fan.complex.facets:
-        det = linalg.int_det(fan._int_columns("b", f)) * linalg.int_det(fan._int_columns("v", f))
+        det = fan._adjugate("b", f)[0] * fan._adjugate("v", f)[0]
         weights[f] = 1 if det > 0 else -1
     return OmniWeights(weights)
 

@@ -18,17 +18,10 @@ def to_fractions(rows):
     return [[Fraction(x) for x in row] for row in rows]
 
 
-def transpose(rows):
-    return [list(col) for col in zip(*rows)]
 
 
-def mat_mul(a, b):
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
-def mat_vec(a, x):
-    return [sum(r * v for r, v in zip(row, x)) for row in a]
 
 
 def rref(rows):
@@ -170,31 +163,6 @@ def independent_rows(rows):
     return chosen, pivots
 
 
-def inverse(rows):
-    """Inverse and determinant of a square rational matrix, from one Gauss–Jordan pass.
-
-    Returns ``(inverse, det)``; the inverse is None when the matrix is
-    singular, and its determinant is 0 then.
-    """
-    n = len(rows)
-    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(rows)]
-    det = Fraction(1)
-    for col in range(n):
-        pivot_row = next((i for i in range(col, n) if m[i][col] != 0), None)
-        if pivot_row is None:
-            return None, Fraction(0)
-        if pivot_row != col:
-            m[col], m[pivot_row] = m[pivot_row], m[col]
-            det = -det
-        pivot = m[col][col]
-        det *= pivot
-        m[col] = [x / pivot for x in m[col]]
-        for i in range(n):
-            f = m[i][col]
-            if i != col and f != 0:
-                m[i] = [a - f * b for a, b in zip(m[i], m[col])]
-    return [row[n:] for row in m], det
 
 
 def kernel_basis(rows):
@@ -214,22 +182,6 @@ def kernel_basis(rows):
     return basis
 
 
-def solve_unique_columns(cols, target):
-    """Solve ``sum_i x_i * cols[i] = target`` when the columns are independent.
-
-    Returns the coefficient list, or None when the system is inconsistent.
-    Raises ValueError if the columns are dependent (solution not unique).
-    """
-    ncols = len(cols)
-    nrows = len(target)
-    aug = [[Fraction(cols[j][i]) for j in range(ncols)] + [Fraction(target[i])]
-           for i in range(nrows)]
-    red, pivots = rref(aug)
-    if ncols in pivots:
-        return None
-    if pivots != list(range(ncols)):
-        raise ValueError("columns are linearly dependent")
-    return [red[i][ncols] for i in range(ncols)]
 
 
 def vec_gcd(values):

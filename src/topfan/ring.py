@@ -6,19 +6,16 @@ rational and ``v`` an integer.  Addition is pointwise multiplication of
 endomorphisms (matrix sum); multiplication is composition (matrix product),
 which is not commutative, so the factor order in every product below matters.
 
-The module also provides vectors over this ring, the exponent pairing, dual
-bases (the block-inverse construction), and the orientation determinant used
-for omniorientation weights.
+The module also provides vectors over this ring and the exponent pairing.
+A facet's dual basis, the block inverse of its rays, is built by
+``TopologicalFan.dual_basis`` from the facet's integer adjugates; the
+exceptions below name its two failure modes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, Mapping
-
-from . import linalg
 
 
 class BSingularError(ValueError):
@@ -123,21 +120,8 @@ class RVec:
             raise ValueError("length mismatch")
         return RVec(tuple(a + b for a, b in zip(self.entries, other.entries)))
 
-    def right_mul(self, mu: RElem) -> "RVec":
-        """Componentwise beta^k * mu (scalar acting on the source side)."""
-        return RVec(tuple(e * mu for e in self.entries))
-
     def conjugate(self) -> "RVec":
         return RVec(tuple(e.conjugate() for e in self.entries))
-
-    def b_part(self):
-        return [e.b for e in self.entries]
-
-    def c_part(self):
-        return [e.c for e in self.entries]
-
-    def v_part(self):
-        return [e.v for e in self.entries]
 
     def to_json(self):
         return [e.to_json() for e in self.entries]
@@ -164,77 +148,3 @@ def pairing(alpha: RVec, beta: RVec) -> RElem:
     for a, b in zip(alpha, beta):
         total = total + a * b
     return total
-
-
-class DualBasis:
-    """The block inverse of n ring vectors, from one elimination of each block.
-
-    Writing the rays columnwise as the block matrix [[B, 0], [C, V]], one
-    ``linalg.inverse`` call per block gives ``b_inv`` and ``b_det``, ``v_inv``
-    and ``v_det`` (an inverse is None when its block is singular).  ``sign``
-    is the sign of det(B) * det(V), the orientation sign of the rays, and 0
-    when a block is singular.  The dual vectors ``alphas``, with
-    pairing(alpha_i, beta_j) = delta_ij * ONE, are the rows of
-    [[B^-1, 0], [-V^-1 C B^-1, V^-1]].  They are built on first read, which
-    requires B invertible over Q and V invertible over Z; the two failure
-    modes are reported distinctly because they correspond to defects in
-    different parts of the fan data.  A fan builds one per facet only for its
-    chart tables, which read ``alphas``; its wall, cone, regularity and
-    orientation tests use integer wall normals and determinants instead.
-    """
-
-    def __init__(self, betas: Mapping[int, RVec]):
-        self.indices = indices = tuple(sorted(betas))
-        n = len(indices)
-        for i in indices:
-            if len(betas[i]) != n:
-                raise ValueError("each vector must have length equal to the number of vectors")
-        columns = [betas[i] for i in indices]
-        self._c = [[col[k].c for col in columns] for k in range(n)]
-        self.b_inv, self.b_det = linalg.inverse([[col[k].b for col in columns] for k in range(n)])
-        self.v_inv, self.v_det = linalg.inverse([[col[k].v for col in columns] for k in range(n)])
-        product = self.b_det * self.v_det
-        self.sign = (product > 0) - (product < 0)
-
-    @cached_property
-    def alphas(self) -> tuple[RVec, ...]:
-        if self.b_inv is None:
-            raise BSingularError(f"real parts of rays {self.indices} are linearly dependent")
-        if abs(self.v_det) != 1:
-            raise VNotUnimodularError(
-                f"winding parts of rays {self.indices} have determinant {self.v_det}, "
-                "not a Z-basis"
-            )
-        c_block = linalg.mat_mul(linalg.mat_mul(self.v_inv, self._c), self.b_inv)
-        return tuple(
-            RVec(tuple(RElem(b, -c, int(v)) for b, c, v in zip(b_row, c_row, v_row)))
-            for b_row, c_row, v_row in zip(self.b_inv, c_block, self.v_inv)
-        )
-
-    def __getitem__(self, index) -> RVec:
-        return self.alphas[self.indices.index(index)]
-
-    def items(self):
-        return zip(self.indices, self.alphas)
-
-
-def dual_basis(betas: Mapping[int, RVec]) -> DualBasis:
-    """The dual set of n ring vectors; raises BSingularError or VNotUnimodularError.
-
-    See ``DualBasis`` for the construction.
-    """
-    duals = DualBasis(betas)
-    duals.alphas  # raises when a block is bad
-    return duals
-
-
-def orientation_sign(betas: Iterable[RVec]) -> int:
-    """Sign of the 2n x 2n real determinant assembled from the given rays.
-
-    In block form the determinant is det(B) * det(V); it is invariant under
-    reordering the rays, since a swap flips both block determinants.
-    """
-    sign = DualBasis(dict(enumerate(betas))).sign
-    if sign == 0:
-        raise ValueError("singular input: rays do not span")
-    return sign

@@ -10,14 +10,14 @@ from topfan.charts import (
     check_cocycle,
     check_conjugation_equivariant,
     kernel_presentation,
-    kernel_residual,
     orbit_face_poset,
     transition_matrix,
 )
 from topfan.complexes import SimplicialComplex
 from topfan.fans import Ray, TopologicalFan
 from topfan.fixtures import cp2cp2_fan, octahedron_fan, projective_fan
-from topfan.ring import ONE, ZERO, RElem, RVec
+from topfan.realize import product_fan
+from topfan.ring import ONE, ZERO, RElem
 from tests import chart_oracle
 from tests.conftest import random_valid_fan
 
@@ -39,7 +39,7 @@ def test_kernel_residual_vanishes(square_fan):
     for base in square_fan.complex.facets:
         pres = kernel_presentation(square_fan, base)
         for k in pres.generators:
-            assert all(e.is_zero() for e in kernel_residual(square_fan, pres, k))
+            assert all(e.is_zero() for e in chart_oracle.kernel_residual(square_fan, pres, k))
 
 
 def test_kernel_zero_generators_when_every_vertex_in_base():
@@ -158,23 +158,59 @@ def test_chart_table_agrees_with_cubic_oracle():
     assert seen_equivariant == {True, False}
 
 
-def test_cocycle_certificate_catches_corrupt_dual_basis():
-    """One wrong entry of any facet's cached dual basis fails that facet's certificate."""
-    for facet in cp2cp2_fan().complex.facets:
-        fan = cp2cp2_fan()
-        assert check_cocycle(fan).ok
-        record = fan.dual_basis(facet)
-        assert record is fan._dual_cache[facet]
-        alphas = list(record.alphas)
-        entries = list(alphas[0].entries)
-        entries[1] = entries[1] + RElem(0, 1, 0)
-        alphas[0] = RVec(tuple(entries))
-        record.alphas = tuple(alphas)
-        del fan._chart_tables[facet]
-        report = check_cocycle(fan)
-        assert not report.ok
-        assert report.failure == {"kind": "inverse", "pair": [list(facet), list(facet)]}
-        assert chart_oracle.cocycle_failure(fan) is None  # the rays themselves are fine
+def _rescaled(fan, rng):
+    """fan with every b rescaled by a random positive rational and a random nonzero c."""
+    rays = []
+    for ray in fan.rays:
+        scale = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+        c = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(fan.n))
+        if not any(c):
+            c = (Fraction(1),) + c[1:]
+        rays.append(Ray(tuple(x * scale for x in ray.b), c, ray.v))
+    return TopologicalFan(fan.n, fan.complex, rays)
+
+
+def test_dual_basis_matches_gauss_jordan_oracle_on_seeded_fans():
+    """The adjugate-built dual basis equals the rational block inverse on every top facet
+    of seeded fans with rescaled (non-integer) b's and nonzero c's, n = 1..4."""
+    rng = random.Random(61)
+    facets = non_integer_b = 0
+    dimensions = set()
+    while facets < 300:
+        fan = random_valid_fan(rng, max_m=9)
+        if rng.random() < 0.3:
+            fan = product_fan(fan, random_valid_fan(rng, max_m=5, max_n=2), validate=False)
+        fan = _rescaled(fan, rng)
+        dimensions.add(fan.n)
+        for f in chart_oracle.top_facets(fan):
+            expected = chart_oracle.dual_basis({i: fan.rvec(i) for i in f})
+            assert fan.dual_basis(f) == expected, (fan, f)
+            facets += 1
+            non_integer_b += any(x.denominator != 1 for i in f for x in fan.ray(i).b)
+    assert non_integer_b > 100 and dimensions >= {1, 2, 3, 4}
+
+
+def test_cocycle_certificate_catches_corrupt_adjugate():
+    """One wrong entry of any facet's cached b- or v-adjugate fails that facet's certificate."""
+    for part in ("b", "v"):
+        for facet in cp2cp2_fan().complex.facets:
+            fan = cp2cp2_fan()
+            assert check_cocycle(fan).ok
+            record = fan._adjugate(part, facet)
+            assert record is fan._adjugates[(part, facet)]
+            det, rows = record
+            # a slot where the facet's second column is nonzero, so row 0 stops
+            # vanishing on it; + 7 cannot cancel the unit determinant
+            col = fan._int_columns(part, facet[1:])[0]
+            k = next(i for i, x in enumerate(col) if x)
+            row = list(rows[0])
+            row[k] += 7
+            fan._adjugates[(part, facet)] = (det, (tuple(row),) + rows[1:])
+            del fan._chart_tables[facet]
+            report = check_cocycle(fan)
+            assert not report.ok
+            assert report.failure == {"kind": "inverse", "pair": [list(facet), list(facet)]}
+            assert chart_oracle.cocycle_failure(fan) is None  # the rays themselves are fine
 
 
 def test_conjugation_equivariance(square_fan, fan_generator):

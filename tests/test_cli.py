@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from topfan import cli, linalg
+from topfan import cli
 from topfan.cli import build_parser, main
 from topfan.complexes import SimplicialComplex, cyclic_polytope_boundary
 from topfan.fans import Ray, TopologicalFan
@@ -105,23 +105,38 @@ def test_complex_loader_failure_exits_2(capsys, tmp_path, data, mode):
 
 @pytest.mark.parametrize("fan", [cp2cp2_fan(), octahedron_fan()], ids=["cp2cp2", "octahedron"])
 def test_each_top_facet_is_factored_once_per_command(capsys, monkeypatch, tmp_path, fan):
-    """Validation and invariants build no rational inverse; the chart tables build
-    two per top facet (its b- and v-blocks) for a whole command."""
+    """Within one command every (part, wall) normal and every (part, top facet) adjugate
+    is computed once: each read returns the same object.  Validation and invariants
+    build no dual vector; the chart tables build one dual basis per top facet."""
     path = tmp_path / "fan.json"
     path.write_text(json.dumps(fan.to_json()))
-    calls = []
-    inverse = linalg.inverse
-    monkeypatch.setattr(linalg, "inverse", lambda rows: calls.append(rows) or inverse(rows))
+    results, duals = {}, []
+    for name in ("_wall_normal", "_adjugate"):
+        original = getattr(TopologicalFan, name)
+
+        def spy(self, part, key, _name=name, _original=original):
+            out = _original(self, part, key)
+            results.setdefault((_name, part, key), []).append(out)
+            return out
+
+        monkeypatch.setattr(TopologicalFan, name, spy)
+    dual_basis = TopologicalFan.dual_basis
+    monkeypatch.setattr(TopologicalFan, "dual_basis",
+                        lambda self, facet: duals.append(facet) or dual_basis(self, facet))
     base = ",".join(map(str, fan.complex.facets[0]))
     for argv, expected in (
             (["validate"], 0),
             (["charts", "--kernel", base, "--transitions", "--cocycle", "--faceposet"],
-             2 * len(fan.complex.facets)),
+             len(fan.complex.facets)),
             (["invariants"], 0)):
-        calls.clear()
+        results.clear()
+        duals.clear()
         code, _, _ = run_cli(capsys, argv[0], str(path), *argv[1:])
         assert code == 0
-        assert len(calls) == expected, argv
+        assert len(duals) == expected, argv
+        assert {name for name, _, _ in results} == {"_wall_normal", "_adjugate"}, argv
+        for key, outs in results.items():
+            assert all(out is outs[0] for out in outs), (argv, key)
 
 
 def test_validate_bad_usage(capsys):
@@ -361,6 +376,48 @@ def test_non_integer_complex_vertex_or_m_exits_2(capsys, tmp_path, data, field, 
     code, out, err = run_cli(capsys, "realize", str(path), "--mode", "mod2")
     assert (code, out) == (2, "")
     assert err == f"error: not an integer in {field}: {value!r}\n"
+
+
+HUGE_M = 10 ** 12
+
+
+def _write_huge_m_files(tmp_path):
+    """A complex and a fan on the vertex set 1..HUGE_M with one covered vertex."""
+    complex_json = {"m": HUGE_M, "facets": [[1]]}
+    complex_path = tmp_path / "huge.complex.json"
+    complex_path.write_text(json.dumps(complex_json))
+    fan_path = tmp_path / "huge.fan.json"
+    fan_path.write_text(json.dumps({"n": 1, "complex": complex_json,
+                                    "rays": [{"b": ["1"], "v": [1]}]}))
+    return str(complex_path), str(fan_path)
+
+
+def test_huge_vertex_count_exits_2_with_a_short_message(capsys, tmp_path):
+    """An m far beyond the facets is counted, never enumerated."""
+    complex_path, fan_path = _write_huge_m_files(tmp_path)
+    for argv in (["validate", fan_path], ["realize", complex_path, "--mode", "mod2"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err == f"error: vertex 2 appears in no facet ({HUGE_M - 1} uncovered in all)\n"
+
+
+def _write_deeply_nested(tmp_path, depth=200_000):
+    path = tmp_path / "nested.json"
+    path.write_text("[" * depth + "]" * depth)
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [["validate", "{nested}"],
+                                  ["realize", "{nested}", "--mode", "mod2"],
+                                  ["equiv", "{nested}", "{fan}"],
+                                  ["equiv", "{fan}", "{nested}"]],
+                         ids=["validate", "realize", "equiv-first", "equiv-second"])
+def test_deeply_nested_json_exits_2(capsys, tmp_path, cp2cp2_path, argv):
+    nested = _write_deeply_nested(tmp_path)
+    argv = [a.format(nested=nested, fan=cp2cp2_path) for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: malformed input: JSON nested too deeply\n"
 
 
 def test_realize_square_toric(capsys, tmp_path):

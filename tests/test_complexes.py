@@ -21,6 +21,11 @@ def test_construction_rejects_nested_facets():
 def test_construction_rejects_uncovered_vertices():
     with pytest.raises(ValueError):
         SimplicialComplex(4, [(1, 2, 3)])
+    with pytest.raises(ValueError, match=r"^vertex 2 appears in no facet \(3 uncovered in all\)$"):
+        SimplicialComplex(5, [(1, 4)])
+    # the count comes from the facets alone: a huge m builds no vertex set
+    with pytest.raises(ValueError, match=r"^vertex 3 appears in no facet \(99999999998 uncovered"):
+        SimplicialComplex(10 ** 11, [(1, 2)])
 
 
 def test_purity():

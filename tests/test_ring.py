@@ -12,16 +12,16 @@ from topfan.ring import (
     ONE,
     ZERO,
     BSingularError,
-    DualBasis,
     RElem,
     RVec,
     VNotUnimodularError,
-    dual_basis,
-    orientation_sign,
     pairing,
     standard_basis_rvec,
 )
 from topfan import linalg
+from topfan.complexes import SimplicialComplex
+from topfan.fans import Ray, TopologicalFan
+from tests.chart_oracle import dual_basis, inverse, mat_mul, orientation_sign
 
 import pytest
 
@@ -182,24 +182,22 @@ def test_dual_basis_error_kinds():
         dual_basis(bad_v)
 
 
-def test_dual_basis_record_defers_block_errors():
-    """A bad block leaves the record's inverses, determinants and sign readable."""
-    degenerate_b = {
-        1: RVec.from_parts((1, 0), (0, 0), (1, 0)),
-        2: RVec.from_parts((2, 0), (0, 0), (0, 1)),
-    }
-    record = DualBasis(degenerate_b)
-    assert record.b_inv is None and record.b_det == 0
-    assert record.v_det == 1 and record.sign == 0
+def test_fan_dual_basis_reports_each_bad_block():
+    """A bad block of a facet raises its own error kind from ``TopologicalFan.dual_basis``,
+    and the facet's cached adjugate records keep both determinants readable."""
+    complex_ = SimplicialComplex(2, [(1, 2)])
+    degenerate_b = TopologicalFan(2, complex_, [Ray.from_parts((1, 0), v=(1, 0)),
+                                                Ray.from_parts((2, 0), v=(0, 1))])
     with pytest.raises(BSingularError):
-        record.alphas
-    bad_v = DualBasis({
-        1: RVec.from_parts((1, 0), (0, 0), (1, 0)),
-        2: RVec.from_parts((0, 1), (0, 0), (0, 2)),
-    })
-    assert bad_v.v_det == 2 and bad_v.sign == 1
+        degenerate_b.dual_basis((1, 2))
+    assert degenerate_b._adjugate("b", (1, 2))[0] == 0
+    assert degenerate_b._adjugate("v", (1, 2))[0] == 1
+    bad_v = TopologicalFan(2, complex_, [Ray.from_parts((1, 0), v=(1, -1)),
+                                         Ray.from_parts((0, 1), v=(1, 1))])
     with pytest.raises(VNotUnimodularError):
-        bad_v.alphas
+        bad_v.dual_basis((1, 2))
+    assert bad_v._adjugate("v", (1, 2))[0] == 2
+    assert bad_v._adjugate("b", (1, 2))[0] == 1
 
 
 def test_inverse_returns_the_determinant():
@@ -207,13 +205,13 @@ def test_inverse_returns_the_determinant():
     for _ in range(200):
         n = rng.randint(0, 4)
         rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
-        inv, det = linalg.inverse(rows)
+        inv, det = inverse(rows)
         assert det == linalg.int_det(rows)
         if det == 0:
             assert inv is None
         else:
             identity = [[int(i == j) for j in range(n)] for i in range(n)]
-            assert linalg.mat_mul(rows, inv) == identity
+            assert mat_mul(rows, inv) == identity
 
 
 def test_independent_rows_agrees_with_rank():
@@ -249,7 +247,7 @@ def test_dual_basis_property_random():
         while True:
             b = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
                  for _ in range(n)]
-            if linalg.inverse(b)[1] != 0:
+            if inverse(b)[1] != 0:
                 break
         c = [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
         betas = {
@@ -294,7 +292,7 @@ def test_orientation_sign_examples():
 def test_orientation_sign_matches_dual():
     betas = {i: _EX_BETAS[i] for i in (3, 4)}
     duals = dual_basis(betas)
-    assert orientation_sign(betas.values()) == orientation_sign(duals.alphas)
+    assert orientation_sign(betas.values()) == orientation_sign(duals.values())
 
 
 def test_orientation_sign_singular():
