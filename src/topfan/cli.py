@@ -31,11 +31,8 @@ from .fans import TopologicalFan, equivalent
 from .invariants import betti_numbers, graded_rank, omni_weights, pontrjagin_class, todd_genus
 from .linalg import parse_rational
 from .realize import (
-    Infeasible,
     LabelingProblem,
     LabelingSolution,
-    SignContradiction,
-    derive_sign_table,
     mod2_obstruction,
     product_fan,
     realize_2sphere,
@@ -224,18 +221,8 @@ def cmd_realize(args):
         result = mod2_obstruction(complex_, complex_.dim + 1)
         report.emit(result.to_json(), stats=result.stats)
         return EXIT_OK if isinstance(result, LabelingSolution) else EXIT_NEGATIVE
-    sign_table = None
-    if mode == "toric_sign":
-        ref_orders = [tuple(f) for f in raw["facets"]]
-        seed_facet = normalization or complex_.facets[0]
-        derived = derive_sign_table(complex_, seed_facet, 1, ref_orders=ref_orders)
-        if isinstance(derived, SignContradiction):
-            report.emit(Infeasible("sign-contradiction", derived).to_json(), stats=None)
-            return EXIT_NEGATIVE
-        sign_table = derived
     bound = 1 if args.bound is None else args.bound
-    problem = LabelingProblem(complex_, mode, bound=bound,
-                              normalization=normalization, sign_table=sign_table)
+    problem = LabelingProblem(complex_, mode, bound=bound, normalization=normalization)
     result = search_labeling(problem)
     if isinstance(result, LabelingSolution):
         payload = result.to_json()

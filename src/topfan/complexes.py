@@ -197,6 +197,9 @@ class SimplicialComplex:
         if "labels" in data and data["labels"]:
             labels = {int(v): lab for v, lab in data["labels"].items()}
         facets = [[parse_int(v, "facets") for v in f] for f in data["facets"]]
+        for f in facets:
+            if len(set(f)) != len(f):
+                raise ValueError(f"facet {f} repeats a vertex")
         return SimplicialComplex(parse_int(data["m"], "m"), facets, labels)
 
     def __eq__(self, other):

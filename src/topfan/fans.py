@@ -12,7 +12,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 from operator import mul
 from typing import Optional
 
@@ -292,7 +291,11 @@ class TopologicalFan:
         For n = 1 the check accepts exactly two rays on opposite sides,
         which meet only at the origin.  When the certificate is not taken
         the cones are compared facet pair by facet pair
-        (``_check_facet_pairs``), which also produces every witness.
+        (``_check_facet_pairs``): adjacent top facets whose rays off the
+        common wall lie on opposite sides meet properly, and every other
+        pair is one exact Phase-I LP (``_cone_pair_witness``).  That scan
+        also produces every witness, a primitive integer point in both
+        cones and outside their common face.
         """
         for f in self.complex.facets:
             if len(linalg.independent_rows(self._int_columns("b", f))[0]) != len(f):
@@ -323,30 +326,31 @@ class TopologicalFan:
         return Verdict(True)
 
     def _cone_pair_witness(self, fi, fj):
-        """A point of cone(fi) \\cap cone(fj) outside cone(fi & fj), or None.
+        """A primitive integer point of cone(fi) \\cap cone(fj) outside cone(fi & fj), or None.
 
-        Requires independent b-columns in fi, which the fan condition checks
-        before it compares any pair.
+        Adjacent top facets whose rays off the common wall lie strictly on
+        opposite sides meet in that wall.  Any other pair is one Phase-I LP
+        (``linalg.nonneg_solution``) for s, t >= 0 with B_i s = B_j t and
+        the entries of s off the common face summing to 1.  Since fi's
+        columns are independent, s holds the coordinates of B_i s in fi, so
+        that point lies outside cone(fi & fj) exactly when s does not vanish
+        off the common face; the sum fixes the scale.  No solution means
+        the cones meet properly.  Requires independent b-columns in fi,
+        which the fan condition checks before it compares any pair.
         """
-        common = tuple(sorted(set(fi) & set(fj)))
-        # Adjacent full facets: a strict separating wall settles the pair.
-        if len(fi) == len(fj) == self.n and len(common) == self.n - 1:
-            if self._opposite_sides(fi, fj):
-                return None
-            # fall through to the general computation to produce a witness
-        cols_i = [self._int_b_column(i) for i in fi]
-        cols_j = [self._int_b_column(j) for j in fj]
-        # Solutions of B_i s - B_j t = 0 with s, t >= 0 parameterize the
-        # intersection.  Since fi's columns are independent, s holds the
-        # point's unique coordinates in fi, so the point lies in cone(common)
-        # exactly when s vanishes off common.
-        rows = [[cols_i[p][k] for p in range(len(fi))] +
-                [-cols_j[q][k] for q in range(len(fj))] for k in range(self.n)]
-        outside = [p for p, i in enumerate(fi) if i not in common]
-        for u in _extreme_rays_nonneg_kernel(rows):
-            if any(u[p] for p in outside):
-                return [sum(u[p] * cols_i[p][k] for p in range(len(fi))) for k in range(self.n)]
-        return None
+        common = set(fi) & set(fj)
+        if (len(fi) == len(fj) == self.n and len(common) == self.n - 1
+                and self._opposite_sides(fi, fj)):
+            return None
+        rows_i = list(zip(*self._int_columns("b", fi)))
+        rows_j = list(zip(*self._int_columns("b", fj)))
+        rows = [list(a) + [-x for x in b] for a, b in zip(rows_i, rows_j)]
+        rows.append([int(i not in common) for i in fi] + [0] * len(fj))
+        x = linalg.nonneg_solution(rows, [0] * self.n + [1])
+        if x is None:
+            return None
+        s = x[:len(fi)]
+        return linalg.clear_denominators([_dot(row, s) for row in rows_i])
 
     def _opposite_sides(self, f0, f1):
         """True when the rays of two top facets off their common wall lie strictly on opposite sides.
@@ -582,52 +586,6 @@ class TopologicalFan:
 
 def _dot(a, b):
     return sum(map(mul, a, b))
-
-
-def _extreme_rays_nonneg_kernel(rows):
-    """Extreme rays of {u >= 0 : A u = 0} for an integer matrix A, exactly.
-
-    Works in kernel coordinates: with K a kernel basis of A (columns), the
-    cone is {z : K z >= 0} and extreme rays activate k-1 independent
-    inequalities.  Candidate directions come from signed maximal minors, so
-    the whole enumeration stays in integer arithmetic.
-    """
-    if not rows:
-        return []
-    d = len(rows[0])
-    kern = [linalg.clear_denominators(vec) for vec in linalg.kernel_basis(rows)]
-    k = len(kern)
-    if k == 0:
-        return []
-    # Inequality r reads sum_j ineq[r][j] z_j >= 0.
-    ineq = [[kern[j][r] for j in range(k)] for r in range(d)]
-
-    rays = []
-    seen = set()
-
-    def push(u):
-        if all(x >= 0 for x in u) and any(x > 0 for x in u):
-            g = linalg.vec_gcd(u)
-            key = tuple(x // g for x in u)
-            if key not in seen:
-                seen.add(key)
-                rays.append(list(key))
-
-    if k == 1:
-        push([ineq[r][0] for r in range(d)])
-        push([-ineq[r][0] for r in range(d)])
-        return rays
-    for active in combinations(range(d), k - 1):
-        sub = [ineq[r] for r in active]
-        # one-dimensional kernel of a (k-1) x k integer matrix via minors
-        z = [(-1) ** j * linalg.int_det([row[:j] + row[j + 1:] for row in sub])
-             for j in range(k)]
-        if all(x == 0 for x in z):
-            continue
-        u = [sum(ineq[r][j] * z[j] for j in range(k)) for r in range(d)]
-        push(u)
-        push([-x for x in u])
-    return rays
 
 
 # -- canonical form ----------------------------------------------------------

@@ -1,0 +1,100 @@
+"""Exponential reference for the cone-pair test, used only by tests.
+
+``TopologicalFan._cone_pair_witness`` settles a facet pair by one Phase-I
+LP.  This module decides the same pair from the definitions instead: the
+intersection of two simplicial cones is the cone {u >= 0 : [B_i | -B_j] u = 0},
+and the pair overlaps improperly exactly when one of that cone's extreme
+rays has support off the common face.  The extreme rays are enumerated
+over a kernel basis, one signed maximal minor per choice of active
+inequalities, in integer arithmetic.
+"""
+
+from fractions import Fraction
+from itertools import combinations
+
+from topfan import linalg
+
+
+def kernel_basis(rows):
+    """Basis of the right kernel {x : A x = 0}, one vector per free column."""
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    red, pivots = linalg.rref(rows)
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for f in free:
+        vec = [Fraction(0)] * ncols
+        vec[f] = Fraction(1)
+        for r, p in enumerate(pivots):
+            vec[p] = -red[r][f]
+        basis.append(vec)
+    return basis
+
+
+def extreme_rays_nonneg_kernel(rows):
+    """Extreme rays of {u >= 0 : A u = 0} for an integer matrix A, exactly.
+
+    Works in kernel coordinates: with K a kernel basis of A (columns), the
+    cone is {z : K z >= 0} and extreme rays activate k-1 independent
+    inequalities.  Candidate directions come from signed maximal minors, so
+    the whole enumeration stays in integer arithmetic.
+    """
+    if not rows:
+        return []
+    d = len(rows[0])
+    kern = [linalg.clear_denominators(vec) for vec in kernel_basis(rows)]
+    k = len(kern)
+    if k == 0:
+        return []
+    # Inequality r reads sum_j ineq[r][j] z_j >= 0.
+    ineq = [[kern[j][r] for j in range(k)] for r in range(d)]
+
+    rays = []
+    seen = set()
+
+    def push(u):
+        if all(x >= 0 for x in u) and any(x > 0 for x in u):
+            g = linalg.vec_gcd(u)
+            key = tuple(x // g for x in u)
+            if key not in seen:
+                seen.add(key)
+                rays.append(list(key))
+
+    if k == 1:
+        push([ineq[r][0] for r in range(d)])
+        push([-ineq[r][0] for r in range(d)])
+        return rays
+    for active in combinations(range(d), k - 1):
+        sub = [ineq[r] for r in active]
+        # one-dimensional kernel of a (k-1) x k integer matrix via minors
+        z = [(-1) ** j * linalg.int_det([row[:j] + row[j + 1:] for row in sub])
+             for j in range(k)]
+        if all(x == 0 for x in z):
+            continue
+        u = [sum(ineq[r][j] * z[j] for j in range(k)) for r in range(d)]
+        push(u)
+        push([-x for x in u])
+    return rays
+
+
+def cone_pair_witness(fan, fi, fj):
+    """A point of cone(fi) \\cap cone(fj) outside cone(fi & fj), or None, by enumeration.
+
+    Every pair goes through the extreme rays; there is no wall shortcut.
+    Requires independent b-columns in fi.
+    """
+    common = set(fi) & set(fj)
+    cols_i = [linalg.clear_denominators(fan.ray(i).b) for i in fi]
+    cols_j = [linalg.clear_denominators(fan.ray(j).b) for j in fj]
+    # Solutions of B_i s - B_j t = 0 with s, t >= 0 parameterize the
+    # intersection.  Since fi's columns are independent, s holds the
+    # point's unique coordinates in fi, so the point lies in cone(common)
+    # exactly when s vanishes off common.
+    rows = [[cols_i[p][k] for p in range(len(fi))] +
+            [-cols_j[q][k] for q in range(len(fj))] for k in range(fan.n)]
+    outside = [p for p, i in enumerate(fi) if i not in common]
+    for u in extreme_rays_nonneg_kernel(rows):
+        if any(u[p] for p in outside):
+            return [sum(u[p] * cols_i[p][k] for p in range(len(fi))) for k in range(fan.n)]
+    return None

@@ -18,7 +18,13 @@ from topfan import cli
 from topfan.cli import build_parser, main
 from topfan.complexes import SimplicialComplex, cyclic_polytope_boundary
 from topfan.fans import Ray, TopologicalFan
-from topfan.fixtures import cp2cp2_fan, octahedron_complex, octahedron_fan, octahedron_positions
+from topfan.fixtures import (
+    cp2cp2_fan,
+    octahedron_complex,
+    octahedron_fan,
+    octahedron_positions,
+    projective_fan,
+)
 
 
 @pytest.fixture
@@ -298,6 +304,37 @@ def test_realize_non_pure_complex_exits_2_in_every_labeling_mode(capsys, tmp_pat
     code, out, err = run_cli(capsys, "realize", str(path), "--mode", mode)
     assert code == 2 and out == ""
     assert err == "error: complex must be pure\n"
+
+
+def _write_repeated_vertex_files(tmp_path):
+    """A fan and a complex whose first facet repeats a vertex: P^2 with [1, 1, 2]."""
+    facets = [[1, 1, 2], [2, 3], [3, 1]]
+    fan = projective_fan(2).to_json()
+    fan["complex"]["facets"] = facets
+    fan_path, complex_path = tmp_path / "fan.json", tmp_path / "complex.json"
+    fan_path.write_text(json.dumps(fan))
+    complex_path.write_text(json.dumps({"m": 3, "facets": facets}))
+    return str(fan_path), str(complex_path)
+
+
+@pytest.mark.parametrize("command", [["validate"], ["realize", "--mode", "unimodular"],
+                                     ["realize", "--mode", "toric-sign"],
+                                     ["realize", "--mode", "mod2"]])
+def test_facet_repeating_a_vertex_exits_2(capsys, tmp_path, command):
+    fan_path, complex_path = _write_repeated_vertex_files(tmp_path)
+    path = fan_path if command == ["validate"] else complex_path
+    code, out, err = run_cli(capsys, command[0], path, *command[1:])
+    assert (code, out) == (2, "")
+    assert err == "error: facet [1, 1, 2] repeats a vertex\n"
+
+
+@pytest.mark.parametrize("mode", ["unimodular", "toric-sign"])
+def test_realize_normalization_off_the_complex_exits_2(capsys, tmp_path, mode):
+    path = tmp_path / "square.json"
+    path.write_text(json.dumps(SimplicialComplex(4, [(1, 2), (2, 3), (3, 4), (4, 1)]).to_json()))
+    code, out, err = run_cli(capsys, "realize", str(path), "--mode", mode, "--normalize", "1,3")
+    assert (code, out) == (2, "")
+    assert err == "error: normalization (1, 3) is not a facet\n"
 
 
 def test_degenerate_direction_prints_rationals(capsys, cp2cp2_path):

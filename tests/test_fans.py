@@ -20,7 +20,7 @@ from topfan.fixtures import (
     segment_fan,
 )
 from topfan.realize import product_fan, suspend_fan
-from tests import chart_oracle, equivalence_oracle
+from tests import chart_oracle, cone_oracle, equivalence_oracle
 from tests.conftest import random_valid_fan
 
 
@@ -437,7 +437,7 @@ def _kernel_normal_sides(fan, f0, f1):
     the wall.
     """
     wall = [list(fan.ray(w).b) for w in sorted(set(f0) & set(f1))]
-    (phi,) = linalg.kernel_basis(wall or [[Fraction(0)] * fan.n])
+    (phi,) = cone_oracle.kernel_basis(wall or [[Fraction(0)] * fan.n])
     (x,), (y,) = set(f0) - set(f1), set(f1) - set(f0)
     sx, sy = (sum(p * b for p, b in zip(phi, fan.ray(i).b)) for i in (x, y))
     return sx * sy < 0
@@ -640,16 +640,22 @@ def _certificate_cases():
                for f in degree_two)
     cases = [(fan, True) for fan in complete] + [(fan, False) for fan in one_dim + degree_two]
     for k, fan in enumerate(complete):
-        relatives = [_negate_b(fan, k % fan.m)]
-        if len(fan.complex.facets) > 2:
-            relatives.append(_subfan(fan, fan.complex.facets[1:]))
-        if fan.n >= 2:
-            rest = [f for f in fan.complex.facets if fan.m not in f]
-            relatives.append(_subfan(fan, rest + [(fan.m,)]))
-        for other in list(relatives):
-            relatives.append(_negate_b(other, 0))
-        cases += [(other, False) for other in relatives]
+        cases += [(other, False) for other in _relatives(fan, k)]
     return cases
+
+
+def _relatives(fan, k):
+    """fan with rays[k % m] b-negated, less its first facet, and made non-pure;
+    each of these also with rays[0] b-negated."""
+    relatives = [_negate_b(fan, k % fan.m)]
+    if len(fan.complex.facets) > 2:
+        relatives.append(_subfan(fan, fan.complex.facets[1:]))
+    if fan.n >= 2:
+        rest = [f for f in fan.complex.facets if fan.m not in f]
+        relatives.append(_subfan(fan, rest + [(fan.m,)]))
+    for other in list(relatives):
+        relatives.append(_negate_b(other, 0))
+    return relatives
 
 
 def test_certificate_agrees_with_pairwise_scan(monkeypatch):
@@ -674,11 +680,55 @@ def test_certificate_agrees_with_pairwise_scan(monkeypatch):
     assert verdicts == {True, False}
 
 
-def test_complete_fans_skip_the_extreme_ray_scan(monkeypatch):
+def test_cone_pair_lp_agrees_with_extreme_ray_oracle():
+    """Every facet pair, in both orders, gets the enumeration's verdict; each LP
+    point is primitive, lies in both cones and outside their common face, and
+    the pair scan names the first pair the enumeration finds overlapping.
+
+    The enumeration runs once per pair: an improper intersection is symmetric.
+    """
+    fans = [fan for fan, _ in _certificate_cases()]
+    for seed in range(8, 14):
+        fan = random_valid_fan(random.Random(seed))
+        fans += [fan] + _relatives(fan, seed)
+    overlaps = 0
+    for fan in fans:
+        facets = fan.complex.facets
+        first = None
+        for a in range(len(facets)):
+            for b in range(a + 1, len(facets)):
+                expected = cone_oracle.cone_pair_witness(fan, facets[a], facets[b])
+                if expected is not None and first is None:
+                    first = [list(facets[a]), list(facets[b])]
+                for fi, fj in ((facets[a], facets[b]), (facets[b], facets[a])):
+                    point = fan._cone_pair_witness(fi, fj)
+                    assert (point is None) == (expected is None), (fan, fi, fj)
+                    if point is None:
+                        continue
+                    overlaps += 1
+                    assert linalg.vec_gcd(point) == 1
+                    point = [Fraction(x) for x in point]
+                    assert _in_cone_by_solve(fan, fi, point)
+                    assert _in_cone_by_solve(fan, fj, point)
+                    assert not _in_cone_by_solve(fan, sorted(set(fi) & set(fj)), point)
+        verdict = fan._check_facet_pairs()
+        assert verdict.ok == (first is None)
+        if first is not None:
+            assert verdict.witness["pair"] == first
+    assert overlaps > 0
+
+
+def _spy_pair_lps(monkeypatch):
+    """The rows of every ``linalg.nonneg_solution`` call, appended as they come."""
     calls = []
-    kernel = fans_module._extreme_rays_nonneg_kernel
-    monkeypatch.setattr(fans_module, "_extreme_rays_nonneg_kernel",
-                        lambda rows: calls.append(rows) or kernel(rows))
+    solve = linalg.nonneg_solution
+    monkeypatch.setattr(linalg, "nonneg_solution",
+                        lambda rows, rhs: calls.append(rows) or solve(rows, rhs))
+    return calls
+
+
+def test_complete_fans_solve_no_pair_lp(monkeypatch):
+    calls = _spy_pair_lps(monkeypatch)
     for fan in [cp2cp2_fan(), barnette_fan(),
                 product_fan(projective_fan(3), projective_fan(3), validate=False),
                 product_fan(projective_fan(3), projective_fan(4), validate=False)]:
@@ -691,16 +741,12 @@ def test_complete_fans_skip_the_extreme_ray_scan(monkeypatch):
 
 def test_validation_and_todd_call_no_row_reduction(monkeypatch, capsys, tmp_path):
     """Counts, not times: complete fans are validated, and the Todd genus drawn,
-    from the cached facet inverses; only the pairwise scan row-reduces."""
-    reductions, scans = [], []
-    for name in ("kernel_basis", "rref"):
-        original = getattr(linalg, name)
-        monkeypatch.setattr(linalg, name,
-                            lambda *args, _name=name, _f=original: reductions.append(_name)
-                            or _f(*args))
-    kernel = fans_module._extreme_rays_nonneg_kernel
-    monkeypatch.setattr(fans_module, "_extreme_rays_nonneg_kernel",
-                        lambda rows: scans.append(rows) or kernel(rows))
+    from the cached facet adjugates; nothing row-reduces, and only the pair
+    scan solves LPs."""
+    reductions = []
+    rref = linalg.rref
+    monkeypatch.setattr(linalg, "rref", lambda *args: reductions.append(args) or rref(*args))
+    lps = _spy_pair_lps(monkeypatch)
     for fan in [cp2cp2_fan(), barnette_fan(),
                 product_fan(projective_fan(3), projective_fan(3), validate=False)]:
         assert fan.validate().ok
@@ -708,10 +754,27 @@ def test_validation_and_todd_call_no_row_reduction(monkeypatch, capsys, tmp_path
     path.write_text(json.dumps(cp2cp2_fan().to_json()))
     assert main(["invariants", str(path), "--todd"]) == 0
     assert json.loads(capsys.readouterr().out)["result"] == {"todd_genus": 1}
-    assert reductions == [] and scans == []
+    assert reductions == [] and lps == []
     verdict = _negate_b(barnette_fan(), 0).check_fan_condition()
-    assert scans and "kernel_basis" in reductions
+    assert lps and reductions == []
     assert not verdict.ok and verdict.witness["kind"] == "cone-overlap"
+
+
+@pytest.mark.parametrize("a, b", [(3, 3), (3, 4)])
+def test_large_incomplete_products_validate(capsys, tmp_path, a, b):
+    """P^a x P^b less one facet: no certificate applies, so every facet pair is
+    settled by its wall or one LP, and the missing facet leaves a boundary wall."""
+    whole = product_fan(projective_fan(a), projective_fan(b), validate=False)
+    fan = _subfan(whole, whole.complex.facets[1:])
+    report = fan.validate()
+    assert report.fan_condition_ok and not report.completeness_ok
+    assert report.witnesses["completeness"]["kind"] == "boundary-wall"
+    path = tmp_path / "incomplete.json"
+    path.write_text(json.dumps(fan.to_json()))
+    assert main(["validate", str(path)]) == 1
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["fan_condition_ok"] and not result["completeness_ok"]
+    assert result["witnesses"] == report.to_json()["witnesses"]
 
 
 def test_canonical_form_h_identity_on_random_fans(fan_generator):

@@ -22,6 +22,7 @@ from topfan import linalg
 from topfan.complexes import SimplicialComplex
 from topfan.fans import Ray, TopologicalFan
 from tests.chart_oracle import dual_basis, inverse, mat_mul, orientation_sign
+from tests.cone_oracle import extreme_rays_nonneg_kernel
 
 import pytest
 
@@ -225,6 +226,27 @@ def test_independent_rows_agrees_with_rank():
         assert len(chosen) == len(pivots) == linalg.rank(rows), rows
         # the kept rows on the pivot columns form a nonsingular block
         assert linalg.int_det([[rows[i][p] for p in pivots] for i in chosen]) != 0
+
+
+def test_nonneg_solution_agrees_with_extreme_rays():
+    """Phase I against the enumeration: A x = b has a solution x >= 0 exactly
+    when some extreme ray of {u >= 0 : [A | -b] u = 0} has a positive last
+    entry.  1-4 rows and 1-6 columns, degenerate right-hand sides included."""
+    rng = random.Random(31)
+    verdicts = set()
+    for _ in range(600):
+        k, n = rng.randint(1, 4), rng.randint(1, 6)
+        rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(k)]
+        rhs = [rng.choice([0, 0, 1, 2]) for _ in range(k)]
+        x = linalg.nonneg_solution(rows, rhs)
+        augmented = [row + [-b] for row, b in zip(rows, rhs)]
+        expected = any(u[-1] > 0 for u in extreme_rays_nonneg_kernel(augmented))
+        assert (x is not None) == expected, (rows, rhs)
+        if x is not None:
+            assert all(type(a) is Fraction and a >= 0 for a in x)
+            assert [sum(a * b for a, b in zip(row, x)) for row in rows] == rhs
+        verdicts.add(expected)
+    assert verdicts == {True, False}
 
 
 def _random_unimodular(rng, n):
