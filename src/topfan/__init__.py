@@ -18,7 +18,7 @@ from .fans import (
     equivalent,
     h_canonical_form,
 )
-from .ring import MU0, ONE, ZERO, RElem, RVec, pairing
+from .ring import MU0, ONE, ZERO, RElem, pairing
 
 __all__ = [
     "FVector",
@@ -34,7 +34,6 @@ __all__ = [
     "ONE",
     "ZERO",
     "RElem",
-    "RVec",
     "pairing",
 ]
 

@@ -17,7 +17,7 @@ from typing import Optional
 
 from . import linalg
 from .complexes import SimplicialComplex
-from .ring import MU0, BSingularError, RElem, RVec, VNotUnimodularError
+from .ring import BSingularError, RElem, VNotUnimodularError
 
 
 @dataclass(frozen=True)
@@ -46,8 +46,9 @@ class Ray:
     def n(self):
         return len(self.b)
 
-    def rvec(self) -> RVec:
-        return RVec.from_parts(self.b, self.c, self.v)
+    def rvec(self) -> tuple[RElem, ...]:
+        """The ray as a ring vector: one ``RElem(b_k, c_k, v_k)`` per coordinate."""
+        return tuple(map(RElem, self.b, self.c, self.v))
 
     def right_mul(self, mu: RElem) -> "Ray":
         """The ray with each coordinate's ring entry times mu on the right (``RElem.__mul__``)."""
@@ -157,7 +158,7 @@ class TopologicalFan:
     def ray(self, i) -> Ray:
         return self.rays[i - 1]
 
-    def rvec(self, i) -> RVec:
+    def rvec(self, i) -> tuple[RElem, ...]:
         if self._rvecs is None:
             self._rvecs = tuple(ray.rvec() for ray in self.rays)
         return self._rvecs[i - 1]
@@ -244,8 +245,7 @@ class TopologicalFan:
         vc = [[_dot(row, self.ray(j).c) for j in facet] for row in v_inv]  # V^-1 C
         b_cols = list(zip(*b_inv))
         return {
-            j: RVec(tuple(RElem(b, -_dot(vc_row, col), v)
-                          for b, col, v in zip(b_row, b_cols, v_row)))
+            j: tuple(RElem(b, -_dot(vc_row, col), v) for b, col, v in zip(b_row, b_cols, v_row))
             for j, b_row, vc_row, v_row in zip(facet, b_inv, vc, v_inv)
         }
 
@@ -594,14 +594,16 @@ def _dot(a, b):
 def h_canonical_form(fan: TopologicalFan) -> TopologicalFan:
     """Normalize every ray inside its orbit under the homeomorphism scalars.
 
-    One scalar (s, t, eps) is applied per ray (``_h_canonical_ray``) so that
+    One scalar (s, t, eps) is applied per ray (``_h_normalizer``) so that
     afterwards b has L1 norm one, the first nonzero entry of v is positive,
     and c is orthogonal to v.  Idempotent and constant on orbits.
     """
-    return TopologicalFan(fan.n, fan.complex, [_h_canonical_ray(ray) for ray in fan.rays])
+    return TopologicalFan(fan.n, fan.complex,
+                          [ray.right_mul(_h_normalizer(ray)) for ray in fan.rays])
 
 
-def _h_canonical_ray(ray: Ray) -> Ray:
+def _h_normalizer(ray: Ray) -> RElem:
+    """The homeomorphism scalar (s, t, eps) that takes a ray to its h-canonical form."""
     norm = sum(abs(x) for x in ray.b)
     s = Fraction(1) / norm
     vv = sum(x * x for x in ray.v)
@@ -609,7 +611,12 @@ def _h_canonical_ray(ray: Ray) -> Ray:
     t = -cv / vv * s
     first = next(x for x in ray.v if x != 0)
     eps = 1 if first > 0 else -1
-    return ray.right_mul(RElem(s, t, eps))
+    return RElem(s, t, eps)
+
+
+def _homeo_inverse(mu: RElem) -> RElem:
+    """(s, t, eps)^-1 = (1/s, -t*eps/s, eps), the inverse matrix of [[s, 0], [t, eps]]."""
+    return RElem(1 / mu.b, -mu.c * mu.v / mu.b, mu.v)
 
 
 # -- equivalence --------------------------------------------------------------
@@ -629,57 +636,21 @@ class Isomorphism:
         return out
 
 
-def _h_scalar(source: Ray, target: Ray) -> Optional[RElem]:
-    """Solve target = source * mu with mu a homeomorphism scalar, if possible."""
-    s = None
-    for bs, bt in zip(source.b, target.b):
-        if bs != 0:
-            s = bt / bs
-            break
-    if s is None or s <= 0:
-        return None
-    if any(bt != s * bs for bs, bt in zip(source.b, target.b)):
-        return None
-    if target.v == source.v:
-        eps = 1
-    elif target.v == tuple(-x for x in source.v):
-        eps = -1
-    else:
-        return None
-    t = None
-    for cs, ct, vs in zip(source.c, target.c, source.v):
-        if vs != 0:
-            t = (ct - s * cs) / vs
-            break
-    if t is None:
-        t = Fraction(0)
-    if any(ct != s * cs + t * vs for cs, ct, vs in zip(source.c, target.c, source.v)):
-        return None
-    return RElem(s, t, eps)
+def _h_orbit_key(ray: Ray):
+    """The h-canonical ray and the normalizer mu that reaches it (ray * mu)."""
+    mu = _h_normalizer(ray)
+    return ray.right_mul(mu), mu
 
 
-def _ray_match_scalar(source: Ray, target: Ray, mode) -> Optional[RElem]:
-    if mode == "strict":
-        return RElem(1, 0, 1) if source == target else None
-    if mode == "d":
-        if source == target:
-            return RElem(1, 0, 1)
-        if source.right_mul(MU0) == target:
-            return MU0
-        return None
-    if mode == "h":
-        return _h_scalar(source, target)
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-# One key per mode, constant on the orbits of the rays under that mode's
-# scalars, so ``_ray_match_scalar(s, t, mode)`` is None whenever the keys of s
-# and t differ.  'd' flips v only, and the h-canonical ray is the one
-# representative ``h_canonical_form`` picks in each orbit.
+# One key per mode whose equality is exactly the mode's orbit relation on
+# rays: equal rays ('strict'), equal up to the v-flip scalar MU0, which
+# sends (b, c, v) to (b, c, -v) ('d'), and equal up to a homeomorphism
+# scalar ('h'), whose orbits each hold one h-canonical ray.  Each entry
+# maps a ray to its key and, in mode 'h', the normalizer (None otherwise).
 _ORBIT_KEYS = {
-    "strict": lambda ray: ray,
-    "d": lambda ray: (ray.b, ray.c, max(ray.v, tuple(-x for x in ray.v))),
-    "h": _h_canonical_ray,
+    "strict": lambda ray: (ray, None),
+    "d": lambda ray: ((ray.b, ray.c, max(ray.v, tuple(-x for x in ray.v))), None),
+    "h": _h_orbit_key,
 }
 
 
@@ -689,15 +660,18 @@ def equivalent(a: TopologicalFan, b: TopologicalFan, mode="strict",
 
     mode 'strict' requires equal rays, 'd' allows the v-flip scalar per ray,
     'h' allows any homeomorphism scalar per ray; any other mode raises
-    ValueError.  The target's rays are bucketed once by an orbit key that is
-    constant on the mode's orbits: the ray itself ('strict'), the ray with v
-    up to sign ('d'), or its h-canonical form ('h').  Only the targets in a
-    source ray's own bucket are tried, and ``_ray_match_scalar`` alone
-    decides each pair, so the key only skips pairs that cannot match.
-    Exhaustive backtracking over vertex bijections then assigns vertices
-    1..m in order and candidates in ascending order, pruned by the stars of
-    the target's vertices; the returned sigma is the lexicographically least
-    one.
+    ValueError.  The target's rays are bucketed once by the mode's orbit
+    key: the ray itself ('strict'), the ray with v up to sign ('d'), or its
+    h-canonical form ('h').  Two rays match exactly when their keys are
+    equal, so a source ray's bucket is its candidate list.  Exhaustive
+    backtracking over vertex bijections then assigns vertices 1..m in order
+    and candidates in ascending order, pruned by the stars of the target's
+    vertices; the returned sigma is the lexicographically least one.  The
+    search walks an explicit stack, so its depth is not bounded by Python's
+    recursion limit.
+
+    In mode 'h' the scalar of i -> j is composed from the two rays'
+    normalizers: a_i * mu_i = b_j * mu_j, so b_j = a_i * (mu_i * mu_j^-1).
 
     When ``stats`` is a dict, it receives the counts of the call: the
     ``candidates`` (source, target) pairs that shared a key, the search
@@ -712,26 +686,21 @@ def equivalent(a: TopologicalFan, b: TopologicalFan, mode="strict",
         return None
     if sorted(map(len, a.complex.facets)) != sorted(map(len, b.complex.facets)):
         return None
-    key = _ORBIT_KEYS.get(mode)
-    if key is None:
+    orbit_key = _ORBIT_KEYS.get(mode)
+    if orbit_key is None:
         raise ValueError(f"unknown mode {mode!r}")
     m = a.m
-    buckets = {}
+    buckets, target_mu = {}, {}
     for j in range(1, m + 1):
-        buckets.setdefault(key(b.ray(j)), []).append(j)
-    allowed = {}
+        key, target_mu[j] = orbit_key(b.ray(j))
+        buckets.setdefault(key, []).append(j)
+    allowed, source_mu = {}, {}
     for i in range(1, m + 1):
-        source = a.ray(i)
-        candidates = buckets.get(key(source), ())
-        stats["candidates"] += len(candidates)
-        opts = {}
-        for j in candidates:
-            mu = _ray_match_scalar(source, b.ray(j), mode)
-            if mu is not None:
-                opts[j] = mu
-        if not opts:
+        key, source_mu[i] = orbit_key(a.ray(i))
+        allowed[i] = buckets.get(key, ())
+        stats["candidates"] += len(allowed[i])
+        if not allowed[i]:
             return None
-        allowed[i] = opts
 
     facets_b = set(b.complex.facets)
     star_b = {j: [] for j in range(1, m + 1)}
@@ -754,23 +723,33 @@ def equivalent(a: TopologicalFan, b: TopologicalFan, mode="strict",
                 return False
         return True
 
-    def backtrack(i):
+    # stack[i - 1] iterates vertex i's candidates; a candidate that passes
+    # ``consistent`` opens the next vertex, an exhausted vertex backtracks
+    stats["nodes"] += 1
+    stack = [iter(allowed[1])] if m else []
+    while stack:
+        i = len(stack)
+        if i in sigma:  # the child of the current candidate failed
+            used.remove(sigma.pop(i))
+        for j in stack[-1]:
+            if j not in used:
+                sigma[i] = j
+                used.add(j)
+                if consistent(i):
+                    break
+                del sigma[i]
+                used.remove(j)
+        else:
+            stats["backtracks"] += 1
+            stack.pop()
+            continue
         stats["nodes"] += 1
-        if i > m:
-            return True
-        for j in sorted(allowed[i]):
-            if j in used:
-                continue
-            sigma[i] = j
-            used.add(j)
-            if consistent(i) and backtrack(i + 1):
-                return True
-            del sigma[i]
-            used.remove(j)
-        stats["backtracks"] += 1
-        return False
-
-    if not backtrack(1):
+        if i == m:
+            break
+        stack.append(iter(allowed[i + 1]))
+    if len(sigma) < m:
         return None
-    scalars = {i: allowed[i][sigma[i]] for i in sigma} if mode == "h" else None
+    scalars = None
+    if mode == "h":
+        scalars = {i: source_mu[i] * _homeo_inverse(target_mu[j]) for i, j in sigma.items()}
     return Isomorphism(dict(sigma), scalars)

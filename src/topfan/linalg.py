@@ -84,6 +84,12 @@ def int_det(rows):
     return sign * a[n - 1][n - 1]
 
 
+# Largest n whose exterior-product tables ``cofactor_row`` builds and keeps:
+# at n = 10 one product costs about as much as the n minors, and each step
+# up doubles the table.
+_WEDGE_MAX_N = 10
+
+
 @lru_cache(maxsize=None)
 def _wedge_levels(n):
     """Expansion tables for the exterior product of n - 1 vectors of Z^n.
@@ -114,11 +120,15 @@ def cofactor_row(cols, position):
     times the minor of ``cols`` without row k.  All n minors come from one
     exterior product ``cols[0] ∧ ... ∧ cols[-1]``, built column by column
     over row subsets; for n = 4 that is about five times faster than n
-    ``int_det`` minors.
+    ``int_det`` minors.  Its tables hold about n·2^(n-1) terms, so above
+    ``_WEDGE_MAX_N`` the n minors are computed by ``int_det`` instead.
     """
     n = len(cols) + 1
     if n == 1:
         return (1,)
+    if n > _WEDGE_MAX_N:
+        rows = list(zip(*cols))
+        return tuple((-1) ** (k + position) * int_det(rows[:k] + rows[k + 1:]) for k in range(n))
     w = cols[0]
     for col, level in zip(cols[1:], _wedge_levels(n)):
         wedge = []

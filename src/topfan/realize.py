@@ -358,11 +358,11 @@ def _plan(complex_, pinned, mode, sign_table):
 
 
 def _search(complex_, n, normalization, mode, bound=None, sign_table=None):
-    """The backtracking kernel shared by every mode.
+    """The labeling search shared by every mode.
 
-    Pins ``normalization``, walks the plan depth by depth with the mode's
-    candidate generator, counts its work, and re-verifies a SAT answer with
-    ``verify_labeling`` before returning it.
+    Pins ``normalization``, walks the plan depth by depth (``_backtrack``)
+    with the mode's candidate generator, counts its work, and re-verifies a
+    SAT answer with ``verify_labeling`` before returning it.
     """
     if mode == "mod2":
         assignment = {v: 1 << pos for pos, v in enumerate(sorted(normalization))}
@@ -373,22 +373,9 @@ def _search(complex_, n, normalization, mode, bound=None, sign_table=None):
         generate = _integer_candidates
     plan = _plan(complex_, assignment, mode, sign_table)
     stats = {"nodes": 0, "candidates": 0, "backtracks": 0}
-
-    def descend(depth):
-        stats["nodes"] += 1
-        if depth == len(plan):
-            return True
-        step = plan[depth]
-        for value in generate(step, assignment, n, bound):
-            stats["candidates"] += 1
-            assignment[step.vertex] = value
-            if descend(depth + 1):
-                return True
-        assignment.pop(step.vertex, None)
-        stats["backtracks"] += 1
-        return False
-
-    if not descend(0):
+    vertices = [step.vertex for step in plan]
+    if not _backtrack(vertices, lambda depth: generate(plan[depth], assignment, n, bound),
+                      assignment, stats):
         if mode == "mod2":
             return Infeasible("exhausted", {"classes": (1 << n) - 1}, stats=stats)
         return Unsat(bound, stats=stats)
@@ -396,6 +383,37 @@ def _search(complex_, n, normalization, mode, bound=None, sign_table=None):
     if not ok:
         raise AssertionError(f"search produced an invalid labeling: {failures}")
     return LabelingSolution(dict(assignment), dets, mode, stats=stats)
+
+
+def _backtrack(vertices, candidates, assignment, stats):
+    """Depth-first search assigning ``vertices`` in order, on an explicit stack.
+
+    ``candidates(depth)`` lists the values for ``vertices[depth]`` given the
+    earlier ones in ``assignment``; it is called each time the search
+    enters that depth, and its values are tried in order.  ``stats``
+    receives the ``nodes`` entered (partial assignments, the empty and a
+    complete one included), the ``candidates`` tried and the
+    ``backtracks`` (depths whose every candidate failed).  Returns True
+    with every vertex assigned, or False with none of them assigned.
+    """
+    stack = []  # the remaining candidates of each depth entered
+    while True:
+        stats["nodes"] += 1
+        if len(stack) == len(vertices):
+            return True
+        stack.append(iter(candidates(len(stack))))
+        while True:
+            vertex = vertices[len(stack) - 1]
+            value = next(stack[-1], None)  # no candidate value is None
+            if value is not None:
+                break
+            assignment.pop(vertex, None)
+            stats["backtracks"] += 1
+            stack.pop()
+            if not stack:
+                return False
+        stats["candidates"] += 1
+        assignment[vertex] = value
 
 
 def _integer_candidates(step, assignment, n, bound):
@@ -473,11 +491,15 @@ def _mod2_candidates(step, assignment, n, bound=None):
 # -- pigeonhole obstruction ------------------------------------------------------
 
 
-def find_clique(complex_, size, node_limit=200000):
+# Branch-and-bound nodes ``find_clique`` visits before it gives up.
+_CLIQUE_NODE_LIMIT = 200000
+
+
+def find_clique(complex_, size):
     """A clique of the requested size in the 1-skeleton, or None.
 
     Branch and bound over vertices sorted by degree; gives up after
-    ``node_limit`` nodes (callers fall back to the full search then).
+    ``_CLIQUE_NODE_LIMIT`` nodes (callers fall back to the full search then).
     """
     edges = set(complex_.one_skeleton())
     vertices = list(range(1, complex_.m + 1))
@@ -487,7 +509,7 @@ def find_clique(complex_, size, node_limit=200000):
 
     degree = {v: sum(1 for u in vertices if u != v and adjacent(u, v)) for v in vertices}
     vertices.sort(key=lambda v: -degree[v])
-    budget = [node_limit]
+    budget = [_CLIQUE_NODE_LIMIT]
 
     def extend(clique, candidates):
         if len(clique) == size:
@@ -555,25 +577,19 @@ def realize_2sphere(complex_, positions) -> TopologicalFan:
 
 
 def _four_coloring(complex_):
-    edges = set(complex_.one_skeleton())
+    """The first proper 4-coloring of the 1-skeleton, coloring vertices 1..m in order."""
     neighbors = {v: set() for v in range(1, complex_.m + 1)}
-    for a, b in edges:
+    for a, b in complex_.one_skeleton():
         neighbors[a].add(b)
         neighbors[b].add(a)
     coloring = {}
 
-    def backtrack(v):
-        if v > complex_.m:
-            return True
-        for color in range(4):
-            if all(coloring.get(u) != color for u in neighbors[v]):
-                coloring[v] = color
-                if backtrack(v + 1):
-                    return True
-                del coloring[v]
-        return False
+    def colors(depth):
+        taken = {coloring.get(u) for u in neighbors[depth + 1]}
+        return [color for color in range(4) if color not in taken]
 
-    if not backtrack(1):
+    if not _backtrack(range(1, complex_.m + 1), colors, coloring,
+                      {"nodes": 0, "candidates": 0, "backtracks": 0}):
         raise ValueError("no proper 4-coloring found")
     return coloring
 

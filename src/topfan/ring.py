@@ -6,8 +6,9 @@ rational and ``v`` an integer.  Addition is pointwise multiplication of
 endomorphisms (matrix sum); multiplication is composition (matrix product),
 which is not commutative, so the factor order in every product below matters.
 
-The module also provides vectors over this ring and the exponent pairing.
-A facet's dual basis, the block inverse of its rays, is built by
+A vector over the ring is a plain tuple of ``RElem``, one entry per ambient
+coordinate; the module provides the exponent pairing of two such vectors.  A
+facet's dual basis, the block inverse of its rays, is built by
 ``TopologicalFan.dual_basis`` from the facet's integer adjugates; the
 exceptions below name its two failure modes.
 """
@@ -97,51 +98,8 @@ ZERO = RElem(0, 0, 0)
 MU0 = RElem(1, 0, -1)  # right-multiplication flips v; corresponds to conjugating the dual chart
 
 
-@dataclass(frozen=True)
-class RVec:
-    """A vector over the ring; one entry per ambient coordinate."""
-
-    entries: tuple[RElem, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __getitem__(self, k) -> RElem:
-        return self.entries[k]
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __add__(self, other: "RVec") -> "RVec":
-        if len(self) != len(other):
-            raise ValueError("length mismatch")
-        return RVec(tuple(a + b for a, b in zip(self.entries, other.entries)))
-
-    def conjugate(self) -> "RVec":
-        return RVec(tuple(e.conjugate() for e in self.entries))
-
-    def to_json(self):
-        return [e.to_json() for e in self.entries]
-
-    @staticmethod
-    def from_json(data) -> "RVec":
-        return RVec(tuple(RElem.from_json(e) for e in data))
-
-    @staticmethod
-    def from_parts(b, c, v) -> "RVec":
-        return RVec(tuple(RElem(Fraction(bb), Fraction(cc), int(vv)) for bb, cc, vv in zip(b, c, v)))
-
-
-def standard_basis_rvec(n, k) -> RVec:
-    """The vector with the ring identity in slot ``k`` (0-based) and zeros elsewhere."""
-    return RVec(tuple(ONE if i == k else ZERO for i in range(n)))
-
-
-def pairing(alpha: RVec, beta: RVec) -> RElem:
-    """Exponent pairing sum_k alpha^k * beta^k (alpha factors on the left)."""
+def pairing(alpha, beta) -> RElem:
+    """Exponent pairing sum_k alpha^k * beta^k of two ring vectors (alpha factors on the left)."""
     if len(alpha) != len(beta):
         raise ValueError("length mismatch")
     total = ZERO

@@ -18,7 +18,6 @@ from topfan.ring import (
     ZERO,
     BSingularError,
     RElem,
-    RVec,
     VNotUnimodularError,
     pairing,
 )
@@ -108,7 +107,7 @@ def dual_basis(betas):
                                   f"{v_det}, not a Z-basis")
     c_block = mat_mul(mat_mul(v_inv, c), b_inv)
     return {
-        i: RVec(tuple(RElem(bb, -cc, int(vv)) for bb, cc, vv in zip(b_row, c_row, v_row)))
+        i: tuple(RElem(bb, -cc, int(vv)) for bb, cc, vv in zip(b_row, c_row, v_row))
         for i, b_row, c_row, v_row in zip(indices, b_inv, c_block, v_inv)
     }
 

@@ -1,15 +1,63 @@
 """All-pairs reference for fan equivalence, used only by tests.
 
-``topfan.fans.equivalent`` buckets the target's rays by an orbit key and
-tries ``_ray_match_scalar`` only inside a source ray's own bucket; its
-search checks partial facet images against the stars of the target's
-vertices.  This module keeps the plain version: every (source, target) ray
-pair goes through ``_ray_match_scalar``, and every partial image is compared
-with every target facet.  Both search vertices 1..m with ascending
-candidates, so they must return the same sigma, scalars and None.
+``topfan.fans.equivalent`` buckets the target's rays by an orbit key, takes
+a source ray's own bucket as its candidates, composes the ``h`` scalars
+from the rays' normalizers, and checks partial facet images against the
+stars of the target's vertices.  This module keeps the plain version:
+every (source, target) ray pair is decided by solving for its scalar
+(``_ray_match_scalar``), and every partial image is compared with every
+target facet.  Both search vertices 1..m with ascending candidates, so they
+must return the same sigma, scalars and None.
 """
 
-from topfan.fans import Isomorphism, _ray_match_scalar
+from fractions import Fraction
+from typing import Optional
+
+from topfan.fans import Isomorphism, Ray
+from topfan.ring import MU0, RElem
+
+
+def _h_scalar(source: Ray, target: Ray) -> Optional[RElem]:
+    """Solve target = source * mu with mu a homeomorphism scalar, if possible."""
+    s = None
+    for bs, bt in zip(source.b, target.b):
+        if bs != 0:
+            s = bt / bs
+            break
+    if s is None or s <= 0:
+        return None
+    if any(bt != s * bs for bs, bt in zip(source.b, target.b)):
+        return None
+    if target.v == source.v:
+        eps = 1
+    elif target.v == tuple(-x for x in source.v):
+        eps = -1
+    else:
+        return None
+    t = None
+    for cs, ct, vs in zip(source.c, target.c, source.v):
+        if vs != 0:
+            t = (ct - s * cs) / vs
+            break
+    if t is None:
+        t = Fraction(0)
+    if any(ct != s * cs + t * vs for cs, ct, vs in zip(source.c, target.c, source.v)):
+        return None
+    return RElem(s, t, eps)
+
+
+def _ray_match_scalar(source: Ray, target: Ray, mode) -> Optional[RElem]:
+    if mode == "strict":
+        return RElem(1, 0, 1) if source == target else None
+    if mode == "d":
+        if source == target:
+            return RElem(1, 0, 1)
+        if source.right_mul(MU0) == target:
+            return MU0
+        return None
+    if mode == "h":
+        return _h_scalar(source, target)
+    raise ValueError(f"unknown mode {mode!r}")
 
 
 def equivalent(a, b, mode="strict"):

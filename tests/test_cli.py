@@ -457,6 +457,54 @@ def test_deeply_nested_json_exits_2(capsys, tmp_path, cp2cp2_path, argv):
     assert err == "error: malformed input: JSON nested too deeply\n"
 
 
+def _square_ring(k):
+    """k distinct integer points around the boundary of a square about the origin, in cyclic order."""
+    r = k // 4
+    sides = ([(r, t) for t in range(-r, r)] + [(t, r) for t in range(r, -r, -1)]
+             + [(-r, t) for t in range(r, -r, -1)] + [(t, -r) for t in range(-r, r)])
+    return sides[::len(sides) // k][:k]
+
+
+DEEP_POLYGON, DEEP_EQUATOR = 1500, 1200
+
+
+def _write_deep_inputs(tmp_path, polygon=DEEP_POLYGON, equator=DEEP_EQUATOR):
+    """A polygon fan (n = 2, v alternating e1, e2) and the bipyramid over an equator with positions.
+
+    Each search of these files assigns one vertex per depth, so the depth is m.
+    """
+    facets = [sorted((i, i % polygon + 1)) for i in range(1, polygon + 1)]
+    rays = [{"b": [str(x), str(y)], "v": [[1, 0], [0, 1]][i % 2]}
+            for i, (x, y) in enumerate(_square_ring(polygon))]
+    fan = {"n": 2, "complex": {"m": polygon, "facets": facets}, "rays": rays}
+    top, bottom = equator + 1, equator + 2
+    sphere = {
+        "m": equator + 2,
+        "facets": [sorted((i, i % equator + 1, pole)) for i in range(1, equator + 1)
+                   for pole in (top, bottom)],
+        "positions": [[str(x), str(y), "0"] for x, y in _square_ring(equator)]
+        + [["0", "0", "1"], ["0", "0", "-1"]],
+    }
+    paths = {}
+    for name, data in (("fan", fan), ("polygon", fan["complex"]), ("sphere", sphere)):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(data))
+    return paths
+
+
+@pytest.mark.parametrize("argv", [["equiv", "{fan}", "{fan}"],
+                                  ["realize", "{polygon}", "--mode", "unimodular"],
+                                  ["realize", "{polygon}", "--mode", "mod2"],
+                                  ["realize", "{sphere}", "--mode", "sphere"]],
+                         ids=["equiv", "unimodular", "mod2", "sphere"])
+def test_searches_deeper_than_the_recursion_limit_succeed(capsys, tmp_path, argv):
+    paths = _write_deep_inputs(tmp_path)
+    assert min(DEEP_POLYGON, DEEP_EQUATOR) > sys.getrecursionlimit()
+    code, out, err = run_cli(capsys, *[a.format(**paths) for a in argv])
+    assert (code, err) == (0, "")
+    json.loads(out)
+
+
 def test_realize_square_toric(capsys, tmp_path):
     k = SimplicialComplex(4, [(1, 2), (2, 3), (3, 4), (4, 1)])
     path = tmp_path / "square.json"

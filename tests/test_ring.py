@@ -13,10 +13,8 @@ from topfan.ring import (
     ZERO,
     BSingularError,
     RElem,
-    RVec,
     VNotUnimodularError,
     pairing,
-    standard_basis_rvec,
 )
 from topfan import linalg
 from topfan.complexes import SimplicialComplex
@@ -115,46 +113,54 @@ def test_algebraic_subring_closed():
 def test_serialization_roundtrip():
     m = RElem(Fraction(-3, 4), Fraction(5, 7), -2)
     assert RElem.from_json(m.to_json()) == m
-    vec = RVec((m, ONE, ZERO))
-    assert RVec.from_json(vec.to_json()) == vec
+
+
+def _unit(n, k):
+    """The ring vector with ONE in slot k (0-based) and ZERO elsewhere."""
+    return tuple(ONE if i == k else ZERO for i in range(n))
+
+
+def _rvec(b, c, v):
+    """The ring vector with entries RElem(b_k, c_k, v_k)."""
+    return tuple(RElem(Fraction(bb), Fraction(cc), int(vv)) for bb, cc, vv in zip(b, c, v))
 
 
 def test_pairing_standard_basis():
     for n in (1, 2, 4):
         for i in range(n):
-            alpha = standard_basis_rvec(n, i)
-            beta = standard_basis_rvec(n, i)
+            alpha = _unit(n, i)
+            beta = _unit(n, i)
             assert pairing(alpha, beta) == ONE
 
 
 def test_pairing_length_mismatch():
     with pytest.raises(ValueError):
-        pairing(standard_basis_rvec(2, 0), standard_basis_rvec(3, 0))
+        pairing(_unit(2, 0), _unit(3, 0))
 
 
 # vectors of the four-gon example used throughout: (b, v) columns
 _EX_BETAS = {
-    1: RVec.from_parts((1, 0), (0, 0), (1, 0)),
-    2: RVec.from_parts((0, 1), (0, 0), (0, 1)),
-    3: RVec.from_parts((-1, 0), (0, 0), (-1, -2)),
-    4: RVec.from_parts((-1, -1), (0, 0), (-1, -1)),
+    1: _rvec((1, 0), (0, 0), (1, 0)),
+    2: _rvec((0, 1), (0, 0), (0, 1)),
+    3: _rvec((-1, 0), (0, 0), (-1, -2)),
+    4: _rvec((-1, -1), (0, 0), (-1, -1)),
 }
 
 
 def test_pairing_published_values():
     duals_23 = dual_basis({2: _EX_BETAS[2], 3: _EX_BETAS[3]})
     alpha2 = duals_23[2]
-    assert alpha2 == RVec.from_parts((0, 1), (0, 0), (-2, 1))
+    assert alpha2 == _rvec((0, 1), (0, 0), (-2, 1))
     assert pairing(duals_23[2], _EX_BETAS[3]) == ZERO
     duals_12 = dual_basis({1: _EX_BETAS[1], 2: _EX_BETAS[2]})
     assert pairing(duals_12[1], _EX_BETAS[1]) == ONE
 
 
 def test_dual_basis_identity_blocks():
-    betas = {i: standard_basis_rvec(3, i) for i in range(3)}
+    betas = {i: _unit(3, i) for i in range(3)}
     duals = dual_basis(betas)
     for i in range(3):
-        assert duals[i] == standard_basis_rvec(3, i)
+        assert duals[i] == _unit(3, i)
 
 
 def test_dual_basis_published_table():
@@ -165,19 +171,19 @@ def test_dual_basis_published_table():
     for facet, alphas in expected.items():
         duals = dual_basis({i: _EX_BETAS[i] for i in facet})
         for i, (b, v) in alphas.items():
-            assert duals[i] == RVec.from_parts(b, (0, 0), v)
+            assert duals[i] == _rvec(b, (0, 0), v)
 
 
 def test_dual_basis_error_kinds():
     degenerate_b = {
-        1: RVec.from_parts((1, 0), (0, 0), (1, 0)),
-        2: RVec.from_parts((2, 0), (0, 0), (0, 1)),
+        1: _rvec((1, 0), (0, 0), (1, 0)),
+        2: _rvec((2, 0), (0, 0), (0, 1)),
     }
     with pytest.raises(BSingularError):
         dual_basis(degenerate_b)
     bad_v = {
-        1: RVec.from_parts((1, 0), (0, 0), (1, 0)),
-        2: RVec.from_parts((0, 1), (0, 0), (0, 2)),
+        1: _rvec((1, 0), (0, 0), (1, 0)),
+        2: _rvec((0, 1), (0, 0), (0, 2)),
     }
     with pytest.raises(VNotUnimodularError):
         dual_basis(bad_v)
@@ -273,9 +279,9 @@ def test_dual_basis_property_random():
                 break
         c = [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
         betas = {
-            i: RVec.from_parts([b[k][i] for k in range(n)],
-                               [c[k][i] for k in range(n)],
-                               [v[k][i] for k in range(n)])
+            i: _rvec([b[k][i] for k in range(n)],
+                     [c[k][i] for k in range(n)],
+                     [v[k][i] for k in range(n)])
             for i in range(n)
         }
         duals = dual_basis(betas)
@@ -303,7 +309,7 @@ def test_integer_and_fraction_parts_give_one_element():
 
 
 def test_orientation_sign_examples():
-    std = [standard_basis_rvec(2, 0), standard_basis_rvec(2, 1)]
+    std = [_unit(2, 0), _unit(2, 1)]
     assert orientation_sign(std) == 1
     assert orientation_sign([_EX_BETAS[3], _EX_BETAS[4]]) == -1
     assert orientation_sign([_EX_BETAS[1], _EX_BETAS[2]]) == 1
