@@ -61,9 +61,117 @@ def _load_json(path):
             raise ValueError("malformed input: JSON nested too deeply") from None
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+_INF = float("inf")
+
+
+def _float_text(value):
+    if value != value:
+        return "NaN"
+    if value == _INF:
+        return "Infinity"
+    if value == -_INF:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+# the JSON text of a scalar by its exact type; other types go to _subclass_text
+_SCALAR_TEXT = {
+    str: _encode_str,
+    int: int.__repr__,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+    float: _float_text,
+}
+
+
+def _subclass_text(value):
+    """The JSON text of a str, int or float subclass; None for anything else."""
+    if isinstance(value, str):
+        return _encode_str(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float_text(value)
+    return None
+
+
+def _scalar_text(value):
+    """The JSON text of a string, number, bool or None; None for anything else."""
+    return _SCALAR_TEXT.get(type(value), _subclass_text)(value)
+
+
+def _key_text(key):
+    """A dict key as a JSON string, coerced as ``json.dumps`` coerces it."""
+    if not isinstance(key, str):
+        text = _scalar_text(key)
+        if text is None:
+            raise TypeError(f"keys must be str, int, float, bool or None, "
+                            f"not {key.__class__.__name__}")
+        key = text
+    return _encode_str(key)
+
+
+def _encode(value, level, levels, parts):
+    """Append the JSON text of a list, tuple or dict at nesting ``level`` to ``parts``.
+
+    ``levels`` holds, per nesting level and shared by all its containers,
+    the newline and indent of the items, the separator between them and the
+    newline and indent of the closing bracket.  A list of scalars is joined
+    in one ``str.join``.
+    """
+    if level == len(levels):
+        inner = "\n" + "  " * (level + 1)
+        levels.append((inner, "," + inner, inner[:-2]))
+    inner, sep, outer = levels[level]
+    if isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        lead = "{" + inner
+        for key, item in value.items():
+            parts.append(lead + (_encode_str(key) if type(key) is str else _key_text(key)) + ": ")
+            lead = sep
+            text = _SCALAR_TEXT.get(type(item), _subclass_text)(item)
+            if text is None:
+                _encode(item, level + 1, levels, parts)
+            else:
+                parts.append(text)
+        parts.append(outer + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            parts.append("[]")
+            return
+        texts = [_SCALAR_TEXT.get(type(x), _subclass_text)(x) for x in value]
+        if None not in texts:
+            parts.append("[" + inner + sep.join(texts) + outer + "]")
+            return
+        lead = "[" + inner
+        for item, text in zip(value, texts):
+            parts.append(lead)
+            lead = sep
+            if text is None:
+                _encode(item, level + 1, levels, parts)
+            else:
+                parts.append(text)
+        parts.append(outer + "]")
+    else:
+        raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
 def _write_json(data, stream):
-    """The artifact or report as indented JSON and a newline, in one write."""
-    stream.write(json.dumps(data, indent=2) + "\n")
+    """The artifact or report as indented JSON and a newline, in one write.
+
+    The bytes are those of ``json.dumps(data, indent=2)``, whose indented
+    encoder runs as pure-Python generators; a value that cannot be
+    serialized raises that call's ``TypeError`` before anything is written.
+    """
+    text = _scalar_text(data)
+    if text is None:
+        parts = []
+        _encode(data, 0, [], parts)
+        text = "".join(parts)
+    stream.write(text + "\n")
 
 
 def _parse(from_json, data):

@@ -55,7 +55,8 @@ class SimplicialComplex:
         return max((len(f) for f in self.facets), default=0) - 1
 
     def is_pure(self):
-        return all(len(f) == self.dim + 1 for f in self.facets)
+        size = self.dim + 1
+        return all(len(f) == size for f in self.facets)
 
     def has_face(self, subset):
         s = set(subset)

@@ -73,9 +73,8 @@ class GradedRing:
 
     def __init__(self, presentation: CohomPresentation):
         self.m = presentation.m
-        rel_rows = [list(map(Fraction, row)) for row in presentation.relation_matrix]
-        reduced, pivots = linalg.rref(rel_rows)
-        if len(pivots) != len(rel_rows):
+        reduced, pivots = linalg.rref(presentation.relation_matrix)
+        if len(pivots) != len(presentation.relation_matrix):
             raise ValueError("linear relations are degenerate")
         self.pivots = pivots  # 0-based generator indices eliminated by relations
         self.survivors = [j for j in range(self.m) if j not in pivots]
@@ -165,7 +164,9 @@ class GradedRing:
         data = {
             "columns": columns,
             "col_of_mono": col_of_mono,
-            "reduced_rows": [reduced[r] for r in range(len(pivots))],
+            # the nonzero (column, entry) pairs of each nonzero reduced row
+            "reduced_rows": [[(c, x) for c, x in enumerate(reduced[r]) if x]
+                             for r in range(len(pivots))],
             "pivots": pivots,
             "basis_cols": basis_cols,
         }
@@ -205,8 +206,9 @@ class GradedRing:
                 vec[data["col_of_mono"][smono]] += Fraction(coeff) * scoeff
         for row, pivot in zip(data["reduced_rows"], data["pivots"]):
             factor = vec[pivot]
-            if factor != 0:
-                vec = [a - factor * b for a, b in zip(vec, row)]
+            if factor:
+                for c, x in row:
+                    vec[c] -= factor * x
         return [vec[c] for c in data["basis_cols"]]
 
 

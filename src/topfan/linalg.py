@@ -14,18 +14,20 @@ from itertools import combinations
 from math import gcd
 
 
-def to_fractions(rows):
-    return [[Fraction(x) for x in row] for row in rows]
-
-
 def rref(rows):
     """Reduced row echelon form.
 
     Returns ``(reduced, pivot_columns)`` where ``reduced`` keeps the original
-    number of rows (zero rows at the bottom).  Deterministic: pivots are the
-    leftmost nonzero columns, scanned top to bottom.
+    number of rows (zero rows at the bottom) and every entry is a
+    ``Fraction``.  Deterministic: pivots are the leftmost nonzero columns,
+    scanned top to bottom.
+
+    Gauss-Jordan elimination that scales and subtracts only the pivot row's
+    nonzero entries: a zero entry would leave every other entry as it is, so
+    the result equals the dense elimination's.  ``Fraction`` entries are
+    kept, not copied.
     """
-    m = to_fractions(rows)
+    m = [[x if type(x) is Fraction else Fraction(x) for x in row] for row in rows]
     if not m:
         return [], []
     nrows, ncols = len(m), len(m[0])
@@ -34,18 +36,26 @@ def rref(rows):
     for col in range(ncols):
         pivot_row = None
         for i in range(r, nrows):
-            if m[i][col] != 0:
+            if m[i][col]:
                 pivot_row = i
                 break
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = Fraction(1) / m[r][col]
-        m[r] = [x * inv for x in m[r]]
+        prow = m[r]
+        # the pivot row is zero left of col: earlier columns are pivots
+        # cleared above it or were zero from row r down
+        support = [j for j in range(col, ncols) if prow[j]]
+        inv = 1 / prow[col]
+        if inv != 1:
+            for j in support:
+                prow[j] *= inv
         for i in range(nrows):
-            if i != r and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+            row = m[i]
+            f = row[col]
+            if f and i != r:
+                for j in support:
+                    row[j] -= f * prow[j]
         pivots.append(col)
         r += 1
         if r == nrows:

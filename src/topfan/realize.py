@@ -495,19 +495,29 @@ def _mod2_candidates(step, assignment, n, bound=None):
 _CLIQUE_NODE_LIMIT = 200000
 
 
+def _degrees(m, edges):
+    """Each vertex's degree in the graph on 1..m with the given edge pairs, in vertex order."""
+    degree = dict.fromkeys(range(1, m + 1), 0)
+    for a, b in edges:
+        degree[a] += 1
+        degree[b] += 1
+    return degree
+
+
 def find_clique(complex_, size):
     """A clique of the requested size in the 1-skeleton, or None.
 
     Branch and bound over vertices sorted by degree; gives up after
     ``_CLIQUE_NODE_LIMIT`` nodes (callers fall back to the full search then).
     """
-    edges = set(complex_.one_skeleton())
+    skeleton = complex_.one_skeleton()
+    edges = set(skeleton)
     vertices = list(range(1, complex_.m + 1))
 
     def adjacent(a, b):
         return (min(a, b), max(a, b)) in edges
 
-    degree = {v: sum(1 for u in vertices if u != v and adjacent(u, v)) for v in vertices}
+    degree = _degrees(complex_.m, skeleton)
     vertices.sort(key=lambda v: -degree[v])
     budget = [_CLIQUE_NODE_LIMIT]
 

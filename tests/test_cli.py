@@ -5,10 +5,12 @@ import copy
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -813,3 +815,91 @@ def test_cli_survives_mutated_inputs(fan, complex_, direction):
                 code = main(argv)
             assert code in (0, 1, 2), (argv, code)
             assert "Traceback" not in err.getvalue()
+
+
+# -- the JSON writer against json.dumps(indent=2) ---------------------------------
+
+_SCALARS = [0, 1, -1, 7, 10 ** 30, -(10 ** 40), 2 ** 64 + 1, True, False, None,
+            0.1, 1e300, -0.0, 2.5e-8, float("nan"), float("inf"), float("-inf"),
+            "", "plain", "é and 日本 and \U0001F600", 'say "hi"', "back\\slash",
+            "\x00\x01\n\t\r\x1f\x7f", " /</"]
+_KEYS = ["", "k", "é", 'q"uote', "\\", "\n", 0, -3, 10 ** 20, 0.5, -0.0, float("nan"),
+         float("inf"), True, False, None]
+
+
+def _random_json_value(rng, depth):
+    kind = rng.random() if depth else 0
+    if kind < 0.4:
+        return rng.choice(_SCALARS + [rng.randint(-10 ** 6, 10 ** 6), rng.uniform(-1e6, 1e6)])
+    items = [_random_json_value(rng, depth - 1) for _ in range(rng.randint(0, 4))]
+    if kind < 0.6:
+        return items
+    if kind < 0.75:
+        return tuple(items)
+    return {rng.choice(_KEYS): item for item in items}
+
+
+def _written(data):
+    stream = io.StringIO()
+    cli._write_json(data, stream)
+    return stream.getvalue()
+
+
+def test_writer_matches_json_dumps_on_seeded_values():
+    rng = random.Random(163)
+    fixed = [[], {}, (), [[]], [{}], {"a": {}}, [(), [[], {}]], {"a": [[]]}, _SCALARS,
+             tuple(_SCALARS), {k: i for i, k in enumerate(_KEYS)}, *_SCALARS]
+    for value in fixed + [_random_json_value(rng, 5) for _ in range(400)]:
+        assert _written(value) == json.dumps(value, indent=2) + "\n", value
+
+
+@pytest.mark.parametrize("value", [Fraction(1, 2), [1, [2, {"a": Fraction(3)}]],
+                                   {"a": [1, {2}]}, [[object()], Fraction(1)],
+                                   {(1, 2): 3}, {"a": {Fraction(1): 2}}])
+def test_writer_raises_the_stdlib_type_error_and_writes_nothing(value):
+    with pytest.raises(TypeError) as expected:
+        json.dumps(value, indent=2)
+    stream = io.StringIO()
+    with pytest.raises(TypeError) as raised:
+        cli._write_json(value, stream)
+    assert str(raised.value) == str(expected.value)
+    assert stream.getvalue() == ""
+
+
+def _fixture_argvs(name, directory, written):
+    """Every command on the fixture's files: fan commands on fans, labeling modes on complexes."""
+    argvs = [["fixtures", name, "--dir", directory]]
+    for filename in written:
+        path = os.path.join(directory, filename)
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+        if "rays" in data:
+            facet = ",".join(map(str, data["complex"]["facets"][0]))
+            argvs += [["validate", path], ["invariants", path],
+                      ["charts", path, "--kernel", facet, "--transitions", "--cocycle",
+                       "--faceposet"],
+                      ["surgery", path, "--stellar", facet], ["surgery", path, "--suspend"],
+                      ["surgery", path, "--product", path]]
+            argvs += [["equiv", path, path, "--mode", mode] for mode in ("strict", "d", "h")]
+        else:
+            facet = ",".join(map(str, data["facets"][0]))
+            argvs += [["realize", path, "--mode", mode, "--bound", "1", "--normalize", facet]
+                      for mode in ("toric-sign", "unimodular")]
+            argvs.append(["realize", path, "--mode", "mod2"])
+            if "positions" in data:
+                argvs.append(["realize", path, "--mode", "sphere"])
+    return argvs
+
+
+@pytest.mark.parametrize("name", ["cp2cp2", "octahedron", "barnette"])
+def test_every_command_prints_json_dumps_indent_2(capsys, tmp_path, name):
+    code, out, _ = run_cli(capsys, "fixtures", name, "--dir", str(tmp_path))
+    assert code == 0
+    written = json.loads(out)["written"]
+    for filename in written:
+        text = (tmp_path / filename).read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), indent=2) + "\n", filename
+    for argv in _fixture_argvs(name, str(tmp_path), written):
+        code, out, err = run_cli(capsys, *argv)
+        assert code in (0, 1) and err == "", (argv, err)
+        assert out == json.dumps(json.loads(out), indent=2) + "\n", argv

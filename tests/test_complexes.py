@@ -32,6 +32,15 @@ def test_purity():
     assert square().is_pure()
     assert not SimplicialComplex(3, [(1, 2), (3,)]).is_pure()
     assert barnette_complex().is_pure()
+    assert SimplicialComplex(1, [(1,)]).is_pure()
+    assert cyclic_polytope_boundary(4, 9).is_pure()
+    # one facet of another size anywhere in the facet order breaks purity
+    assert not SimplicialComplex(4, [(1, 2, 3), (3, 4)]).is_pure()
+    assert not SimplicialComplex(4, [(1,), (2, 3, 4)]).is_pure()
+    assert not SimplicialComplex(5, [(1, 2), (2, 3), (3, 4, 5)]).is_pure()
+    polygon = [(i, i % 1500 + 1) for i in range(1, 1501)]
+    assert SimplicialComplex(1500, polygon).is_pure()
+    assert not SimplicialComplex(1501, polygon + [(1501,)]).is_pure()
 
 
 def test_face_membership():

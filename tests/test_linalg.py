@@ -1,6 +1,7 @@
-"""Exact integer linear algebra against its definitions."""
+"""Exact linear algebra against its definitions and a dense reference elimination."""
 
 import random
+from fractions import Fraction
 
 from topfan import linalg
 
@@ -32,3 +33,84 @@ def test_cofactor_row_keeps_no_table_above_the_wedge_limit():
         cols = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(n - 1)]
         linalg.cofactor_row(cols, 0)
     assert linalg._wedge_levels.cache_info().currsize == 0
+
+
+def to_fractions(rows):
+    return [[Fraction(x) for x in row] for row in rows]
+
+
+def _dense_rref(rows):
+    """Reduced row echelon form.
+
+    Returns ``(reduced, pivot_columns)`` where ``reduced`` keeps the original
+    number of rows (zero rows at the bottom).  Deterministic: pivots are the
+    leftmost nonzero columns, scanned top to bottom.
+    """
+    m = to_fractions(rows)
+    if not m:
+        return [], []
+    nrows, ncols = len(m), len(m[0])
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        pivot_row = None
+        for i in range(r, nrows):
+            if m[i][col] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inv = Fraction(1) / m[r][col]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(col)
+        r += 1
+        if r == nrows:
+            break
+    return m, pivots
+
+
+def _random_matrix(rng, nrows, ncols, density, rational):
+    def entry():
+        if rng.random() >= density:
+            return Fraction(0) if rational else 0
+        if rational:
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+        return rng.randint(-4, 4)
+    return [[entry() for _ in range(ncols)] for _ in range(nrows)]
+
+
+def _rref_cases():
+    rng = random.Random(149)
+    shapes = [(3, 3), (2, 7), (9, 2), (1, 5), (6, 1), (5, 5), (12, 8), (4, 0), (1, 0)]
+    for nrows, ncols in shapes:
+        for density in (0.1, 0.3, 0.6, 1.0):
+            for rational in (False, True):
+                rows = _random_matrix(rng, nrows, ncols, density, rational)
+                yield rows
+                if nrows > 1:
+                    # a zero row, a repeated row and a zero column
+                    zero = Fraction(0) if rational else 0
+                    rows = [list(r) for r in rows]
+                    rows[rng.randrange(nrows)] = [zero] * ncols
+                    rows.insert(rng.randrange(nrows), list(rows[rng.randrange(nrows)]))
+                    if ncols:
+                        column = rng.randrange(ncols)
+                        for row in rows:
+                            row[column] = zero
+                    yield rows
+    yield []
+    yield [[0, 0, 0], [0, 0, 0]]
+
+
+def test_rref_matches_the_dense_gauss_jordan_reference():
+    for rows in _rref_cases():
+        before = [list(r) for r in rows]
+        reduced, pivots = linalg.rref(rows)
+        assert (reduced, pivots) == _dense_rref(rows), rows
+        assert all(type(x) is Fraction for row in reduced for x in row), rows
+        assert rows == before  # the input is left as it was

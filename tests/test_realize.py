@@ -29,6 +29,7 @@ from topfan.realize import (
     SignContradiction,
     SignTable,
     Unsat,
+    _degrees,
     barnette_system_exhaustive,
     barnette_toric_certificate,
     derive_sign_table,
@@ -257,6 +258,31 @@ def test_cyclic_15_no_pigeonhole_verdict():
     k = cyclic_polytope_boundary(4, 15)
     assert find_clique(k, 16) is None
     assert find_clique(k, 15) is not None
+
+
+def _seeded_complexes(seed, count):
+    """Random complexes, pure and of mixed dimension, with their facets kept inclusion-maximal."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        pool = range(1, rng.randint(2, 14) + 1)
+        sizes = [rng.randint(1, 4)] if rng.random() < 0.5 else [1, 2, 3, 4]
+        drawn = {tuple(sorted(rng.sample(pool, min(rng.choice(sizes), len(pool)))))
+                 for _ in range(rng.randint(1, 12))}
+        facets = [f for f in drawn if not any(set(f) < set(g) for g in drawn)]
+        covered = sorted({v for f in facets for v in f})
+        relabel = {v: i for i, v in enumerate(covered, 1)}
+        yield SimplicialComplex(len(covered), [[relabel[v] for v in f] for f in facets])
+
+
+def test_clique_degrees_match_the_pairwise_count():
+    complexes = [barnette_complex(), cyclic_polytope_boundary(4, 9), *_seeded_complexes(151, 60)]
+    assert any(not k.is_pure() for k in complexes)
+    for k in complexes:
+        edges = set(k.one_skeleton())
+        vertices = range(1, k.m + 1)
+        pairwise = {v: sum(1 for u in vertices if u != v and (min(u, v), max(u, v)) in edges)
+                    for v in vertices}
+        assert list(_degrees(k.m, k.one_skeleton()).items()) == list(pairwise.items())
 
 
 def test_octahedron_mod2_feasible():
