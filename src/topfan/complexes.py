@@ -217,6 +217,40 @@ class SimplicialComplex:
         return f"SimplicialComplex(m={self.m}, facets={len(self.facets)}, dim={self.dim})"
 
 
+def backtrack(vertices, candidates, assignment, stats):
+    """Depth-first search assigning ``vertices`` in order, on an explicit stack.
+
+    ``candidates(depth)`` gives the values for ``vertices[depth]`` given the
+    earlier ones in ``assignment``; it is called each time the search
+    enters that depth, and its values are tried in order.  It may be a
+    lazy iterator: a depth's next value is asked for only after every
+    deeper vertex has been removed from ``assignment``.  ``stats`` receives
+    the ``nodes`` entered (partial assignments, the empty and a complete
+    one included), the ``candidates`` tried and the ``backtracks`` (depths
+    whose every candidate failed).  Returns True with every vertex
+    assigned, or False with none of them assigned.
+    """
+    stats.update(nodes=0, candidates=0, backtracks=0)
+    stack = []  # the remaining candidates of each depth entered
+    while True:
+        stats["nodes"] += 1
+        if len(stack) == len(vertices):
+            return True
+        stack.append(iter(candidates(len(stack))))
+        while True:
+            vertex = vertices[len(stack) - 1]
+            value = next(stack[-1], None)  # no candidate value is None
+            if value is not None:
+                break
+            assignment.pop(vertex, None)
+            stats["backtracks"] += 1
+            stack.pop()
+            if not stack:
+                return False
+        stats["candidates"] += 1
+        assignment[vertex] = value
+
+
 @dataclass(frozen=True)
 class FVector:
     """Face counts f_0..f_{n-1} together with the derived h-vector."""

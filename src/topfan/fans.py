@@ -16,7 +16,7 @@ from operator import mul
 from typing import Optional
 
 from . import linalg
-from .complexes import SimplicialComplex
+from .complexes import SimplicialComplex, backtrack
 from .ring import BSingularError, RElem, VNotUnimodularError
 
 
@@ -667,8 +667,8 @@ def equivalent(a: TopologicalFan, b: TopologicalFan, mode="strict",
     backtracking over vertex bijections then assigns vertices 1..m in order
     and candidates in ascending order, pruned by the stars of the target's
     vertices; the returned sigma is the lexicographically least one.  The
-    search walks an explicit stack, so its depth is not bounded by Python's
-    recursion limit.
+    search runs on ``complexes.backtrack``, so its depth is not bounded by
+    Python's recursion limit.
 
     In mode 'h' the scalar of i -> j is composed from the two rays'
     normalizers: a_i * mu_i = b_j * mu_j, so b_j = a_i * (mu_i * mu_j^-1).
@@ -679,6 +679,9 @@ def equivalent(a: TopologicalFan, b: TopologicalFan, mode="strict",
     included) and the ``backtracks`` (vertices whose every candidate failed).
     """
     mode = mode.lower()
+    orbit_key = _ORBIT_KEYS.get(mode)
+    if orbit_key is None:
+        raise ValueError(f"unknown mode {mode!r}")
     if stats is None:
         stats = {}
     stats.update(candidates=0, nodes=0, backtracks=0)
@@ -686,9 +689,6 @@ def equivalent(a: TopologicalFan, b: TopologicalFan, mode="strict",
         return None
     if sorted(map(len, a.complex.facets)) != sorted(map(len, b.complex.facets)):
         return None
-    orbit_key = _ORBIT_KEYS.get(mode)
-    if orbit_key is None:
-        raise ValueError(f"unknown mode {mode!r}")
     m = a.m
     buckets, target_mu = {}, {}
     for j in range(1, m + 1):
@@ -703,18 +703,21 @@ def equivalent(a: TopologicalFan, b: TopologicalFan, mode="strict",
             return None
 
     facets_b = set(b.complex.facets)
+    star_a = {i: [] for i in range(1, m + 1)}
+    for f in a.complex.facets:
+        for i in f:
+            star_a[i].append(f)
     star_b = {j: [] for j in range(1, m + 1)}
     for g in b.complex.facets:
         face = frozenset(g)
         for j in g:
             star_b[j].append(face)
-    facets_of_vertex = {i: [f for f in a.complex.facets if i in f] for i in range(1, m + 1)}
     sigma = {}
     used = set()
 
     def consistent(i):
         # every facet through i has a partial image through sigma[i]
-        for f in facets_of_vertex[i]:
+        for f in star_a[i]:
             image = [sigma[v] for v in f if v in sigma]
             if len(image) == len(f):
                 if tuple(sorted(image)) not in facets_b:
@@ -723,31 +726,22 @@ def equivalent(a: TopologicalFan, b: TopologicalFan, mode="strict",
                 return False
         return True
 
-    # stack[i - 1] iterates vertex i's candidates; a candidate that passes
-    # ``consistent`` opens the next vertex, an exhausted vertex backtracks
-    stats["nodes"] += 1
-    stack = [iter(allowed[1])] if m else []
-    while stack:
-        i = len(stack)
-        if i in sigma:  # the child of the current candidate failed
-            used.remove(sigma.pop(i))
-        for j in stack[-1]:
+    def candidates(depth):
+        # ``used`` holds j while vertex i keeps it: the kernel resumes this
+        # generator only after unassigning every deeper vertex
+        i = depth + 1
+        for j in allowed[i]:
             if j not in used:
                 sigma[i] = j
-                used.add(j)
                 if consistent(i):
-                    break
-                del sigma[i]
-                used.remove(j)
-        else:
-            stats["backtracks"] += 1
-            stack.pop()
-            continue
-        stats["nodes"] += 1
-        if i == m:
-            break
-        stack.append(iter(allowed[i + 1]))
-    if len(sigma) < m:
+                    used.add(j)
+                    yield j
+                    used.remove(j)
+
+    search = {}
+    found = backtrack(range(1, m + 1), candidates, sigma, search)
+    stats.update(nodes=search["nodes"], backtracks=search["backtracks"])
+    if not found:
         return None
     scalars = None
     if mode == "h":

@@ -18,12 +18,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import product
 from operator import mul
 from typing import Optional
 
 from . import linalg
-from .complexes import SimplicialComplex
+from .complexes import SimplicialComplex, backtrack
 from .fans import Ray, TopologicalFan
 
 
@@ -58,9 +59,6 @@ class SignTable:
 
     def sign(self, facet):
         return self.signs[tuple(sorted(facet))]
-
-    def order(self, facet):
-        return self.ref_orders[tuple(sorted(facet))]
 
     def ascending_sign(self, facet):
         """The sign re-expressed for ascending vertex order."""
@@ -329,7 +327,9 @@ def _plan(complex_, pinned, mode, sign_table):
     """One step per depth; the vertex order never changes during a search.
 
     The order is greedy: next comes the vertex completing the most facets,
-    the smallest index among ties.
+    the smallest index among ties.  A heap holds (-ready, vertex) entries,
+    ready counting the facets the vertex alone leaves open; a count only
+    grows, so an entry whose count has since grown is stale and skipped.
     """
     placed = set(pinned)
     star = {v: [] for v in range(1, complex_.m + 1)}
@@ -337,10 +337,15 @@ def _plan(complex_, pinned, mode, sign_table):
         for v in f:
             star[v].append(f)
     missing = {f: sum(1 for u in f if u not in placed) for f in complex_.facets}
-    remaining = [v for v in range(1, complex_.m + 1) if v not in placed]
+    ready = {v: sum(1 for f in star[v] if missing[f] == 1)
+             for v in range(1, complex_.m + 1) if v not in placed}
+    heap = [(-count, v) for v, count in ready.items()]
+    heapify(heap)
     plan = []
-    while remaining:
-        vertex = max(remaining, key=lambda v: (sum(1 for f in star[v] if missing[f] == 1), -v))
+    while heap:
+        count, vertex = heappop(heap)
+        if -count != ready[vertex]:
+            continue
         completes = []
         mates = set()
         for f in star[vertex]:
@@ -350,17 +355,20 @@ def _plan(complex_, pinned, mode, sign_table):
                 allowed = (sign_table.ascending_sign(f),) if mode == "toric_sign" else (1, -1)
                 completes.append(_Completion(earlier, f.index(vertex), allowed))
             missing[f] -= 1
+            if missing[f] == 1:
+                last = next(u for u in f if u != vertex and u not in placed)
+                ready[last] += 1
+                heappush(heap, (-ready[last], last))
         maximal = sorted(tuple(sorted(s)) for s in mates if not any(s < t for t in mates))
         plan.append(_Step(vertex, tuple(completes), tuple(maximal)))
         placed.add(vertex)
-        remaining.remove(vertex)
     return plan
 
 
 def _search(complex_, n, normalization, mode, bound=None, sign_table=None):
     """The labeling search shared by every mode.
 
-    Pins ``normalization``, walks the plan depth by depth (``_backtrack``)
+    Pins ``normalization``, walks the plan depth by depth (``backtrack``)
     with the mode's candidate generator, counts its work, and re-verifies a
     SAT answer with ``verify_labeling`` before returning it.
     """
@@ -372,10 +380,10 @@ def _search(complex_, n, normalization, mode, bound=None, sign_table=None):
                       for pos, v in enumerate(sorted(normalization))}
         generate = _integer_candidates
     plan = _plan(complex_, assignment, mode, sign_table)
-    stats = {"nodes": 0, "candidates": 0, "backtracks": 0}
+    stats = {}
     vertices = [step.vertex for step in plan]
-    if not _backtrack(vertices, lambda depth: generate(plan[depth], assignment, n, bound),
-                      assignment, stats):
+    if not backtrack(vertices, lambda depth: generate(plan[depth], assignment, n, bound),
+                     assignment, stats):
         if mode == "mod2":
             return Infeasible("exhausted", {"classes": (1 << n) - 1}, stats=stats)
         return Unsat(bound, stats=stats)
@@ -383,37 +391,6 @@ def _search(complex_, n, normalization, mode, bound=None, sign_table=None):
     if not ok:
         raise AssertionError(f"search produced an invalid labeling: {failures}")
     return LabelingSolution(dict(assignment), dets, mode, stats=stats)
-
-
-def _backtrack(vertices, candidates, assignment, stats):
-    """Depth-first search assigning ``vertices`` in order, on an explicit stack.
-
-    ``candidates(depth)`` lists the values for ``vertices[depth]`` given the
-    earlier ones in ``assignment``; it is called each time the search
-    enters that depth, and its values are tried in order.  ``stats``
-    receives the ``nodes`` entered (partial assignments, the empty and a
-    complete one included), the ``candidates`` tried and the
-    ``backtracks`` (depths whose every candidate failed).  Returns True
-    with every vertex assigned, or False with none of them assigned.
-    """
-    stack = []  # the remaining candidates of each depth entered
-    while True:
-        stats["nodes"] += 1
-        if len(stack) == len(vertices):
-            return True
-        stack.append(iter(candidates(len(stack))))
-        while True:
-            vertex = vertices[len(stack) - 1]
-            value = next(stack[-1], None)  # no candidate value is None
-            if value is not None:
-                break
-            assignment.pop(vertex, None)
-            stats["backtracks"] += 1
-            stack.pop()
-            if not stack:
-                return False
-        stats["candidates"] += 1
-        assignment[vertex] = value
 
 
 def _integer_candidates(step, assignment, n, bound):
@@ -495,48 +472,43 @@ def _mod2_candidates(step, assignment, n, bound=None):
 _CLIQUE_NODE_LIMIT = 200000
 
 
-def _degrees(m, edges):
-    """Each vertex's degree in the graph on 1..m with the given edge pairs, in vertex order."""
-    degree = dict.fromkeys(range(1, m + 1), 0)
-    for a, b in edges:
-        degree[a] += 1
-        degree[b] += 1
-    return degree
+def _neighbors(complex_):
+    """Each vertex's set of neighbours in the 1-skeleton."""
+    neighbors = {v: set() for v in range(1, complex_.m + 1)}
+    for a, b in complex_.one_skeleton():
+        neighbors[a].add(b)
+        neighbors[b].add(a)
+    return neighbors
 
 
 def find_clique(complex_, size):
     """A clique of the requested size in the 1-skeleton, or None.
 
-    Branch and bound over vertices sorted by degree; gives up after
-    ``_CLIQUE_NODE_LIMIT`` nodes (callers fall back to the full search then).
+    Branch and bound over vertices sorted by degree, one ``backtrack``
+    depth per member: a depth's candidates are the previous depth's later
+    candidates adjacent to its pick.  Entering a depth with enough of them
+    costs one node; the search gives up after ``_CLIQUE_NODE_LIMIT`` nodes
+    (callers fall back to the full search then).
     """
-    skeleton = complex_.one_skeleton()
-    edges = set(skeleton)
-    vertices = list(range(1, complex_.m + 1))
+    neighbors = _neighbors(complex_)
+    budget = _CLIQUE_NODE_LIMIT
+    # later[d]: depth d + 1's candidates, for depth d's current pick
+    later = {-1: sorted(neighbors, key=lambda v: -len(neighbors[v]))}
+    clique = {}
 
-    def adjacent(a, b):
-        return (min(a, b), max(a, b)) in edges
+    def candidates(depth):
+        nonlocal budget
+        pool = later[depth - 1]
+        if depth + len(pool) < size or budget <= 0:
+            return
+        budget -= 1
+        for idx, v in enumerate(pool):
+            later[depth] = [u for u in pool[idx + 1:] if u in neighbors[v]]
+            yield v
 
-    degree = _degrees(complex_.m, skeleton)
-    vertices.sort(key=lambda v: -degree[v])
-    budget = [_CLIQUE_NODE_LIMIT]
-
-    def extend(clique, candidates):
-        if len(clique) == size:
-            return list(clique)
-        if len(clique) + len(candidates) < size:
-            return None
-        if budget[0] <= 0:
-            return None
-        budget[0] -= 1
-        for idx, v in enumerate(candidates):
-            rest = [u for u in candidates[idx + 1:] if adjacent(u, v)]
-            found = extend(clique + [v], rest)
-            if found:
-                return found
+    if not backtrack(range(size), candidates, clique, {}):
         return None
-
-    return extend([], vertices)
+    return [clique[depth] for depth in range(size)]
 
 
 def mod2_obstruction(complex_, n):
@@ -588,18 +560,14 @@ def realize_2sphere(complex_, positions) -> TopologicalFan:
 
 def _four_coloring(complex_):
     """The first proper 4-coloring of the 1-skeleton, coloring vertices 1..m in order."""
-    neighbors = {v: set() for v in range(1, complex_.m + 1)}
-    for a, b in complex_.one_skeleton():
-        neighbors[a].add(b)
-        neighbors[b].add(a)
+    neighbors = _neighbors(complex_)
     coloring = {}
 
     def colors(depth):
         taken = {coloring.get(u) for u in neighbors[depth + 1]}
         return [color for color in range(4) if color not in taken]
 
-    if not _backtrack(range(1, complex_.m + 1), colors, coloring,
-                      {"nodes": 0, "candidates": 0, "backtracks": 0}):
+    if not backtrack(range(1, complex_.m + 1), colors, coloring, {}):
         raise ValueError("no proper 4-coloring found")
     return coloring
 

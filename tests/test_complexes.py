@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from topfan.complexes import FVector, SimplicialComplex, cyclic_polytope_boundary
+from topfan.complexes import FVector, SimplicialComplex, backtrack, cyclic_polytope_boundary
 from topfan.fixtures import barnette_complex, octahedron_complex
 
 
@@ -186,3 +186,41 @@ def test_barnette_complex_shape():
 def test_json_roundtrip():
     for k in (square(), barnette_complex(), cyclic_polytope_boundary(3, 7)):
         assert SimplicialComplex.from_json(k.to_json()) == k
+
+
+# -- the backtracking kernel -------------------------------------------------------
+
+
+def test_backtrack_on_no_vertices_enters_only_the_root():
+    assignment, stats = {}, {"nodes": 9}
+    assert backtrack([], lambda depth: pytest.fail("there is no depth to enter"), assignment, stats)
+    assert assignment == {}
+    assert stats == {"nodes": 1, "candidates": 0, "backtracks": 0}
+
+
+@pytest.mark.parametrize("total, found", [(6, True), (7, False)])
+def test_backtrack_asks_lazily_and_counts(total, found):
+    """Values 1..2 for x, y, z with x + y + z == total; the last depth filters."""
+    vertices = ["x", "y", "z"]
+    assignment, stats = {}, {}
+    entered = []
+
+    def candidates(depth):
+        # entering a depth, and every resumption, sees the earlier vertices only
+        assert list(assignment) == vertices[:depth]
+        entered.append(tuple(assignment.values()))
+        for value in (1, 2):
+            if depth < 2 or sum(assignment.values()) + value == total:
+                yield value
+                assert list(assignment) == vertices[:depth + 1]
+
+    assert backtrack(vertices, candidates, assignment, stats) is found
+    if found:
+        assert assignment == {"x": 2, "y": 2, "z": 2}
+        # every tried value opens a node; the complete assignment is the last
+        assert entered == [(), (1,), (1, 1), (1, 2), (2,), (2, 1), (2, 2)]
+        assert stats == {"nodes": 8, "candidates": 7, "backtracks": 4}
+    else:
+        assert assignment == {}
+        # an exhausted tree fails at every node, the root included
+        assert stats == {"nodes": 7, "candidates": 6, "backtracks": 7}

@@ -20,7 +20,7 @@ from topfan.fixtures import (
     segment_fan,
 )
 from topfan.realize import product_fan, suspend_fan
-from tests import chart_oracle, cone_oracle, equivalence_oracle
+from tests import chart_oracle, cone_oracle, equivalence_oracle, search_oracle
 from tests.conftest import random_valid_fan
 
 
@@ -841,11 +841,17 @@ def _random_homeo_scalar(rng):
                  Fraction(rng.randint(-3, 3), rng.randint(1, 3)), rng.choice([1, -1]))
 
 
+def _shape(fan):
+    return fan.n, fan.m, sorted(map(len, fan.complex.facets))
+
+
 def test_equivalent_matches_the_all_pairs_oracle(fan_generator):
+    """Also held against the explicit-stack search it replaced: sigma, scalars and stats."""
     from topfan.ring import MU0
 
     rng = random.Random(113)
     outcomes = {mode: set() for mode in ("strict", "d", "h")}
+    exits = set()
     for _ in range(30):
         fan = fan_generator(rng, max_m=8)
         pooled = _pooled(fan, rng)
@@ -855,20 +861,34 @@ def test_equivalent_matches_the_all_pairs_oracle(fan_generator):
             (fan, _relabeled(fan, rng, lambda r: r.right_mul(MU0) if rng.random() < 0.5 else r)),
             (pooled, _relabeled(pooled, rng)),
             (pooled, _relabeled(pooled, rng, lambda r: r.right_mul(MU0))),
+            (pooled, _pooled(fan, rng)),
+            (fan, fan_generator(rng, max_m=8)),
         ]
         if fan.n >= 2:
             targets.append((fan, _moved(_relabeled(fan, rng), rng)))
         for source, target in targets:
             for mode in ("strict", "d", "h"):
-                got = equivalent(source, target, mode)
+                stats, stack_stats = {}, {}
+                got = equivalent(source, target, mode, stats=stats)
+                stack = search_oracle.equivalent(source, target, mode, stats=stack_stats)
                 want = equivalence_oracle.equivalent(source, target, mode)
+                assert stats == stack_stats, (source, target, mode)
                 if want is None:
-                    assert got is None, (source, target, mode)
+                    assert got is None and stack is None, (source, target, mode)
                 else:
                     assert got is not None, (source, target, mode)
-                    assert got.sigma == want.sigma and got.scalars == want.scalars
+                    assert got.sigma == want.sigma == stack.sigma
+                    assert got.scalars == want.scalars == stack.scalars
                 outcomes[mode].add(want is not None)
+                if _shape(source) != _shape(target):
+                    exits.add("size")
+                elif stats["nodes"] == 0:
+                    exits.add("empty bucket")
+                else:
+                    exits.add(("found" if want else "exhausted", stats["backtracks"] > 0))
     assert all(seen == {True, False} for seen in outcomes.values())
+    assert exits == {"size", "empty bucket", ("found", False), ("found", True),
+                     ("exhausted", True)}, exits
 
 
 def test_orbit_key_equality_is_exactly_a_ray_match(fan_generator):
@@ -907,6 +927,10 @@ def test_equivalent_stats_on_a_relabelled_copy():
     assert stats == {"candidates": fan.m, "nodes": fan.m + 1, "backtracks": 0}
 
 
-def test_equivalent_rejects_an_unknown_mode(square_fan):
-    with pytest.raises(ValueError, match="unknown mode 'x'"):
-        equivalent(square_fan, square_fan, "x")
+def test_equivalent_rejects_an_unknown_mode(square_fan, oct_fan):
+    # also when the sizes differ: the mode is checked first
+    assert equivalent(square_fan, oct_fan, "strict") is None
+    for target in (square_fan, oct_fan):
+        with pytest.raises(ValueError, match="unknown mode 'x'"):
+            equivalent(square_fan, target, "x")
+

@@ -2,9 +2,11 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
+from topfan import realize
 from topfan.complexes import SimplicialComplex, cyclic_polytope_boundary
 from topfan.fans import Ray, TopologicalFan
 from topfan.fixtures import (
@@ -29,7 +31,6 @@ from topfan.realize import (
     SignContradiction,
     SignTable,
     Unsat,
-    _degrees,
     barnette_system_exhaustive,
     barnette_toric_certificate,
     derive_sign_table,
@@ -43,6 +44,7 @@ from topfan.realize import (
     verify_barnette_system,
     verify_labeling,
 )
+from tests import search_oracle
 from tests.conftest import random_valid_fan
 
 
@@ -274,15 +276,53 @@ def _seeded_complexes(seed, count):
         yield SimplicialComplex(len(covered), [[relabel[v] for v in f] for f in facets])
 
 
-def test_clique_degrees_match_the_pairwise_count():
-    complexes = [barnette_complex(), cyclic_polytope_boundary(4, 9), *_seeded_complexes(151, 60)]
-    assert any(not k.is_pure() for k in complexes)
-    for k in complexes:
-        edges = set(k.one_skeleton())
-        vertices = range(1, k.m + 1)
-        pairwise = {v: sum(1 for u in vertices if u != v and (min(u, v), max(u, v)) in edges)
-                    for v in vertices}
-        assert list(_degrees(k.m, k.one_skeleton()).items()) == list(pairwise.items())
+def _clique_instances():
+    yield from (barnette_complex(), octahedron_complex(), icosahedron_complex_and_positions()[0])
+    yield from (cyclic_polytope_boundary(n, m) for n, m in ((3, 8), (4, 9), (4, 16), (5, 12)))
+    yield from _seeded_complexes(157, 60)
+    # the complete 4-partite graph on 16 vertices and a 4-simplex: the
+    # simplex comes last in degree order, after more than 100 nodes of 4-cliques
+    parts = [range(1, 5), range(5, 9), range(9, 13), range(13, 17)]
+    edges = [(a, b) for p, q in combinations(parts, 2) for a in p for b in q]
+    yield SimplicialComplex(21, edges + [tuple(range(17, 22))])
+
+
+@pytest.mark.parametrize("limit", [1, 5, 50, None])
+def test_find_clique_matches_its_recursive_search(monkeypatch, limit):
+    """The kernel-run clique search against the recursion it replaced, budget cut-offs included."""
+    if limit is not None:
+        monkeypatch.setattr(realize, "_CLIQUE_NODE_LIMIT", limit)
+    budget = realize._CLIQUE_NODE_LIMIT
+    outcomes = set()
+    for k in _clique_instances():
+        for size in range(2, (1 << (k.dim + 1)) + 2):
+            want = search_oracle.find_clique(k, size, budget)
+            assert find_clique(k, size) == want, (k, size)
+            unlimited = search_oracle.find_clique(k, size, 10 ** 9)
+            outcomes.add((want is not None, unlimited is not None))
+    # none at all, found unless the budget is one node, and none although
+    # one exists exactly when the budget runs out
+    assert (False, False) in outcomes
+    assert ((True, True) in outcomes) == (limit != 1)
+    assert ((False, True) in outcomes) == (limit is not None)
+
+
+def _step_data(step):
+    return (step.vertex, [(c.others, c.position, c.allowed) for c in step.completes], step.mates)
+
+
+def test_plan_matches_the_max_planner():
+    rng = random.Random(163)
+    pure = [k for k in _seeded_complexes(167, 80) if k.is_pure()]
+    instances = [barnette_complex(), octahedron_complex(), cyclic_polytope_boundary(4, 11),
+                 icosahedron_complex_and_positions()[0], square(), *pure]
+    for k in instances:
+        table = SignTable({f: rng.choice((1, -1)) for f in k.facets}, {f: f for f in k.facets})
+        for pinned in {k.facets[0], rng.choice(k.facets)}:
+            for mode in ("unimodular", "toric_sign", "mod2"):
+                got = realize._plan(k, pinned, mode, table)
+                want = search_oracle.plan(k, pinned, mode, table)
+                assert list(map(_step_data, got)) == list(map(_step_data, want)), (k, pinned)
 
 
 def test_octahedron_mod2_feasible():
