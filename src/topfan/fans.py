@@ -125,7 +125,7 @@ class TopologicalFan:
     # Caches of data derived from the (immutable) rays and complex.  One
     # integer wall normal per (part, wall) settles the wall tests; one
     # (det, adjugate) record per (part, top facet), assembled from its wall
-    # normals, is the facet's only factorization: cone location,
+    # normals, is the facet's only factorization: validation, cone location,
     # regularity, orientation weights and the dual bases of the chart tables
     # (filled by ``charts``) all read it.  The graded ring is filled by
     # ``invariants``.  Each lives and dies with its fan.
@@ -162,9 +162,6 @@ class TopologicalFan:
         if self._rvecs is None:
             self._rvecs = tuple(ray.rvec() for ray in self.rays)
         return self._rvecs[i - 1]
-
-    def v_columns(self, indices):
-        return [list(self.ray(i).v) for i in indices]
 
     def _int_b_column(self, i):
         # cone arithmetic is scale-invariant, so integer-primitive b's suffice
@@ -254,6 +251,12 @@ class TopologicalFan:
     def check_fan_condition(self) -> Verdict:
         """Per-facet independence of b's and v's, and proper cone intersections.
 
+        Facets are taken in order, each b-block before its v-block.  A top
+        facet's block is independent when the det of its cached ``(det,
+        adj)`` record (``_adjugate``) is nonzero, the record that cone
+        location, the weights and the charts read as well; facets of any
+        other size are row-reduced (``linalg.independent_rows``).
+
         Once the b-columns of every facet are independent, a fan that passes
         ``check_complete`` certifies its own intersections by a local
         argument, the degree of a multi-fan (Hattori-Masuda, Osaka J. Math.
@@ -298,10 +301,14 @@ class TopologicalFan:
         cones and outside their common face.
         """
         for f in self.complex.facets:
-            if len(linalg.independent_rows(self._int_columns("b", f))[0]) != len(f):
-                return Verdict(False, {"kind": "dependent-b", "facet": list(f)})
-            if len(linalg.independent_rows(self._int_columns("v", f))[0]) != len(f):
-                return Verdict(False, {"kind": "dependent-v", "facet": list(f)})
+            for part in ("b", "v"):
+                if len(f) == self.n:
+                    independent = self._adjugate(part, f)[0] != 0
+                else:
+                    columns = self._int_columns(part, f)
+                    independent = len(linalg.independent_rows(columns)[0]) == len(f)
+                if not independent:
+                    return Verdict(False, {"kind": f"dependent-{part}", "facet": list(f)})
         if self.check_complete().ok:
             return Verdict(True)
         return self._check_facet_pairs()
@@ -447,15 +454,21 @@ class TopologicalFan:
                                   for f in self.complex.facets)
 
     def check_nonsingular(self) -> Verdict:
-        """Every facet's v-columns extend to a Z-basis (subsets inherit)."""
+        """Every facet's v-columns extend to a Z-basis (subsets inherit).
+
+        A top facet's v-block must have det +-1, read from its cached
+        ``(det, adj)`` record (``_adjugate``), whose columns come in sorted
+        facet order.  Facets of any other size need the gcd of their
+        maximal minors to be 1.
+        """
         for f in self.complex.facets:
-            cols = self.v_columns(f)
-            rows = [[cols[j][k] for j in range(len(f))] for k in range(self.n)]
             if len(f) == self.n:
-                d = linalg.int_det(rows)
+                d = self._adjugate("v", f)[0]
                 if abs(d) != 1:
                     return Verdict(False, {"kind": "bad-determinant", "facet": list(f), "det": d})
             else:
+                cols = self._int_columns("v", f)
+                rows = [[col[k] for col in cols] for k in range(self.n)]
                 g = linalg.maximal_minor_gcd(rows, len(f))
                 if g != 1:
                     return Verdict(False, {"kind": "bad-minor-gcd", "facet": list(f), "gcd": g})

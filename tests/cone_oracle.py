@@ -1,4 +1,4 @@
-"""Exponential reference for the cone-pair test, used only by tests.
+"""Slow references for validation, used only by tests.
 
 ``TopologicalFan._cone_pair_witness`` settles a facet pair by one Phase-I
 LP.  This module decides the same pair from the definitions instead: the
@@ -7,12 +7,47 @@ and the pair overlaps improperly exactly when one of that cone's extreme
 rays has support off the common face.  The extreme rays are enumerated
 over a kernel basis, one signed maximal minor per choice of active
 inequalities, in integer arithmetic.
+
+``check_fan_condition`` and ``check_nonsingular`` decide every facet
+without the cached ``(det, adj)`` records: independence by row reduction
+(``linalg.independent_rows``) of both parts, and unimodularity by
+``linalg.int_det`` of each top facet's v-block (``maximal_minor_gcd`` for
+the other facets).
 """
 
 from fractions import Fraction
 from itertools import combinations
 
 from topfan import linalg
+from topfan.fans import Verdict
+
+
+def check_fan_condition(fan):
+    """``TopologicalFan.check_fan_condition`` with every facet row-reduced."""
+    for f in fan.complex.facets:
+        if len(linalg.independent_rows(fan._int_columns("b", f))[0]) != len(f):
+            return Verdict(False, {"kind": "dependent-b", "facet": list(f)})
+        if len(linalg.independent_rows(fan._int_columns("v", f))[0]) != len(f):
+            return Verdict(False, {"kind": "dependent-v", "facet": list(f)})
+    if fan.check_complete().ok:
+        return Verdict(True)
+    return fan._check_facet_pairs()
+
+
+def check_nonsingular(fan):
+    """``TopologicalFan.check_nonsingular`` with one ``int_det`` per top facet."""
+    for f in fan.complex.facets:
+        cols = [list(fan.ray(i).v) for i in f]
+        rows = [[cols[j][k] for j in range(len(f))] for k in range(fan.n)]
+        if len(f) == fan.n:
+            d = linalg.int_det(rows)
+            if abs(d) != 1:
+                return Verdict(False, {"kind": "bad-determinant", "facet": list(f), "det": d})
+        else:
+            g = linalg.maximal_minor_gcd(rows, len(f))
+            if g != 1:
+                return Verdict(False, {"kind": "bad-minor-gcd", "facet": list(f), "gcd": g})
+    return Verdict(True)
 
 
 def kernel_basis(rows):

@@ -102,6 +102,26 @@ def test_loader_failures_exit_2(capsys, tmp_path, case):
         assert out == ""
 
 
+@pytest.mark.parametrize("text", ["0.5", ".5", "1e1000", "1E-3", "1_000", "1/2.0", "1/1e3"])
+def test_rationals_are_integers_or_fractions(capsys, tmp_path, cp2cp2_path, text):
+    """b, c, sphere positions and --dir take an optional sign, digits and
+    optionally "/" and digits: no decimal point, exponent or underscore."""
+    message = f"error: not a rational: {text!r}\n"
+    for part in ("b", "c"):
+        data = cp2cp2_fan().to_json()
+        data["rays"][0][part] = [text, "0"]
+        path = tmp_path / f"bad_{part}.json"
+        path.write_text(json.dumps(data))
+        assert run_cli(capsys, "validate", str(path)) == (2, "", message)
+    data = octahedron_complex().to_json()
+    data["positions"] = [[str(x) for x in p] for p in octahedron_positions()]
+    data["positions"][0][0] = text
+    path = tmp_path / "bad_positions.json"
+    path.write_text(json.dumps(data))
+    assert run_cli(capsys, "realize", str(path), "--mode", "sphere") == (2, "", message)
+    assert run_cli(capsys, "invariants", cp2cp2_path, "--todd", f"--dir={text},1") == (2, "", message)
+
+
 @pytest.mark.parametrize("data, mode", [([1, 2], "mod2")] + [
     ({"m": 0, "facets": []}, mode) for mode in ("mod2", "unimodular", "toric-sign")])
 def test_complex_loader_failure_exits_2(capsys, tmp_path, data, mode):

@@ -198,17 +198,15 @@ def test_completeness_of_fixtures(square_fan, oct_fan):
 
 
 def test_projective_space_of_dimension_16_validates():
-    # the wall normals of dimension 16 are minors, not 2^15-term exterior products
+    # each wall normal of dimension 16 is one elimination, not a 2^15-term exterior product
     assert projective_fan(16).validate().ok
 
 
 def test_nonsingular_square(square_fan):
     assert square_fan.check_nonsingular().ok
     dets = {}
-    from topfan import linalg
-
     for f in square_fan.complex.facets:
-        cols = square_fan.v_columns(f)
+        cols = [square_fan.ray(i).v for i in f]
         dets[f] = linalg.int_det([[cols[j][k] for j in range(2)] for k in range(2)])
     # ascending vertex order; all unimodular, one orientation-reversing pair
     assert dets == {(1, 2): 1, (2, 3): 1, (3, 4): -1, (1, 4): -1}
@@ -685,6 +683,78 @@ def test_certificate_agrees_with_pairwise_scan(monkeypatch):
     assert verdicts == {True, False}
 
 
+def _with_ray(fan, i, b=None, v=None):
+    """fan with ray i's b or v replaced."""
+    rays = list(fan.rays)
+    ray = rays[i - 1]
+    rays[i - 1] = Ray(ray.b if b is None else b, ray.c, ray.v if v is None else v)
+    return TopologicalFan(fan.n, fan.complex, rays)
+
+
+def _broken_facet_cases(fan):
+    """fan with its last facet F made dependent in b, and with v_u of F's last
+    vertex u replaced by k·v_u + v_w for F's first vertex w, which multiplies
+    det V_F by k: dependent in v at k = 0, det +-2 and -3 otherwise."""
+    facet = fan.complex.facets[-1]
+    u, w = facet[-1], facet[0]
+    if u == w:
+        return []
+    cases = [_with_ray(fan, u, b=fan.ray(w).b)]
+    sign = linalg.int_det(list(zip(*(fan.ray(i).v for i in facet))))
+    for k in (0, 2, -2, -3 * sign):
+        v = tuple(k * a + b for a, b in zip(fan.ray(u).v, fan.ray(w).v))
+        if linalg.vec_gcd(v) == 1:
+            cases.append(_with_ray(fan, u, v=v))
+    return cases
+
+
+def _small_validation_cases():
+    """Facets with more than n vertices, smaller facets with a non-unimodular
+    minor gcd, and facet orders that put a bad small facet first or last."""
+    plane = [Ray.from_parts(b, v=v) for b, v in [((1, 0), (1, 0)), ((0, 1), (0, 1)),
+                                                  ((-1, -1), (-1, -1)), ((1, 1), (1, 2)),
+                                                  ((2, 1), (1, 0))]]
+    space = [Ray.from_parts(b, v=v) for b, v in [((1, 0, 0), (1, 2, 1)), ((0, 1, 0), (1, 0, 1)),
+                                                  ((0, 0, 1), (0, 0, 1)), ((-1, -1, -1), (1, 1, 1))]]
+    return [
+        TopologicalFan(2, SimplicialComplex(3, [(1, 2, 3)]), plane[:3]),
+        TopologicalFan(2, SimplicialComplex(4, [(1, 2), (2, 3, 4)]), plane[:4]),
+        TopologicalFan(2, SimplicialComplex(5, [(1, 2), (2, 3), (3, 4, 5)]), plane),
+        TopologicalFan(2, SimplicialComplex(5, [(1, 4), (2, 3, 5)]), plane),
+        TopologicalFan(2, SimplicialComplex(5, [(1, 5), (2, 3, 4)]), plane),
+        TopologicalFan(3, SimplicialComplex(2, [(1, 2)]), space[:2]),
+        TopologicalFan(3, SimplicialComplex(4, [(1, 2), (2, 3, 4)]), space),
+        TopologicalFan(3, SimplicialComplex(4, [(1, 3, 4), (2,)]), space),
+        TopologicalFan(3, SimplicialComplex(4, [(1, 2, 3, 4)]), space),
+    ]
+
+
+def test_validation_reads_the_adjugates_as_the_row_reduction_decides():
+    """Both per-facet verdicts, from the cached (det, adj) records, against
+    row reduction and separate determinants (``cone_oracle``): the same
+    JSON on fixtures, seeded fans and their relatives, broken facets, facets
+    larger or smaller than n, and n = 1 and n = 8.  Each side sees a fresh fan."""
+    fans = [fan for fan, _ in _certificate_cases()]
+    fans += [product_fan(projective_fan(3), projective_fan(3), validate=False), projective_fan(8)]
+    for fan in list(fans):
+        fans += _broken_facet_cases(fan)
+    fans += _small_validation_cases()
+    kinds, dets = set(), set()
+    for fan in fans:
+        for check in ("check_fan_condition", "check_nonsingular"):
+            fresh = TopologicalFan(fan.n, fan.complex, fan.rays)
+            verdict = getattr(fan, check)().to_json()
+            assert verdict == getattr(cone_oracle, check)(fresh).to_json(), (fan, check)
+            if not verdict["ok"]:
+                kinds.add(verdict["witness"]["kind"])
+                dets.add(verdict["witness"].get("det"))
+    assert {"dependent-b", "dependent-v", "cone-overlap", "bad-determinant",
+            "bad-minor-gcd"} <= kinds
+    assert {0, 2, -2, -3} <= dets
+    assert {fan.n for fan in fans} >= {1, 2, 3, 8}
+    assert any(len(f) > fan.n for fan in fans for f in fan.complex.facets)
+
+
 def test_cone_pair_lp_agrees_with_extreme_ray_oracle():
     """Every facet pair, in both orders, gets the enumeration's verdict; each LP
     point is primitive, lies in both cones and outside their common face, and
@@ -746,14 +816,17 @@ def test_complete_fans_solve_no_pair_lp(monkeypatch):
 
 def test_validation_and_todd_call_no_row_reduction(monkeypatch, capsys, tmp_path):
     """Counts, not times: complete fans are validated, and the Todd genus drawn,
-    from the cached facet adjugates; nothing row-reduces, and only the pair
-    scan solves LPs."""
+    from the cached facet adjugates; nothing row-reduces or takes a separate
+    determinant, and only the pair scan solves LPs."""
     reductions = []
-    rref = linalg.rref
-    monkeypatch.setattr(linalg, "rref", lambda *args: reductions.append(args) or rref(*args))
+    for name in ("rref", "independent_rows", "int_det"):
+        original = getattr(linalg, name)
+        monkeypatch.setattr(linalg, name, lambda *args, _name=name, _original=original:
+                            reductions.append(_name) or _original(*args))
     lps = _spy_pair_lps(monkeypatch)
     for fan in [cp2cp2_fan(), barnette_fan(),
-                product_fan(projective_fan(3), projective_fan(3), validate=False)]:
+                product_fan(projective_fan(3), projective_fan(3), validate=False),
+                projective_fan(16)]:
         assert fan.validate().ok
     path = tmp_path / "cp2cp2.json"
     path.write_text(json.dumps(cp2cp2_fan().to_json()))

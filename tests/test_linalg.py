@@ -3,6 +3,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from topfan import linalg
 
 
@@ -13,17 +15,51 @@ def _minor_row(cols, position):
                  for k in range(len(rows)))
 
 
+def _cofactor_cases(rng, n):
+    """n - 1 columns of Z^n: random ones (almost never singular), then a zero
+    column, a repeated column, a column that is the sum of two others, and
+    leading zeros that make the elimination swap rows, at every position."""
+    def column():
+        return [rng.randint(-3, 3) for _ in range(n)]
+
+    yield [column() for _ in range(n - 1)]
+    yield [column() for _ in range(n - 1)]
+    if n < 3:
+        yield [[0] * n]
+        return
+    cols = [column() for _ in range(n - 1)]
+    cols[rng.randrange(n - 1)] = [0] * n
+    yield cols
+    cols = [column() for _ in range(n - 1)]
+    cols[-1] = list(cols[0])
+    yield cols
+    if n > 3:
+        cols = [column() for _ in range(n - 1)]
+        cols[1] = [a + b for a, b in zip(cols[0], cols[-1])]
+        yield cols
+    for zeros in (1, 2, n - 2):
+        cols = [column() for _ in range(n - 1)]
+        for col in cols[:zeros]:
+            col[0] = 0
+        cols[-1][0] = rng.choice([-2, -1, 1, 2])
+        yield cols
+    # the first coordinate vanishes everywhere, so column 0 has no pivot
+    yield [[0] + column()[1:] for _ in range(n - 1)]
+
+
 def test_cofactor_row_matches_the_minors_on_both_paths():
     rng = random.Random(137)
-    for n in range(2, 14):
-        for _ in range(3):
-            cols = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(n - 1)]
+    singular = 0
+    for n in range(2, 17):
+        for cols in _cofactor_cases(rng, n):
             position = rng.randrange(n)
             row = linalg.cofactor_row(cols, position)
             assert row == _minor_row(cols, position), (n, cols, position)
+            singular += not any(row)
             x = [rng.randint(-3, 3) for _ in range(n)]
             block = cols[:position] + [x] + cols[position:]
             assert sum(a * b for a, b in zip(row, x)) == linalg.int_det(list(zip(*block)))
+    assert singular > 40
 
 
 def test_cofactor_row_keeps_no_table_above_the_wedge_limit():
@@ -114,3 +150,16 @@ def test_rref_matches_the_dense_gauss_jordan_reference():
         assert (reduced, pivots) == _dense_rref(rows), rows
         assert all(type(x) is Fraction for row in reduced for x in row), rows
         assert rows == before  # the input is left as it was
+
+
+def test_parse_rational_agrees_with_fraction_on_the_accepted_forms():
+    rng = random.Random(151)
+    for _ in range(300):
+        text = rng.choice(["", "+", "-"]) + str(rng.randint(0, 10 ** rng.randint(1, 30)))
+        if rng.random() < 0.7:
+            text += "/" + str(rng.randint(1, 10 ** rng.randint(1, 30)))
+        text = rng.choice(["", " ", "\t"]) + text + rng.choice(["", " ", "\n"])
+        assert linalg.parse_rational(text) == Fraction(text), text
+    for text in ("0.5", "1e3", "1_000", "", "/2", "1/", "1 / 2", "0x10", "1/-2"):
+        with pytest.raises(ValueError, match="not a rational"):
+            linalg.parse_rational(text)
