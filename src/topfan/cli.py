@@ -62,116 +62,62 @@ def _load_json(path):
 
 
 _encode_str = json.encoder.encode_basestring_ascii
-_INF = float("inf")
 
-
-def _float_text(value):
-    if value != value:
-        return "NaN"
-    if value == _INF:
-        return "Infinity"
-    if value == -_INF:
-        return "-Infinity"
-    return float.__repr__(value)
-
-
-# the JSON text of a scalar by its exact type; other types go to _subclass_text
+# The JSON text of a scalar by its exact type: a subclass is not a scalar here.
+# Floats are rare in the output (one elapsed_ms a report), so json spells them.
 _SCALAR_TEXT = {
     str: _encode_str,
     int: int.__repr__,
     bool: lambda value: "true" if value else "false",
     type(None): lambda value: "null",
-    float: _float_text,
+    float: json.dumps,
 }
 
 
-def _subclass_text(value):
-    """The JSON text of a str, int or float subclass; None for anything else."""
-    if isinstance(value, str):
-        return _encode_str(value)
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return _float_text(value)
-    return None
+def _encode(value, indent):
+    """The JSON text of ``value``, whose line starts with ``indent`` (a newline and spaces).
 
-
-def _scalar_text(value):
-    """The JSON text of a string, number, bool or None; None for anything else."""
-    return _SCALAR_TEXT.get(type(value), _subclass_text)(value)
-
-
-def _key_text(key):
-    """A dict key as a JSON string, coerced as ``json.dumps`` coerces it."""
-    if not isinstance(key, str):
-        text = _scalar_text(key)
-        if text is None:
-            raise TypeError(f"keys must be str, int, float, bool or None, "
-                            f"not {key.__class__.__name__}")
-        key = text
-    return _encode_str(key)
-
-
-def _encode(value, level, levels, parts):
-    """Append the JSON text of a list, tuple or dict at nesting ``level`` to ``parts``.
-
-    ``levels`` holds, per nesting level and shared by all its containers,
-    the newline and indent of the items, the separator between them and the
-    newline and indent of the closing bracket.  A list of scalars is joined
-    in one ``str.join``.
+    ``json.dumps(indent=2)`` runs as pure-Python generators and costs about
+    twice as much; here each container is joined once, its scalar items are
+    looked up in the loop, and only containers recurse.
     """
-    if level == len(levels):
-        inner = "\n" + "  " * (level + 1)
-        levels.append((inner, "," + inner, inner[:-2]))
-    inner, sep, outer = levels[level]
+    inner = indent + "  "
     if isinstance(value, dict):
         if not value:
-            parts.append("{}")
-            return
-        lead = "{" + inner
+            return "{}"
+        items = []
         for key, item in value.items():
-            parts.append(lead + (_encode_str(key) if type(key) is str else _key_text(key)) + ": ")
-            lead = sep
-            text = _SCALAR_TEXT.get(type(item), _subclass_text)(item)
-            if text is None:
-                _encode(item, level + 1, levels, parts)
-            else:
-                parts.append(text)
-        parts.append(outer + "}")
-    elif isinstance(value, (list, tuple)):
+            if type(key) is not str:  # coerced as json.dumps coerces it
+                text = _SCALAR_TEXT.get(type(key))
+                if text is None:
+                    raise TypeError(f"keys must be str, int, float, bool or None, "
+                                    f"not {key.__class__.__name__}")
+                key = text(key)
+            text = _SCALAR_TEXT.get(type(item))
+            item_text = _encode(item, inner) if text is None else text(item)
+            items.append(_encode_str(key) + ": " + item_text)
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(value, (list, tuple)):
         if not value:
-            parts.append("[]")
-            return
-        texts = [_SCALAR_TEXT.get(type(x), _subclass_text)(x) for x in value]
-        if None not in texts:
-            parts.append("[" + inner + sep.join(texts) + outer + "]")
-            return
-        lead = "[" + inner
-        for item, text in zip(value, texts):
-            parts.append(lead)
-            lead = sep
-            if text is None:
-                _encode(item, level + 1, levels, parts)
-            else:
-                parts.append(text)
-        parts.append(outer + "]")
-    else:
+            return "[]"
+        items = []
+        for item in value:
+            text = _SCALAR_TEXT.get(type(item))
+            items.append(_encode(item, inner) if text is None else text(item))
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    text = _SCALAR_TEXT.get(type(value))
+    if text is None:
         raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+    return text(value)
 
 
 def _write_json(data, stream):
-    """The artifact or report as indented JSON and a newline, in one write.
+    """The artifact or report as ``json.dumps(data, indent=2)`` and a newline, in one write.
 
-    The bytes are those of ``json.dumps(data, indent=2)``, whose indented
-    encoder runs as pure-Python generators; a value that cannot be
-    serialized raises that call's ``TypeError`` before anything is written.
+    A subclass of ``str``, ``int`` or ``float`` raises ``TypeError``, as any
+    other value that is not JSON does, before anything is written.
     """
-    text = _scalar_text(data)
-    if text is None:
-        parts = []
-        _encode(data, 0, [], parts)
-        text = "".join(parts)
-    stream.write(text + "\n")
+    stream.write(_encode(data, "\n") + "\n")
 
 
 def _parse(from_json, data):
@@ -197,12 +143,11 @@ class _Report:
         self.data = {"command": command, "inputs": {p: _digest(p) for p in inputs}}
         self.start = time.monotonic()
 
-    def emit(self, result, stream=None, **extra):
-        stream = stream or sys.stdout
+    def emit(self, result, **extra):
         self.data["elapsed_ms"] = round(1000 * (time.monotonic() - self.start), 3)
         self.data.update(extra)
         self.data["result"] = result
-        _write_json(self.data, stream)
+        _write_json(self.data, sys.stdout)
 
 
 def _parse_facet(text):
@@ -226,6 +171,9 @@ def cmd_validate(args):
 
 
 def cmd_invariants(args):
+    selected = args.betti or args.pontrjagin or args.weights or args.todd
+    if args.dir is not None and selected and not args.todd:
+        raise ValueError("--dir applies only to --todd")
     report = _Report("invariants", [args.fan])
     fan = _load_fan(args.fan)
     validation = fan.validate()
@@ -233,7 +181,7 @@ def cmd_invariants(args):
         report.emit({"validation": validation.to_json()})
         return EXIT_NEGATIVE
     out = {}
-    everything = not (args.betti or args.pontrjagin or args.weights or args.todd)
+    everything = not selected
     if args.betti or everything:
         h = betti_numbers(fan)
         out["betti"] = list(h)
@@ -283,11 +231,9 @@ def cmd_equiv(args):
     fan_b = _load_fan(args.fan_b)
     stats = {}
     iso = equivalent(fan_a, fan_b, mode=args.mode, stats=stats)
-    if iso is None:
-        report.emit({"equivalent": False, "mode": args.mode}, stats=stats)
-        return EXIT_NEGATIVE
-    report.emit({"equivalent": True, "mode": args.mode, **iso.to_json()}, stats=stats)
-    return EXIT_OK
+    found = {} if iso is None else iso.to_json()
+    report.emit({"equivalent": iso is not None, "mode": args.mode, **found}, stats=stats)
+    return EXIT_NEGATIVE if iso is None else EXIT_OK
 
 
 def cmd_surgery(args):
@@ -327,19 +273,16 @@ def cmd_realize(args):
     normalization = _parse_facet(args.normalize) if args.normalize is not None else None
     if mode == "mod2":
         result = mod2_obstruction(complex_, complex_.dim + 1)
-        report.emit(result.to_json(), stats=result.stats)
-        return EXIT_OK if isinstance(result, LabelingSolution) else EXIT_NEGATIVE
-    bound = 1 if args.bound is None else args.bound
-    problem = LabelingProblem(complex_, mode, bound=bound, normalization=normalization)
-    result = search_labeling(problem)
-    if isinstance(result, LabelingSolution):
-        payload = result.to_json()
-        if mode == "toric_sign":
-            payload["note"] = "necessary conditions satisfied"
-        report.emit(payload, stats=result.stats)
-        return EXIT_OK
-    report.emit(result.to_json(), stats=result.stats)
-    return EXIT_NEGATIVE
+    else:
+        bound = 1 if args.bound is None else args.bound
+        result = search_labeling(
+            LabelingProblem(complex_, mode, bound=bound, normalization=normalization))
+    solved = isinstance(result, LabelingSolution)
+    payload = result.to_json()
+    if solved and mode == "toric_sign":
+        payload["note"] = "necessary conditions satisfied"
+    report.emit(payload, stats=result.stats)
+    return EXIT_OK if solved else EXIT_NEGATIVE
 
 
 def _fixture_files(name):

@@ -194,14 +194,12 @@ class SimplicialComplex:
     def from_json(data):
         if not isinstance(data, dict):
             raise ValueError(f"a complex must be a JSON object, not {type(data).__name__}")
-        labels = None
-        if "labels" in data and data["labels"]:
-            labels = {int(v): lab for v, lab in data["labels"].items()}
+        m = parse_int(data["m"], "m")
         facets = [[parse_int(v, "facets") for v in f] for f in data["facets"]]
         for f in facets:
             if len(set(f)) != len(f):
                 raise ValueError(f"facet {f} repeats a vertex")
-        return SimplicialComplex(parse_int(data["m"], "m"), facets, labels)
+        return SimplicialComplex(m, facets, _parse_labels(data.get("labels"), m))
 
     def __eq__(self, other):
         return (
@@ -215,6 +213,26 @@ class SimplicialComplex:
 
     def __repr__(self):
         return f"SimplicialComplex(m={self.m}, facets={len(self.facets)}, dim={self.dim})"
+
+
+def _parse_labels(raw, m):
+    """Vertex labels read from JSON: one string each for distinct vertices 1..m."""
+    if not raw:
+        return None
+    labels = {}
+    for key, label in raw.items():
+        try:
+            vertex = int(key) if key.isdecimal() else 0
+        except ValueError:  # more digits than int() converts
+            vertex = 0
+        if not 1 <= vertex <= m:
+            raise ValueError(f"label key {key!r} is not a vertex in 1..{m}")
+        if vertex in labels:
+            raise ValueError(f"label key {key!r} names vertex {vertex} a second time")
+        if not isinstance(label, str):
+            raise ValueError(f"label of vertex {key!r} is not a string: {label!r}")
+        labels[vertex] = label
+    return labels
 
 
 def backtrack(vertices, candidates, assignment, stats):

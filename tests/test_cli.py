@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import enum
 import io
 import json
 import os
@@ -195,6 +196,13 @@ def test_invariants_direction_of_wrong_length_exits_2(capsys, cp2cp2_path, direc
     assert code == 2 and out == ""
     count = len(direction.split(","))
     assert err == f"error: direction has {count} coordinates, the fan has dimension 2\n"
+
+
+@pytest.mark.parametrize("selector", ["--betti", "--pontrjagin", "--weights"])
+def test_invariants_direction_without_todd_exits_2(capsys, cp2cp2_path, selector):
+    code, out, err = run_cli(capsys, "invariants", cp2cp2_path, selector, "--dir", "0,0")
+    assert (code, out) == (2, "")
+    assert err == "error: --dir applies only to --todd\n"
 
 
 def test_todd_in_dimension_zero_exits_2(capsys, tmp_path):
@@ -416,6 +424,36 @@ def test_non_integer_v_entry_or_fan_vertex_exits_2(capsys, tmp_path, mutate, fie
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         assert err == f"error: not an integer in {field}: {value!r}\n"
+
+
+def _labeled_cp2cp2(tmp_path, labels):
+    data = cp2cp2_fan().to_json()
+    data["complex"]["labels"] = labels
+    path = tmp_path / "labeled.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize("labels, message", [
+    ({"0": "x"}, "label key '0' is not a vertex in 1..4"),
+    ({"99": "far"}, "label key '99' is not a vertex in 1..4"),
+    ({"-1": "neg"}, "label key '-1' is not a vertex in 1..4"),
+    ({"one": "x"}, "label key 'one' is not a vertex in 1..4"),
+    ({" 1": "x"}, "label key ' 1' is not a vertex in 1..4"),
+    ({"9" * 5000: "x"}, f"label key '{'9' * 5000}' is not a vertex in 1..4"),
+    ({"1": 5}, "label of vertex '1' is not a string: 5"),
+    ({"1": ["a"]}, "label of vertex '1' is not a string: ['a']"),
+    ({"1": "a", "01": "b"}, "label key '01' names vertex 1 a second time"),
+])
+def test_labels_off_the_vertices_or_not_strings_exit_2(capsys, tmp_path, labels, message):
+    code, out, err = run_cli(capsys, "surgery", _labeled_cp2cp2(tmp_path, labels), "--suspend")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_labels_on_distinct_vertices_pass_through_surgery(capsys, tmp_path):
+    labels = {"1": "a", "4": "d"}
+    code, out, _ = run_cli(capsys, "surgery", _labeled_cp2cp2(tmp_path, labels), "--suspend")
+    assert code == 0 and json.loads(out)["complex"]["labels"] == labels
 
 
 def _octahedron_with_first_vertex(value):
@@ -884,6 +922,33 @@ def test_writer_raises_the_stdlib_type_error_and_writes_nothing(value):
         cli._write_json(value, stream)
     assert str(raised.value) == str(expected.value)
     assert stream.getvalue() == ""
+
+
+class _Color(enum.IntEnum):
+    RED = 1
+
+
+class _Text(str):
+    pass
+
+
+class _Real(float):
+    pass
+
+
+@pytest.mark.parametrize("scalar", [_Text("a"), _Color.RED, _Real(0.5)],
+                         ids=["str", "IntEnum", "float"])
+def test_writer_raises_on_scalar_subclasses_and_writes_nothing(scalar):
+    """json.dumps writes these as their base type; the writer takes scalars by exact type."""
+    name = type(scalar).__name__
+    for value, message in [([1, scalar], f"Object of type {name} is not JSON serializable"),
+                           ({"a": scalar}, f"Object of type {name} is not JSON serializable"),
+                           ({scalar: 1}, f"keys must be str, int, float, bool or None, "
+                                         f"not {name}")]:
+        stream = io.StringIO()
+        with pytest.raises(TypeError, match=re.escape(message)):
+            cli._write_json(value, stream)
+        assert stream.getvalue() == ""
 
 
 def _fixture_argvs(name, directory, written):
