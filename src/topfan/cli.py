@@ -260,9 +260,7 @@ def cmd_realize(args):
     if args.mode == "sphere":
         positions = raw.get("positions")
         if positions is None:
-            print("sphere mode needs a 'positions' field in the complex file",
-                  file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError("sphere mode needs a 'positions' field in the complex file")
         fan = realize_2sphere(complex_, _parse(_parse_positions, positions))
         _write_json(fan.to_json(), sys.stdout)
         return EXIT_OK
@@ -315,11 +313,7 @@ def _fixture_files(name):
 
 
 def cmd_fixtures(args):
-    try:
-        files = _fixture_files(args.name)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
+    files = _fixture_files(args.name)
     os.makedirs(args.dir, exist_ok=True)
     manifest = {}
     for filename, data in files.items():

@@ -216,7 +216,15 @@ class SimplicialComplex:
 
 
 def _parse_labels(raw, m):
-    """Vertex labels read from JSON: one string each for distinct vertices 1..m."""
+    """Vertex labels read from JSON: one string each for distinct vertices 1..m.
+
+    An absent field, ``null`` and ``{}`` mean no labels; any other value that
+    is not an object is a ValueError.
+    """
+    if raw is None:
+        return None
+    if type(raw) is not dict:
+        raise ValueError(f"labels must be an object from vertices to strings, not {raw!r}")
     if not raw:
         return None
     labels = {}

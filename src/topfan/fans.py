@@ -225,7 +225,9 @@ class TopologicalFan:
         adjugates (``_adjugate``).  With b_j = s_j * ``_int_b_column(j)``
         for some s_j > 0, row j of B^-1 is the adjugate's row over
         s_j * det, which is that row dotted with b_j; V^-1 = det V * adj V
-        since det V = +-1.  Raises BSingularError when B is singular and
+        since det V = +-1.  The divisors, V^-1 C and the c-entries are each
+        one ``linalg.rational_dot``: one ``Fraction`` per entry, summed over
+        one denominator.  Raises BSingularError when B is singular and
         VNotUnimodularError when det V != +-1.
         """
         facet = self._top_facet(facet)
@@ -236,14 +238,16 @@ class TopologicalFan:
         if abs(v_det) != 1:
             raise VNotUnimodularError(
                 f"winding parts of rays {facet} have determinant {v_det}, not a Z-basis")
-        divisors = [_dot(row, self.ray(j).b) for row, j in zip(b_adj, facet)]
+        dot = linalg.rational_dot
+        divisors = [dot(row, self.ray(j).b) for row, j in zip(b_adj, facet)]
         b_inv = [[a / d for a in row] for row, d in zip(b_adj, divisors)]
         v_inv = [[v_det * a for a in row] for row in v_adj]
-        vc = [[_dot(row, self.ray(j).c) for j in facet] for row in v_inv]  # V^-1 C
+        neg_v_inv = [[-a for a in row] for row in v_inv]
+        neg_vc = [[dot(row, self.ray(j).c) for j in facet] for row in neg_v_inv]  # -V^-1 C
         b_cols = list(zip(*b_inv))
         return {
-            j: tuple(RElem(b, -_dot(vc_row, col), v) for b, col, v in zip(b_row, b_cols, v_row))
-            for j, b_row, vc_row, v_row in zip(facet, b_inv, vc, v_inv)
+            j: tuple(RElem(b, dot(vc_row, col), v) for b, col, v in zip(b_row, b_cols, v_row))
+            for j, b_row, vc_row, v_row in zip(facet, b_inv, neg_vc, v_inv)
         }
 
     # -- validation ---------------------------------------------------------

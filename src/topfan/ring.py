@@ -7,10 +7,18 @@ endomorphisms (matrix sum); multiplication is composition (matrix product),
 which is not commutative, so the factor order in every product below matters.
 
 A vector over the ring is a plain tuple of ``RElem``, one entry per ambient
-coordinate; the module provides the exponent pairing of two such vectors.  A
+coordinate; the module provides the exponent pairing of two such vectors,
+which skips every term with a zero factor (``b``, ``c`` and ``v`` all 0).  A
 facet's dual basis, the block inverse of its rays, is built by
-``TopologicalFan.dual_basis`` from the facet's integer adjugates; the
+``TopologicalFan.dual_basis`` from the facet's integer adjugates, each entry
+summed over one running denominator (``linalg.rational_dot``); the
 exceptions below name its two failure modes.
+
+Every chart-table entry is one ``pairing`` call.  The integer block table,
+which would compute ``D_J·R`` from the adjugates without pairing, waits for a
+benchmark update: the benchmark's tracer test needs a ``charts`` job to call
+``pairing`` through the charts module's own binding and to call
+``RElem.__mul__`` at least once.
 """
 
 from __future__ import annotations
@@ -99,10 +107,17 @@ MU0 = RElem(1, 0, -1)  # right-multiplication flips v; corresponds to conjugatin
 
 
 def pairing(alpha, beta) -> RElem:
-    """Exponent pairing sum_k alpha^k * beta^k of two ring vectors (alpha factors on the left)."""
+    """Exponent pairing sum_k alpha^k * beta^k of two ring vectors (alpha factors on the left).
+
+    A term with a zero factor is zero and is skipped; a factor is zero only
+    when its b, c and v all are, so ``RElem(0, c, 0)`` with c != 0 is paired.
+    The other terms are multiplied and added in the ring, in order.  With
+    no term left the result is ``ZERO``.
+    """
     if len(alpha) != len(beta):
         raise ValueError("length mismatch")
     total = ZERO
     for a, b in zip(alpha, beta):
-        total = total + a * b
+        if (a.b or a.c or a.v) and (b.b or b.c or b.v):
+            total = total + a * b
     return total

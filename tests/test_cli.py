@@ -450,6 +450,21 @@ def test_labels_off_the_vertices_or_not_strings_exit_2(capsys, tmp_path, labels,
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("labels", [[], 0, "", False, [1], "x", 3])
+def test_labels_that_are_not_an_object_exit_2_naming_the_field(capsys, tmp_path, labels):
+    code, out, err = run_cli(capsys, "validate", _labeled_cp2cp2(tmp_path, labels))
+    assert (code, out) == (2, "")
+    assert err == f"error: labels must be an object from vertices to strings, not {labels!r}\n"
+
+
+@pytest.mark.parametrize("labels", ["absent", None, {}])
+def test_absent_null_or_empty_labels_mean_no_labels(capsys, tmp_path, cp2cp2_path, labels):
+    path = cp2cp2_path if labels == "absent" else _labeled_cp2cp2(tmp_path, labels)
+    code, out, err = run_cli(capsys, "validate", path)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["result"]["ok"]
+
+
 def test_labels_on_distinct_vertices_pass_through_surgery(capsys, tmp_path):
     labels = {"1": "a", "4": "d"}
     code, out, _ = run_cli(capsys, "surgery", _labeled_cp2cp2(tmp_path, labels), "--suspend")
@@ -734,6 +749,19 @@ def test_realize_sphere_malformed_positions_exit_2(capsys, tmp_path, positions):
     code, out, err = run_cli(capsys, "realize", str(path), "--mode", "sphere")
     assert code == 2 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_unknown_fixture_and_sphere_without_positions_exit_2_with_the_error_prefix(
+        capsys, tmp_path):
+    code, out, err = run_cli(capsys, "fixtures", "bogus", "--dir", str(tmp_path))
+    assert (code, out, err) == (2, "", "error: unknown fixture 'bogus'\n")
+    assert os.listdir(tmp_path) == []
+
+    path = tmp_path / "oct.json"
+    path.write_text(json.dumps(octahedron_complex().to_json()))
+    code, out, err = run_cli(capsys, "realize", str(path), "--mode", "sphere")
+    assert (code, out) == (2, "")
+    assert err == "error: sphere mode needs a 'positions' field in the complex file\n"
 
 
 def test_fixtures_roundtrip(capsys, tmp_path):

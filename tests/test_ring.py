@@ -138,6 +138,55 @@ def test_pairing_length_mismatch():
         pairing(_unit(2, 0), _unit(3, 0))
 
 
+def _sparse_entry(rng):
+    """A ring entry whose b, c and v are each zero or not by a random mask of the three.
+
+    So some entries are zero in just one or two of the parts (``RElem(0, c, 0)``
+    and ``RElem(0, c, v)`` are not zero and must be paired), and some in all three.
+    """
+    mask = rng.randrange(8)
+    b = Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 4)) if mask & 1 else Fraction(0)
+    c = Fraction(rng.choice([-2, -1, 1, 3]), rng.randint(1, 4)) if mask & 2 else Fraction(0)
+    v = rng.choice([-2, -1, 1, 3]) if mask & 4 else 0
+    return RElem(b, c, v)
+
+
+def _sparse_vector(rng, n):
+    if rng.random() < 0.15:
+        return (ZERO,) * n
+    return tuple(_sparse_entry(rng) for _ in range(n))
+
+
+def _dense_pairing_matrix(alpha, beta):
+    """sum_k alpha^k * beta^k as a 2x2 matrix, every term multiplied and added."""
+    total = [[Fraction(0), Fraction(0)], [Fraction(0), Fraction(0)]]
+    for a, b in zip(alpha, beta):
+        term = mat_oracle_mul(a, b)
+        total = [[x + y for x, y in zip(r, t)] for r, t in zip(total, term)]
+    return total
+
+
+def test_sparse_pairing_matches_the_dense_sum_on_seeded_sparse_vectors():
+    rng = random.Random(2024)
+    zero_parts = set()
+    for _ in range(3000):
+        n = rng.randint(0, 5)
+        alpha, beta = _sparse_vector(rng, n), _sparse_vector(rng, n)
+        zero_parts.update(tuple(x == 0 for x in (e.b, e.c, e.v)) for e in alpha + beta)
+        assert pairing(alpha, beta).as_matrix() == _dense_pairing_matrix(alpha, beta)
+    assert len(zero_parts) == 8  # every pattern of zero parts was paired
+
+
+def test_an_all_zero_pairing_is_zero_and_serializes_as_zero():
+    rng = random.Random(5)
+    alpha = _sparse_vector(rng, 3)
+    for pair in [((), ()), ((ZERO,) * 3, alpha), (alpha, (ZERO,) * 3),
+                 ((RElem(Fraction(0), Fraction(0), 0),) * 2, (ONE, MU0))]:
+        total = pairing(*pair)
+        assert total == ZERO
+        assert total.to_json() == [0, 1, 0, 1, 0]
+
+
 # vectors of the four-gon example used throughout: (b, v) columns
 _EX_BETAS = {
     1: _rvec((1, 0), (0, 0), (1, 0)),
