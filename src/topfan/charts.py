@@ -197,15 +197,7 @@ class FacePoset:
 
 def orbit_face_poset(fan: TopologicalFan) -> FacePoset:
     fan.require_valid()
-    elements = [()] + list(fan.complex.faces())
-    element_set = set(elements)
-    covers = []
-    for e in elements:
-        if len(e) == 0:
-            continue
-        for drop in e:
-            smaller = tuple(v for v in e if v != drop)
-            if smaller in element_set:
-                covers.append((e, smaller))
-    elements.sort(key=lambda t: (len(t), t))
+    # faces() is sorted by (size, lex); each face's codimension-one subsets are faces
+    elements = [()] + fan.complex.faces()
+    covers = [(e, e[:k] + e[k + 1:]) for e in elements for k in range(len(e))]
     return FacePoset(tuple(elements), tuple(sorted(covers)))

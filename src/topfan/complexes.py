@@ -1,17 +1,20 @@
 """Finite abstract simplicial complexes stored by their maximal faces.
 
-Vertices are the integers 1..m.  Complexes are immutable; face queries
-enumerate subsets of facets on demand, which is plenty at the scales handled
-here (m up to a few dozen).  Sphere-ness is never decided: callers get purity,
+Vertices are the integers 1..m.  Complexes are immutable, so each derives
+its incidence once, on first use: the vertex stars, the wall -> facets map
+and one face index ordered by (size, lexicographic).  Every star, wall and
+face query reads these.  Sphere-ness is never decided: callers get purity,
 Euler characteristic and pseudomanifold checks as sanity gates and otherwise
 trust their fixtures.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, count
+from itertools import chain, combinations, count
 from math import comb
+from types import MappingProxyType
 
 from .linalg import parse_int
 
@@ -19,7 +22,7 @@ from .linalg import parse_int
 class SimplicialComplex:
     """An abstract simplicial complex on the vertex set ``{1, .., m}``."""
 
-    __slots__ = ("m", "facets", "labels")
+    __slots__ = ("m", "facets", "labels", "_stars", "_walls", "_faces")
 
     def __init__(self, m, facets, labels=None):
         facet_set = set()
@@ -47,6 +50,7 @@ class SimplicialComplex:
         self.m = int(m)
         self.facets = tuple(sorted(facet_set))
         self.labels = dict(labels) if labels else None
+        self._stars = self._walls = self._faces = None
 
     # -- basic queries ----------------------------------------------------
 
@@ -58,40 +62,43 @@ class SimplicialComplex:
         size = self.dim + 1
         return all(len(f) == size for f in self.facets)
 
+    def star(self, v):
+        """The facets containing vertex v, in facet order (a tuple); ValueError outside 1..m."""
+        if self._stars is None:
+            stars = {u: [] for u in range(1, self.m + 1)}
+            for f in self.facets:
+                for u in f:
+                    stars[u].append(f)
+            self._stars = {u: tuple(fs) for u, fs in stars.items()}
+        if v not in self._stars:
+            raise ValueError(f"vertex {v} out of range 1..{self.m}")
+        return self._stars[v]
+
+    def _face_index(self):
+        """Every face, the empty one included, as dict keys sorted by (size, lexicographic)."""
+        if self._faces is None:
+            faces = set(chain.from_iterable(combinations(f, k) for f in self.facets
+                                            for k in range(len(f) + 1)))
+            self._faces = dict.fromkeys(sorted(sorted(faces), key=len))
+        return self._faces
+
     def has_face(self, subset):
-        s = set(subset)
-        return any(s <= set(f) for f in self.facets)
+        return tuple(sorted(set(subset))) in self._face_index()
 
     def faces(self):
-        """All nonempty faces, sorted by (size, lexicographic)."""
-        seen = set()
-        for f in self.facets:
-            for k in range(1, len(f) + 1):
-                seen.update(combinations(f, k))
-        return sorted(seen, key=lambda t: (len(t), t))
+        """All nonempty faces, sorted by (size, lexicographic), as a new list."""
+        return list(self._face_index())[1:]
 
     def faces_of_dim(self, k):
-        """All faces with k+1 vertices."""
-        seen = set()
-        for f in self.facets:
-            if len(f) >= k + 1:
-                seen.update(combinations(f, k + 1))
-        return sorted(seen)
+        """All faces with k+1 vertices, as a new list."""
+        return [f for f in self._face_index() if len(f) == k + 1]
 
     def one_skeleton(self):
         """Edge set as sorted pairs."""
         return self.faces_of_dim(1)
 
     def f_vector(self):
-        counts = []
-        k = 0
-        while True:
-            faces = self.faces_of_dim(k)
-            if not faces:
-                break
-            counts.append(len(faces))
-            k += 1
-        return tuple(counts)
+        return tuple(Counter(map(len, self._face_index())).values())[1:]
 
     def euler_characteristic(self):
         return sum((-1) ** k * fk for k, fk in enumerate(self.f_vector()))
@@ -99,12 +106,14 @@ class SimplicialComplex:
     # -- pseudomanifold structure ------------------------------------------
 
     def walls(self):
-        """Map (dim-1)-face -> list of facets containing it (pure complexes)."""
-        out = {}
-        for f in self.facets:
-            for w in combinations(f, len(f) - 1):
-                out.setdefault(w, []).append(f)
-        return out
+        """Read-only map (dim-1)-face -> its facets, in facet order (pure complexes)."""
+        if self._walls is None:
+            walls = {}
+            for f in self.facets:
+                for w in combinations(f, len(f) - 1):
+                    walls.setdefault(w, []).append(f)
+            self._walls = MappingProxyType({w: tuple(fs) for w, fs in walls.items()})
+        return self._walls
 
     def dual_graph_connected(self):
         if not self.facets:
@@ -112,9 +121,7 @@ class SimplicialComplex:
         adjacency = {f: set() for f in self.facets}
         for facets in self.walls().values():
             for a in facets:
-                for b in facets:
-                    if a != b:
-                        adjacency[a].add(b)
+                adjacency[a].update(facets)
         seen = {self.facets[0]}
         stack = [self.facets[0]]
         while stack:
@@ -136,9 +143,7 @@ class SimplicialComplex:
 
     def link(self, v):
         """Link of a vertex, relabeled onto 1..k with original ids as labels."""
-        if not 1 <= v <= self.m:
-            raise ValueError(f"vertex {v} out of range 1..{self.m}")
-        star = [f for f in self.facets if v in f]
+        star = self.star(v)
         old_vertices = sorted({u for f in star for u in f} - {v})
         new_of_old = {old: i + 1 for i, old in enumerate(old_vertices)}
         facets = [tuple(new_of_old[u] for u in f if u != v) for f in star]

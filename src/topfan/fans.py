@@ -34,7 +34,10 @@ class Ray:
                                             for x in self.b))
         object.__setattr__(self, "c", tuple(x if type(x) is Fraction else Fraction(x)
                                             for x in self.c))
-        object.__setattr__(self, "v", tuple(int(x) for x in self.v))
+        v = tuple(self.v)
+        object.__setattr__(self, "v", tuple(map(int, v)))
+        if self.v != v:
+            raise ValueError(f"v = {v} is not integral")
         if not (len(self.b) == len(self.c) == len(self.v)):
             raise ValueError("b, c, v must have equal lengths")
         if all(x == 0 for x in self.b):
@@ -77,11 +80,9 @@ class Ray:
     @staticmethod
     def from_parts(b, c=None, v=None) -> "Ray":
         b = tuple(Fraction(x) for x in b)
-        if v is None:
-            v = tuple(int(x) for x in b)
         if c is None:
-            c = tuple(Fraction(0) for _ in b)
-        return Ray(b, tuple(Fraction(x) for x in c), tuple(int(x) for x in v))
+            c = (0,) * len(b)
+        return Ray(b, c, b if v is None else v)
 
 
 @dataclass
@@ -133,6 +134,8 @@ class TopologicalFan:
                  "_complete", "_report", "_int_b", "_normals", "_adjugates")
 
     def __init__(self, n, complex_: SimplicialComplex, rays):
+        if n < 0:
+            raise ValueError(f"n must be a non-negative integer, not {n}")
         rays = tuple(rays)
         if len(rays) != complex_.m:
             raise ValueError("one ray per vertex is required")
@@ -720,21 +723,13 @@ def equivalent(a: TopologicalFan, b: TopologicalFan, mode="strict",
             return None
 
     facets_b = set(b.complex.facets)
-    star_a = {i: [] for i in range(1, m + 1)}
-    for f in a.complex.facets:
-        for i in f:
-            star_a[i].append(f)
-    star_b = {j: [] for j in range(1, m + 1)}
-    for g in b.complex.facets:
-        face = frozenset(g)
-        for j in g:
-            star_b[j].append(face)
+    star_b = {j: [frozenset(g) for g in b.complex.star(j)] for j in range(1, m + 1)}
     sigma = {}
     used = set()
 
     def consistent(i):
         # every facet through i has a partial image through sigma[i]
-        for f in star_a[i]:
+        for f in a.complex.star(i):
             image = [sigma[v] for v in f if v in sigma]
             if len(image) == len(f):
                 if tuple(sorted(image)) not in facets_b:

@@ -100,7 +100,7 @@ def derive_sign_table(complex_: SimplicialComplex, seed_facet, seed_sign, ref_or
         orders = {f: f for f in facets}
     else:
         orders = {tuple(sorted(o)): tuple(o) for o in ref_orders}
-        if set(orders) != set(facets):
+        if len(orders) != len(ref_orders) or set(orders) != set(facets):
             raise ValueError("reference orders must cover every facet exactly once")
     seed = tuple(sorted(seed_facet))
     if seed not in facets:
@@ -332,12 +332,8 @@ def _plan(complex_, pinned, mode, sign_table):
     grows, so an entry whose count has since grown is stale and skipped.
     """
     placed = set(pinned)
-    star = {v: [] for v in range(1, complex_.m + 1)}
-    for f in complex_.facets:
-        for v in f:
-            star[v].append(f)
     missing = {f: sum(1 for u in f if u not in placed) for f in complex_.facets}
-    ready = {v: sum(1 for f in star[v] if missing[f] == 1)
+    ready = {v: sum(1 for f in complex_.star(v) if missing[f] == 1)
              for v in range(1, complex_.m + 1) if v not in placed}
     heap = [(-count, v) for v, count in ready.items()]
     heapify(heap)
@@ -348,7 +344,7 @@ def _plan(complex_, pinned, mode, sign_table):
             continue
         completes = []
         mates = set()
-        for f in star[vertex]:
+        for f in complex_.star(vertex):
             earlier = tuple(u for u in f if u in placed)
             mates.add(frozenset(earlier))
             if missing[f] == 1:
@@ -473,12 +469,9 @@ _CLIQUE_NODE_LIMIT = 200000
 
 
 def _neighbors(complex_):
-    """Each vertex's set of neighbours in the 1-skeleton."""
-    neighbors = {v: set() for v in range(1, complex_.m + 1)}
-    for a, b in complex_.one_skeleton():
-        neighbors[a].add(b)
-        neighbors[b].add(a)
-    return neighbors
+    """Each vertex's set of neighbours in the 1-skeleton: the other vertices of its star."""
+    return {v: {u for f in complex_.star(v) for u in f if u != v}
+            for v in range(1, complex_.m + 1)}
 
 
 def find_clique(complex_, size):

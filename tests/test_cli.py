@@ -213,6 +213,20 @@ def test_todd_in_dimension_zero_exits_2(capsys, tmp_path):
     assert code == 2 and err.startswith("error:")
 
 
+def test_negative_dimension_exits_2(capsys, tmp_path, cp2cp2_path):
+    """A negative n is refused by the fan constructor, so no command gets a verdict from it."""
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps({"n": -1, "complex": {"m": 0, "facets": []}, "rays": []}))
+    with pytest.raises(ValueError, match=r"^n must be a non-negative integer, not -1$"):
+        TopologicalFan(-1, SimplicialComplex(0, []), [])
+    message = "error: n must be a non-negative integer, not -1\n"
+    for argv in (["validate", str(path)], ["invariants", str(path)], ["charts", str(path)],
+                 ["equiv", str(path), cp2cp2_path], ["equiv", cp2cp2_path, str(path)],
+                 ["surgery", str(path), "--suspend"],
+                 ["surgery", cp2cp2_path, "--product", str(path)]):
+        assert run_cli(capsys, *argv) == (2, "", message), argv
+
+
 def test_charts_report(capsys, cp2cp2_path):
     code, out, _ = run_cli(
         capsys, "charts", cp2cp2_path, "--kernel", "1,2", "--cocycle", "--faceposet"

@@ -1,12 +1,29 @@
 """Simplicial complex surgeries and counting, with brute-force oracles."""
 
+import random
+from collections import Counter
 from itertools import combinations
 from math import comb
 
 import pytest
 
+from topfan import charts, realize
 from topfan.complexes import FVector, SimplicialComplex, backtrack, cyclic_polytope_boundary
-from topfan.fixtures import barnette_complex, octahedron_complex
+from topfan.fixtures import (
+    barnette_complex,
+    barnette_fan,
+    cp2cp2_fan,
+    icosahedron_complex_and_positions,
+    octahedron_complex,
+    octahedron_fan,
+    octahedron_positions,
+    projective_fan,
+    segment_fan,
+    tetrahedron_complex,
+)
+from topfan.invariants import minimal_non_faces
+from tests import complex_oracle
+from tests.conftest import random_valid_fan
 
 
 def square():
@@ -224,3 +241,135 @@ def test_backtrack_asks_lazily_and_counts(total, found):
         assert assignment == {}
         # an exhausted tree fails at every node, the root included
         assert stats == {"nodes": 7, "candidates": 6, "backtracks": 7}
+
+
+# -- the incidence index against the per-call derivations ---------------------------
+
+
+def _random_complex(rng, pure):
+    """Maximal random subsets of a few vertices, renamed onto 1..m."""
+    size = rng.randint(1, 4)
+    pool = range(1, rng.randint(size, 8) + 1)
+    drawn = {tuple(sorted(rng.sample(pool, size if pure else rng.randint(1, size))))
+             for _ in range(rng.randint(1, 10))}
+    maximal = [f for f in drawn if not any(set(f) < set(g) for g in drawn)]
+    used = sorted({v for f in maximal for v in f})
+    rename = {v: i + 1 for i, v in enumerate(used)}
+    return SimplicialComplex(len(used), [[rename[v] for v in f] for f in maximal])
+
+
+def _disjoint_union(a, b):
+    return SimplicialComplex(a.m + b.m, list(a.facets) + [[v + a.m for v in f] for f in b.facets])
+
+
+def _index_cases():
+    """Seeded pure, non-pure and disconnected complexes, the empty one and the fixtures."""
+    cases = {"empty": SimplicialComplex(0, [])}
+    for seed in range(25):
+        rng = random.Random(seed)
+        cases[f"pure-{seed}"] = _random_complex(rng, pure=True)
+        cases[f"non-pure-{seed}"] = _random_complex(rng, pure=False)
+        cases[f"disconnected-{seed}"] = _disjoint_union(
+            _random_complex(rng, pure=rng.random() < 0.5), _random_complex(rng, pure=False))
+    cases.update({
+        "barnette": barnette_complex(),
+        "octahedron": octahedron_complex(),
+        "tetrahedron": tetrahedron_complex(),
+        "icosahedron": icosahedron_complex_and_positions()[0],
+        "cyclic-4-8": cyclic_polytope_boundary(4, 8),
+        "cp2cp2": cp2cp2_fan().complex,
+        "projective-3": projective_fan(3).complex,
+        "segment": segment_fan().complex,
+        "labeled": SimplicialComplex(4, [(1, 2, 3), (3, 4)], {1: "a", 3: "c", 4: "d"}),
+    })
+    return cases
+
+
+def _link_or_error(link, *args):
+    try:
+        out = link(*args)
+    except ValueError as exc:
+        return str(exc)
+    return out.m, out.facets, out.labels
+
+
+@pytest.mark.parametrize("name", sorted(_index_cases()))
+def test_incidence_index_agrees_with_the_per_call_derivations(name):
+    k = _index_cases()[name]
+    walls = complex_oracle.walls(k)
+    # values and order: walls in insertion order, stars in facet order, faces by (size, lex)
+    assert list(k.walls().items()) == [(w, tuple(fs)) for w, fs in walls.items()]
+    assert {v: list(k.star(v)) for v in range(1, k.m + 1)} == complex_oracle.plan_stars(k)
+    assert ({j: [frozenset(g) for g in k.star(j)] for j in range(1, k.m + 1)}
+            == complex_oracle.target_stars(k))
+    assert realize._neighbors(k) == complex_oracle.neighbors(k)
+    assert k.faces() == complex_oracle.faces(k)
+    for d in range(-1, k.dim + 3):
+        assert k.faces_of_dim(d) == complex_oracle.faces_of_dim(k, d)
+    assert k.one_skeleton() == complex_oracle.faces_of_dim(k, 1)
+    assert k.f_vector() == complex_oracle.f_vector(k)
+    # vertices 0 and m + 1 lie outside 1..m; the empty subset is a face of a nonempty complex
+    for size in range(4):
+        for subset in combinations(range(k.m + 2), size):
+            assert k.has_face(subset) == complex_oracle.has_face(k, subset), subset
+    assert k.has_face(()) is complex_oracle.has_face(k, ()) is bool(k.facets)
+    assert k.has_face((1, 1)) == complex_oracle.has_face(k, (1, 1))
+    assert minimal_non_faces(k) == complex_oracle.minimal_non_faces(k)
+    for v in range(1, k.m + 1):
+        # the link of a vertex that is a facet has an empty facet: both raise
+        assert _link_or_error(k.link, v) == _link_or_error(complex_oracle.link, k, v)
+    for v in (0, k.m + 1):
+        with pytest.raises(ValueError, match=rf"^vertex {v} out of range 1\.\.{k.m}$"):
+            k.link(v)
+        with pytest.raises(ValueError, match=rf"^vertex {v} out of range 1\.\.{k.m}$"):
+            k.star(v)
+
+
+def test_face_poset_agrees_with_the_per_call_derivation():
+    fans = [cp2cp2_fan(), octahedron_fan(), barnette_fan(), projective_fan(3), segment_fan()]
+    fans += [random_valid_fan(random.Random(seed)) for seed in range(20)]
+    for fan in fans:
+        assert charts.orbit_face_poset(fan) == complex_oracle.orbit_face_poset(fan.complex)
+
+
+def test_returned_incidence_cannot_change_the_index():
+    k = barnette_complex()
+    faces, edges, walls = k.faces(), k.one_skeleton(), dict(k.walls())
+    for got in (k.faces(), k.faces_of_dim(1), k.one_skeleton()):
+        got.clear()
+    view = k.walls()
+    with pytest.raises(TypeError):
+        view[(1, 2, 3)] = ()
+    with pytest.raises(TypeError):
+        del view[next(iter(view))]
+    assert all(type(fs) is tuple for fs in view.values())
+    assert type(k.star(1)) is tuple
+    assert k.faces() == faces and k.one_skeleton() == edges and k.walls() == walls
+    assert k.f_vector() == (8, 27, 38, 19)
+
+
+def test_walls_are_built_once_per_complex(monkeypatch):
+    """One walls build per complex, however often validation and the sign
+    and sphere routines read the walls (directly and for the dual graph)."""
+    slot = SimplicialComplex.__dict__["_walls"]
+    builds = Counter()
+
+    class Spy:
+        def __get__(self, obj, owner=None):
+            return slot.__get__(obj, owner)
+
+        def __set__(self, obj, value):
+            if value is not None:
+                builds[id(obj)] += 1
+            slot.__set__(obj, value)
+
+    monkeypatch.setattr(SimplicialComplex, "_walls", Spy())
+    fans = [cp2cp2_fan(), octahedron_fan(), barnette_fan(), projective_fan(3)]
+    for fan in fans:
+        assert fan.validate().ok
+        assert fan.complex.is_pseudomanifold()
+        realize.derive_sign_table(fan.complex, fan.complex.facets[0], 1)
+        assert builds[id(fan.complex)] == 1
+    sphere = realize.realize_2sphere(octahedron_complex(), octahedron_positions())
+    assert builds[id(sphere.complex)] == 1
+    assert len(builds) == len(fans) + 1

@@ -50,6 +50,20 @@ def test_ray_invariants():
         Ray((Fraction(1),), (Fraction(0), Fraction(0)), (1, 0))
 
 
+@pytest.mark.parametrize("v", [(1.7, 1), (Fraction(3, 2), 1), (1, 0.5)])
+def test_ray_rejects_a_non_integral_v(v):
+    with pytest.raises(ValueError, match=r"^v = .* is not integral$"):
+        Ray((1, 2), (0, 0), v)
+
+
+def test_ray_from_parts_keeps_v_exact():
+    # v defaults to b, which must then be integral itself
+    with pytest.raises(ValueError, match=r"^v = .* is not integral$"):
+        Ray.from_parts((Fraction(1, 2), 1))
+    assert Ray.from_parts((Fraction(2), 1)).v == (2, 1)
+    assert Ray((1, 2), (0, 0), (Fraction(4, 2), 1.0)).v == (2, 1)
+
+
 def test_square_fan_validates(square_fan):
     report = square_fan.validate()
     assert report.ok

@@ -126,6 +126,14 @@ def test_sign_table_requires_cover():
         derive_sign_table(square(), (1, 2), 1, ref_orders=[(1, 2)])
 
 
+def test_sign_table_rejects_a_facet_ordered_twice():
+    orders = [(1, 2), (2, 1), (2, 3), (3, 4), (1, 4)]
+    with pytest.raises(ValueError, match="must cover every facet exactly once"):
+        derive_sign_table(square(), (1, 2), 1, ref_orders=orders)
+    # each facet once, in any vertex order, is accepted
+    assert derive_sign_table(square(), (1, 2), 1, ref_orders=orders[1:]).sign((1, 2)) == 1
+
+
 # -- labeling searches -------------------------------------------------------------
 
 
