@@ -14,6 +14,7 @@ import functools
 import hashlib
 import json
 import os
+import re
 import sys
 import time
 from fractions import Fraction
@@ -150,7 +151,14 @@ class _Report:
         _write_json(self.data, sys.stdout)
 
 
-def _parse_facet(text):
+# vertex numbers in ASCII digits, comma-separated: ``int`` alone would also
+# take signs, spaces, "_" and other scripts' digits
+_FACET = re.compile(r"[0-9]+(?:,[0-9]+)*")
+
+
+def _parse_facet(option, text):
+    if not _FACET.fullmatch(text):
+        raise ValueError(f"{option} takes comma-separated vertex numbers, not {text!r}")
     return tuple(sorted(int(x) for x in text.split(",")))
 
 
@@ -206,7 +214,7 @@ def cmd_charts(args):
         return EXIT_NEGATIVE
     out = {}
     if args.kernel is not None:
-        facet = _parse_facet(args.kernel)
+        facet = _parse_facet("--kernel", args.kernel)
         out["kernel"] = kernel_presentation(fan, facet).to_json()
     if args.transitions:
         facets = [f for f in fan.complex.facets if len(f) == fan.n]
@@ -239,7 +247,7 @@ def cmd_equiv(args):
 def cmd_surgery(args):
     fan = _load_fan(args.fan)
     if args.stellar is not None:
-        out = stellar_subdivide_fan(fan, _parse_facet(args.stellar))
+        out = stellar_subdivide_fan(fan, _parse_facet("--stellar", args.stellar))
     elif args.suspend:
         out = suspend_fan(fan)
     else:
@@ -268,7 +276,9 @@ def cmd_realize(args):
     if not complex_.facets:
         raise ValueError("the complex has no facets")
     mode = args.mode.replace("-", "_")
-    normalization = _parse_facet(args.normalize) if args.normalize is not None else None
+    normalization = None
+    if args.normalize is not None:
+        normalization = _parse_facet("--normalize", args.normalize)
     if mode == "mod2":
         result = mod2_obstruction(complex_, complex_.dim + 1)
     else:

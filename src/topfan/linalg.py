@@ -191,28 +191,46 @@ def cofactor_row(cols, position):
 
 
 def independent_rows(rows):
-    """Indices of a maximal independent subset of integer rows, and pivot columns.
+    """A maximal independent subset of integer rows, its pivots, and the other rows' relations.
 
     Fraction-free elimination in list order: each row is reduced by cross
     multiplication against the rows kept before it, and kept when something
     is left; its pivot is its first nonzero column then.  The kept rows
     restricted to the pivot columns form a nonsingular square block, since
     their reductions are triangular there.
+
+    Returns ``(chosen, pivots, relations)``.  Each row carries the integer
+    combination of ``rows`` it amounts to through its reductions, so a row
+    reduced to zero yields ``(i, scale, coefficients)``: ``scale > 0`` times
+    ``rows[i]`` equals the sum of ``coefficients[k]`` times
+    ``rows[chosen[k]]``, with no common factor left.  There is one relation
+    per row not chosen, in order.
     """
-    chosen, pivots, echelon = [], [], []
+    chosen, pivots, echelon, reduced = [], [], [], []
+    width = len(rows[0]) if rows else 0
+    zeros = [0] * len(rows)
     for i, row in enumerate(rows):
-        if len(pivots) == len(row):
-            break
+        # the row, then its combination of ``rows``: reductions act on both
+        row = [*row, *zeros]
+        row[width + i] = 1
         for p, e in zip(pivots, echelon):
             c = row[p]
             if c:
-                row = [e[p] * a - c * b for a, b in zip(row, e)]
-        lead = next((j for j, a in enumerate(row) if a), None)
-        if lead is not None:
+                a = e[p]
+                row = [a * x - c * y for x, y in zip(row, e)]
+        lead = next((j for j in range(width) if row[j]), None)
+        if lead is None:
+            reduced.append((i, row[width:]))
+        else:
             chosen.append(i)
             pivots.append(lead)
             echelon.append(row)
-    return chosen, pivots
+    relations = []
+    for i, combination in reduced:
+        own, coefficients = combination[i], [-combination[k] for k in chosen]
+        g = gcd(own, *coefficients) * (1 if own > 0 else -1)
+        relations.append((i, own // g, [c // g for c in coefficients]))
+    return chosen, pivots, relations
 
 
 def nonneg_solution(rows, rhs):
@@ -310,8 +328,9 @@ def clear_denominators(vec):
 
 
 # an optional sign and digits, optionally "/" and digits, with the surrounding
-# whitespace that ``Fraction`` strips; no decimal point, exponent or "_"
-_RATIONAL = re.compile(r"\s*([-+]?\d+)(?:/(\d+))?\s*")
+# whitespace that ``Fraction`` strips; no decimal point, exponent or "_", and
+# ASCII digits only (``\d`` and ``Fraction`` take every script's)
+_RATIONAL = re.compile(r"\s*([-+]?[0-9]+)(?:/([0-9]+))?\s*")
 
 
 def parse_rational(value):

@@ -292,11 +292,13 @@ def search_labeling(problem: LabelingProblem):
 
 
 # Linear forms kept per completed facet and search.  A form depends only on
-# the labels of the facet's other vertices, and different branches reach the
-# same labels: about 60 % of the label-search benchmark's lookups hit, and it
-# runs about 9 % faster with the cache.  The cap bounds a long search's
-# memory (Barnette's toric-sign search at bound 5 fills it: 4 MB with the
-# cap, 8 MB without); the benchmark's searches stay below 1,000 per facet.
+# the labels of the facet's other vertices, and different branches and the
+# probes reach the same labels: 63 % of the lookups in the label-search
+# benchmark's realize jobs hit (seeds 3 and 5), and those jobs run about
+# 16 % faster with the cache (the best of 7 rounds, 2-vCPU host).  The cap
+# bounds a long search's memory: Barnette's toric-sign search at bound 5
+# fills it (5,973 forms on its fullest facet without the cap; a traced peak
+# of 3.1 MB with the cap, 3.5 MB without).
 _FORMS_PER_FACET = 4096
 
 
@@ -315,12 +317,13 @@ class _Completion:
 class _Step:
     """One depth of the search: its vertex and the facets that constrain it."""
 
-    __slots__ = ("vertex", "completes", "mates")
+    __slots__ = ("vertex", "completes", "mates", "probes")
 
     def __init__(self, vertex, completes, mates):
         self.vertex = vertex
         self.completes = completes  # a _Completion per facet the vertex completes
         self.mates = mates  # the vertex's facets' members assigned earlier (maximal sets)
+        self.probes = ()  # later vertices' known facets, solved once this vertex is placed
 
 
 def _plan(complex_, pinned, mode, sign_table):
@@ -330,6 +333,16 @@ def _plan(complex_, pinned, mode, sign_table):
     the smallest index among ties.  A heap holds (-ready, vertex) entries,
     ready counting the facets the vertex alone leaves open; a count only
     grows, so an entry whose count has since grown is stale and skipped.
+
+    In the integer modes each step also gets its probes (forward checking,
+    Haralick and Elliott, Artificial Intelligence 14, 1980).  A later
+    step's known facets at this depth are those whose other vertices are
+    all placed once this step's vertex is.  When they number two or more
+    and one of them has just become known, a probe, a ``_Step`` of the
+    later vertex with those facets' ``_Completion`` objects (and so their
+    form cache), joins this step's probes, in plan order.  Its system stays
+    fixed until the search backtracks past this step, so a candidate that
+    leaves it no box point extends to no labeling and is dropped at once.
     """
     placed = set(pinned)
     missing = {f: sum(1 for u in f if u not in placed) for f in complex_.facets}
@@ -358,6 +371,16 @@ def _plan(complex_, pinned, mode, sign_table):
         maximal = sorted(tuple(sorted(s)) for s in mates if not any(s < t for t in mates))
         plan.append(_Step(vertex, tuple(completes), tuple(maximal)))
         placed.add(vertex)
+    if mode != "mod2":
+        depth = {step.vertex: d for d, step in enumerate(plan)}
+        for step in plan:
+            # each facet is known from the depth that places its last other vertex
+            known = [max((depth[u] for u in c.others if u in depth), default=-1)
+                     for c in step.completes]
+            for d in sorted(set(known) - {-1}):
+                part = tuple(c for c, at in zip(step.completes, known) if at <= d)
+                if len(part) >= 2:
+                    plan[d].probes += (_Step(step.vertex, part, ()),)
     return plan
 
 
@@ -366,20 +389,27 @@ def _search(complex_, n, normalization, mode, bound=None, sign_table=None):
 
     Pins ``normalization``, walks the plan depth by depth (``backtrack``)
     with the mode's candidate generator, counts its work, and re-verifies a
-    SAT answer with ``verify_labeling`` before returning it.
+    SAT answer with ``verify_labeling`` before returning it.  An integer
+    search passes each depth's candidates through its probes and also
+    counts the ``probes`` solved and the candidates they ``pruned``.
     """
     if mode == "mod2":
         assignment = {v: 1 << pos for pos, v in enumerate(sorted(normalization))}
-        generate = _mod2_candidates
+        generate, stats = _mod2_candidates, {}
     else:
         assignment = {v: tuple(1 if k == pos else 0 for k in range(n))
                       for pos, v in enumerate(sorted(normalization))}
         generate = _integer_candidates
+        stats = {"nodes": 0, "candidates": 0, "backtracks": 0, "probes": 0, "pruned": 0}
     plan = _plan(complex_, assignment, mode, sign_table)
-    stats = {}
+
+    def candidates(depth):
+        step = plan[depth]
+        values = generate(step, assignment, n, bound)
+        return _probed(step, values, assignment, n, bound, stats) if step.probes else values
+
     vertices = [step.vertex for step in plan]
-    if not backtrack(vertices, lambda depth: generate(plan[depth], assignment, n, bound),
-                     assignment, stats):
+    if not backtrack(vertices, candidates, assignment, stats):
         if mode == "mod2":
             return Infeasible("exhausted", {"classes": (1 << n) - 1}, stats=stats)
         return Unsat(bound, stats=stats)
@@ -390,20 +420,39 @@ def _search(complex_, n, normalization, mode, bound=None, sign_table=None):
 
 
 def _integer_candidates(step, assignment, n, bound):
-    """Vectors x with |x_i| <= bound giving each completed facet an allowed determinant.
+    """The vectors x with |x_i| <= bound giving each facet of ``step`` an allowed determinant.
+
+    Sorted ascending; ``_box_points`` finds them.
+    """
+    return sorted(_box_points(step, assignment, n, bound))
+
+
+def _has_candidate(step, assignment, n, bound):
+    """Whether ``step`` has a candidate; stops at the first one found."""
+    return next(_box_points(step, assignment, n, bound), None) is not None
+
+
+def _box_points(step, assignment, n, bound):
+    """The candidates of ``step`` in the box, unsorted, one at a time.
 
     Each completed facet's determinant is the linear form ``cofactor_row``
-    of its other columns.  One nonsingular r x r block A of r independent
-    forms, on pivot coordinates P, is factored once as its determinant D and
-    adjugate.  For targets t of those forms and free coordinates y in the
-    box, ``D·x_P = adj·t - adj·B·y`` (B: the forms' free columns), which must
-    divide by D and stay in the bound; each dependent form is then checked
-    by one dot product.  Sorted ascending.  A form equal to ±1 makes x
-    primitive, so only the unconstrained box needs filtering.
+    of its other columns.  ``independent_rows`` picks r independent forms
+    and writes each other form as a rational combination of them, so the
+    targets t of the r forms fix every dependent form's value: t is kept
+    only when each of those values is an integer the facet allows.  None
+    kept means no candidate, found before anything is factored (in a
+    search that fails, most systems end here).  Otherwise one nonsingular
+    r x r block A of the r forms, on pivot coordinates P, is factored once
+    as its determinant D and adjugate.  For kept targets t and free
+    coordinates y in the box, ``D·x_P = adj·t - adj·B·y`` (B: the forms'
+    free columns), which must divide by D and stay in the bound; the
+    dependent forms then hold by their relations.  A form equal to ±1
+    makes x primitive, so only the unconstrained box needs filtering.
     """
     span = range(-bound, bound + 1)
     if not step.completes:
-        return [x for x in product(span, repeat=n) if any(x) and linalg.vec_gcd(x) == 1]
+        yield from (x for x in product(span, repeat=n) if any(x) and linalg.vec_gcd(x) == 1)
+        return
     forms = []
     for c in step.completes:
         labels = tuple(assignment[u] for u in c.others)
@@ -413,20 +462,22 @@ def _integer_candidates(step, assignment, n, bound):
             if len(c.forms) < _FORMS_PER_FACET:
                 c.forms[labels] = form
         forms.append(form)
-    chosen, pivots = linalg.independent_rows(forms)
-    if not chosen:
-        return []  # every form vanishes, and no allowed determinant is 0
-    dependent = [(forms[i], c.allowed) for i, c in enumerate(step.completes)
-                 if i not in chosen]
+    chosen, pivots, relations = linalg.independent_rows(forms)
+    completes = step.completes
+    targets = list(product(*(completes[i].allowed for i in chosen)))
+    for i, scale, coefs in relations:
+        # the form's value coefs·t / scale must be an allowed integer
+        scaled = {scale * a for a in completes[i].allowed}
+        targets = [t for t in targets if sum(map(mul, coefs, t)) in scaled]
+    if not targets:
+        return  # with no form chosen, every form vanishes, and 0 is never allowed
     free = [j for j in range(n) if j not in pivots]
     kept = [forms[i] for i in chosen]
     cols = tuple(tuple(f[p] for f in kept) for p in pivots)  # the columns of A
     adj = [linalg.cofactor_row(cols[:k] + cols[k + 1:], k) for k in range(len(cols))]
     det = sum(map(mul, adj[0], cols[0]))
     shift = [[sum(map(mul, row, [f[j] for f in kept])) for j in free] for row in adj]
-    tops = [[sum(map(mul, row, t)) for row in adj]
-            for t in product(*(step.completes[i].allowed for i in chosen))]
-    out = []
+    tops = [[sum(map(mul, row, t)) for row in adj] for t in targets]
     x = [0] * n
     for y in product(span, repeat=len(free)):
         for j, value in zip(free, y):
@@ -439,10 +490,20 @@ def _integer_candidates(step, assignment, n, bound):
                     break
                 x[p] = num // det
             else:
-                if all(sum(map(mul, form, x)) in allowed for form, allowed in dependent):
-                    out.append(tuple(x))
-    out.sort()
-    return out
+                yield tuple(x)
+
+
+def _probed(step, values, assignment, n, bound, stats):
+    """The ``values`` of ``step``, in order, that leave each of its probes a box point."""
+    for x in values:
+        assignment[step.vertex] = x
+        for probe in step.probes:
+            stats["probes"] += 1
+            if not _has_candidate(probe, assignment, n, bound):
+                stats["pruned"] += 1
+                break
+        else:
+            yield x
 
 
 def _mod2_candidates(step, assignment, n, bound=None):

@@ -7,7 +7,8 @@ data from the definitions instead: the facets a vertex completes by scanning
 every facet, each linear form from n determinants with a unit column, and
 the box points by one ``Fraction`` row reduction per combination of target
 determinants.  It also keeps a complete backtracking search of its own for
-each mode, so whole-search verdicts and first solutions can be compared.
+each mode, so whole-search verdicts, first solutions and search counts can
+be compared, with the kernel's forward checking or without it.
 """
 
 from fractions import Fraction
@@ -120,12 +121,34 @@ def effective_sign_table(complex_, normalization, sign_table=None):
     return sign_table
 
 
-def search(complex_, mode, bound=1, normalization=None, sign_table=None, memo=None):
+def probed_vertices(complex_, order, idx, assigned):
+    """The later vertices an integer search probes once ``order[idx]`` is placed.
+
+    Those whose facets with every other vertex in ``assigned`` (the facets
+    known so far) number two or more, one of them through ``order[idx]``;
+    in the order's order.
+    """
+    vertex = order[idx]
+    out = []
+    for w in order[idx + 1:]:
+        known = completed_facets(complex_, w, assigned)
+        if len(known) >= 2 and any(vertex in f for f in known):
+            out.append(w)
+    return out
+
+
+def search(complex_, mode, bound=1, normalization=None, sign_table=None, memo=None,
+           prune=True, stats=None):
     """The whole search from the definitions; the same verdicts as ``search_labeling``.
 
     ``memo`` maps ``(vertex, sorted assignment items)`` to this module's
     candidate list there; pass a dict filled from the same complex, mode,
-    bound and sign table to skip recomputing nodes already seen.
+    bound and sign table to skip recomputing nodes already seen.  With
+    ``prune`` an integer search drops each candidate that leaves a probed
+    vertex (``probed_vertices``) no candidate among its known facets, as
+    the kernel does; without it every candidate opens a node.  ``stats``
+    receives the kernel's counts: ``nodes``, ``candidates`` and
+    ``backtracks``, and ``probes`` and ``pruned`` in the integer modes.
     """
     n = complex_.dim + 1
     normalization = tuple(sorted(normalization or complex_.facets[0]))
@@ -139,6 +162,9 @@ def search(complex_, mode, bound=1, normalization=None, sign_table=None, memo=No
         assignment = {v: tuple(1 if k == pos else 0 for k in range(n))
                       for pos, v in enumerate(normalization)}
     order = vertex_order(complex_, assignment)
+    counts = {"nodes": 0, "candidates": 0, "backtracks": 0}
+    if mode != "mod2":
+        counts.update(probes=0, pruned=0)
 
     def candidates(vertex):
         key = node_key(vertex, assignment)
@@ -148,18 +174,35 @@ def search(complex_, mode, bound=1, normalization=None, sign_table=None, memo=No
             return mod2_candidates(complex_, n, vertex, assignment)
         return integer_candidates(complex_, n, mode, bound, sign_table, vertex, assignment)
 
+    def survives(idx):
+        if mode == "mod2" or not prune:
+            return True
+        for w in probed_vertices(complex_, order, idx, set(assignment)):
+            counts["probes"] += 1
+            if not candidates(w):
+                counts["pruned"] += 1
+                return False
+        return True
+
     def backtrack(idx):
+        counts["nodes"] += 1
         if idx == len(order):
             return True
         vertex = order[idx]
         for value in candidates(vertex):
             assignment[vertex] = value
-            if backtrack(idx + 1):
-                return True
+            if survives(idx):
+                counts["candidates"] += 1
+                if backtrack(idx + 1):
+                    return True
             del assignment[vertex]
+        counts["backtracks"] += 1
         return False
 
-    if not backtrack(0):
+    found = backtrack(0)
+    if stats is not None:
+        stats.update(counts)
+    if not found:
         if mode == "mod2":
             return Infeasible("exhausted", {"classes": (1 << n) - 1})
         return Unsat(bound)

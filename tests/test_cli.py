@@ -318,6 +318,21 @@ def test_empty_option_values_are_parsed_not_ignored(capsys, cp2cp2_path, argv):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("value", ["0_1,2,3,4", "+1,2,3,4", " 1,2,3,4", "\u0661,2,3,4",
+                                   "1,,2", "1,2,", "-1,2,3,4", "1;2;3;4"])
+@pytest.mark.parametrize("command", [["realize", "barnette.complex.json", "--mode", "toric-sign",
+                                      "--normalize"],
+                                     ["charts", "barnette.fan.json", "--kernel"],
+                                     ["surgery", "barnette.fan.json", "--stellar"]])
+def test_facet_options_take_ascii_vertex_numbers_only(capsys, tmp_path, command, value):
+    """``int`` alone would read "0_1", "+1", " 1" and the Arabic-Indic one as vertex 1."""
+    run_cli(capsys, "fixtures", "barnette", "--dir", str(tmp_path))
+    name, path, *options, option = command
+    code, out, err = run_cli(capsys, name, str(tmp_path / path), *options, f"{option}={value}")
+    assert (code, out) == (2, "")
+    assert err == f"error: {option} takes comma-separated vertex numbers, not {value!r}\n"
+
+
 def test_realize_empty_normalize_is_parsed_not_ignored(capsys, tmp_path):
     path = tmp_path / "square.json"
     path.write_text(json.dumps(SimplicialComplex(4, [(1, 2), (2, 3), (3, 4), (4, 1)]).to_json()))
@@ -641,8 +656,9 @@ def test_realize_report_carries_search_stats(capsys, tmp_path):
     assert report["result"] == {"kind": "unsat", "bound": 1}
     assert "seed" not in report
     stats = report["stats"]
-    assert set(stats) == {"nodes", "candidates", "backtracks"}
+    assert set(stats) == {"nodes", "candidates", "backtracks", "probes", "pruned"}
     assert stats["nodes"] == stats["backtracks"] == stats["candidates"] + 1 > 1
+    assert stats["probes"] >= stats["pruned"] > 0
 
     code, out, _ = run_cli(capsys, "realize", path, "--mode", "mod2")
     assert code == 0

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 from operator import mul
 
 import pytest
@@ -153,6 +154,30 @@ def test_rref_matches_the_dense_gauss_jordan_reference():
         assert rows == before  # the input is left as it was
 
 
+def test_independent_rows_writes_each_other_row_through_the_chosen_ones():
+    rng = random.Random(157)
+    for _ in range(400):
+        n = rng.randint(1, 6)
+        basis = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(1, n))]
+        rows = []
+        for _ in range(rng.randint(0, 9)):
+            if rng.random() < 0.4:
+                rows.append(tuple(rng.randint(-3, 3) for _ in range(n)))
+            else:
+                coefs = [rng.randint(-2, 2) for _ in basis]
+                rows.append(tuple(sum(c * b[j] for c, b in zip(coefs, basis)) for j in range(n)))
+        chosen, pivots, relations = linalg.independent_rows(rows)
+        assert len(chosen) == len(pivots) == (linalg.rank(rows) if rows else 0)
+        block = [[rows[i][p] for p in pivots] for i in chosen]
+        assert linalg.int_det(block) != 0
+        assert sorted(chosen + [i for i, _, _ in relations]) == list(range(len(rows)))
+        for i, scale, coefs in relations:
+            assert scale > 0 and len(coefs) == len(chosen)
+            assert gcd(scale, *coefs) == 1
+            combined = [sum(c * rows[k][j] for c, k in zip(coefs, chosen)) for j in range(n)]
+            assert [scale * x for x in rows[i]] == combined, rows
+
+
 def test_parse_rational_agrees_with_fraction_on_the_accepted_forms():
     rng = random.Random(151)
     for _ in range(300):
@@ -161,7 +186,8 @@ def test_parse_rational_agrees_with_fraction_on_the_accepted_forms():
             text += "/" + str(rng.randint(1, 10 ** rng.randint(1, 30)))
         text = rng.choice(["", " ", "\t"]) + text + rng.choice(["", " ", "\n"])
         assert linalg.parse_rational(text) == Fraction(text), text
-    for text in ("0.5", "1e3", "1_000", "", "/2", "1/", "1 / 2", "0x10", "1/-2"):
+    for text in ("0.5", "1e3", "1_000", "", "/2", "1/", "1 / 2", "0x10", "1/-2",
+                 "\u0661", "\u0663/\u0664", "1/\uff12"):
         with pytest.raises(ValueError, match="not a rational"):
             linalg.parse_rational(text)
 

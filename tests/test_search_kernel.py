@@ -3,7 +3,8 @@
 Every search node's candidate list must equal the oracle's (the facets the
 vertex completes found by scanning, the linear forms from n determinants,
 the box points from one ``rref`` per combination of target determinants),
-and whole-search verdicts and first solutions must agree.
+and so must the box points of every probe (the known facets of a later
+vertex); whole-search verdicts, first solutions and counts must agree.
 """
 
 import random
@@ -81,6 +82,31 @@ def _watch(monkeypatch, name, expected, complex_, pinned):
     return memo
 
 
+def _watch_probes(monkeypatch, expected, complex_, pinned):
+    """Wrap the kernel's probe; compare each probe's box points and verdict with ``expected``.
+
+    Also checks that the probed vertex is one the oracle probes there.
+    Returns the oracle's candidate lists by probe, for ``oracle.search``.
+    """
+    probe = realize._has_candidate
+    start = pinned or complex_.facets[0]
+    order = oracle.vertex_order(complex_, start)
+    memo = {}
+
+    def watched(step, assignment, n, bound):
+        got = probe(step, assignment, n, bound)
+        depth = len(assignment) - len(start) - 1
+        assert step.vertex in oracle.probed_vertices(complex_, order, depth, set(assignment))
+        want = expected(step.vertex, assignment, n, bound)
+        assert sorted(realize._box_points(step, assignment, n, bound)) == want, step.vertex
+        assert got == bool(want), step.vertex
+        memo[oracle.node_key(step.vertex, assignment)] = want
+        return got
+
+    monkeypatch.setattr(realize, "_has_candidate", watched)
+    return memo
+
+
 def _assert_same_verdict(result, reference):
     assert type(result) is type(reference)
     if isinstance(result, LabelingSolution):
@@ -103,12 +129,48 @@ def test_integer_candidates_match_the_oracle_at_every_node(monkeypatch, name, mo
         return oracle.integer_candidates(complex_, n, mode, bound_, effective, vertex, assignment)
 
     memo = _watch(monkeypatch, "_integer_candidates", expected, complex_, pinned)
+    probes = _watch_probes(monkeypatch, expected, complex_, pinned)
     result = search_labeling(LabelingProblem(complex_, mode, bound=bound,
                                              normalization=pinned, sign_table=table))
     monkeypatch.undo()
-    reference = oracle.search(complex_, mode, bound, pinned, table, memo=memo)
+    stats = {}
+    reference = oracle.search(complex_, mode, bound, pinned, table, memo={**probes, **memo},
+                              stats=stats)
     _assert_same_verdict(result, reference)
     assert result.stats["nodes"] == len(memo) + (1 if isinstance(result, LabelingSolution) else 0)
+    assert result.stats["probes"] == len(probes)
+    assert result.stats == stats
+
+
+def _subdivided(seed):
+    """The octahedron or C4(7), stellarly subdivided at one to four seeded facets."""
+    rng = random.Random(seed)
+    complex_ = rng.choice((octahedron_complex, lambda: cyclic_complex(4, 7)))()
+    for _ in range(rng.randint(1, 4)):
+        complex_ = complex_.stellar_subdivide(rng.choice(complex_.facets))
+    return complex_
+
+
+PRUNING_INSTANCES = {
+    "octahedron": octahedron_complex(),
+    "C4(7)": cyclic_complex(4, 7),
+    # seed 0 subdivides C4(7) into a toric-sign search of 16,275 unpruned nodes (9 s)
+    **{f"subdivided-{seed}": _subdivided(seed) for seed in range(1, 10)},
+}
+
+
+@pytest.mark.parametrize("bound", [1, 2])
+@pytest.mark.parametrize("mode", ["unimodular", "toric_sign"])
+@pytest.mark.parametrize("name", list(PRUNING_INSTANCES))
+def test_probes_keep_the_verdict_and_the_first_solution(name, mode, bound):
+    """Forward checking drops only candidates without a completion: the unpruned search agrees."""
+    complex_ = PRUNING_INSTANCES[name]
+    result = search_labeling(LabelingProblem(complex_, mode, bound=bound))
+    stats = {}
+    reference = oracle.search(complex_, mode, bound, prune=False, stats=stats)
+    _assert_same_verdict(result, reference)
+    assert stats["probes"] == stats["pruned"] == 0
+    assert result.stats["nodes"] <= stats["nodes"]
 
 
 @pytest.mark.parametrize("name", list(INSTANCES))
@@ -121,9 +183,11 @@ def test_mod2_candidates_match_the_oracle_at_every_node(monkeypatch, name):
     memo = _watch(monkeypatch, "_mod2_candidates", expected, complex_, pinned)
     result = search_labeling(LabelingProblem(complex_, "mod2", normalization=pinned))
     monkeypatch.undo()
-    reference = oracle.search(complex_, "mod2", normalization=pinned, memo=memo)
+    stats = {}
+    reference = oracle.search(complex_, "mod2", normalization=pinned, memo=memo, stats=stats)
     _assert_same_verdict(result, reference)
     assert result.stats["nodes"] == len(memo) + 1
+    assert result.stats == stats
 
 
 @pytest.mark.parametrize("mode, generator, bad", [
@@ -133,6 +197,8 @@ def test_mod2_candidates_match_the_oracle_at_every_node(monkeypatch, name):
 def test_every_sat_answer_is_reverified(monkeypatch, mode, generator, bad):
     """A generator that hands out a wrong value cannot slip a labeling through."""
     monkeypatch.setattr(realize, generator, lambda step, assignment, n, bound: bad)
+    # probes that pass everything, so the wrong value reaches the checker
+    monkeypatch.setattr(realize, "_has_candidate", lambda step, assignment, n, bound: True)
     with pytest.raises(AssertionError, match="invalid labeling"):
         search_labeling(LabelingProblem(octahedron_complex(), mode))
 
@@ -146,6 +212,12 @@ def test_search_counts_nodes_candidates_and_backtracks():
     stats = unsat.stats
     assert stats["nodes"] == stats["backtracks"] == stats["candidates"] + 1
     assert "stats" not in unsat.to_json()
+    assert stats == {"nodes": 16, "candidates": 15, "backtracks": 16, "probes": 131, "pruned": 59}
+    wider = search_labeling(LabelingProblem(complex_, "toric_sign", bound=2,
+                                            normalization=pinned, sign_table=table))
+    assert isinstance(wider, Unsat)
+    assert wider.stats == {"nodes": 83, "candidates": 82, "backtracks": 83,
+                           "probes": 845, "pruned": 468}
 
     sat = search_labeling(LabelingProblem(complex_, "unimodular", normalization=pinned))
     assert isinstance(sat, LabelingSolution)
