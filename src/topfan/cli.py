@@ -151,9 +151,16 @@ class _Report:
         _write_json(self.data, sys.stdout)
 
 
-# vertex numbers in ASCII digits, comma-separated: ``int`` alone would also
-# take signs, spaces, "_" and other scripts' digits
+# numbers in ASCII digits (vertex numbers comma-separated): ``int`` alone
+# would also take signs, spaces, "_" and other scripts' digits
+_NUMBER = re.compile(r"[0-9]+")
 _FACET = re.compile(r"[0-9]+(?:,[0-9]+)*")
+
+
+def _parse_number(option, text):
+    if not _NUMBER.fullmatch(text):
+        raise ValueError(f"{option} takes a number in ASCII digits, not {text!r}")
+    return int(text)
 
 
 def _parse_facet(option, text):
@@ -282,7 +289,7 @@ def cmd_realize(args):
     if mode == "mod2":
         result = mod2_obstruction(complex_, complex_.dim + 1)
     else:
-        bound = 1 if args.bound is None else args.bound
+        bound = 1 if args.bound is None else _parse_number("--bound", args.bound)
         result = search_labeling(
             LabelingProblem(complex_, mode, bound=bound, normalization=normalization))
     solved = isinstance(result, LabelingSolution)
@@ -316,9 +323,11 @@ def _fixture_files(name):
         data["positions"] = [[str(Fraction(x)) for x in p] for p in positions]
         return {"icosahedron.complex.json": data}
     if name.startswith("cyclic:"):
-        _, n, m = name.split(":")
-        key = f"cyclic_{n}_{m}.complex.json"
-        return {key: fixtures.cyclic_complex(int(n), int(m)).to_json()}
+        match = re.fullmatch(r"cyclic:([0-9]+):([0-9]+)", name)
+        if match is None:
+            raise ValueError(f"fixture cyclic:<n>:<m> takes n and m in ASCII digits, not {name!r}")
+        n, m = map(int, match.groups())
+        return {f"cyclic_{n}_{m}.complex.json": fixtures.cyclic_complex(n, m).to_json()}
     raise ValueError(f"unknown fixture {name!r}")
 
 
@@ -383,7 +392,7 @@ def build_parser():
     p.add_argument("complex")
     p.add_argument("--mode", choices=["unimodular", "toric-sign", "mod2", "sphere"],
                    required=True)
-    p.add_argument("--bound", type=int)
+    p.add_argument("--bound")
     p.add_argument("--normalize", help="facet pinned to the standard basis, e.g. 1,2,3,4")
     p.set_defaults(func=cmd_realize)
 

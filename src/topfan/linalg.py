@@ -13,6 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import gcd
+from operator import mul
 
 
 def rref(rows):
@@ -191,46 +192,72 @@ def cofactor_row(cols, position):
 
 
 def independent_rows(rows):
-    """A maximal independent subset of integer rows, its pivots, and the other rows' relations.
+    """A maximal independent subset of integer rows, and its pivots.
 
     Fraction-free elimination in list order: each row is reduced by cross
     multiplication against the rows kept before it, and kept when something
     is left; its pivot is its first nonzero column then.  The kept rows
     restricted to the pivot columns form a nonsingular square block, since
-    their reductions are triangular there.
-
-    Returns ``(chosen, pivots, relations)``.  Each row carries the integer
-    combination of ``rows`` it amounts to through its reductions, so a row
-    reduced to zero yields ``(i, scale, coefficients)``: ``scale > 0`` times
-    ``rows[i]`` equals the sum of ``coefficients[k]`` times
-    ``rows[chosen[k]]``, with no common factor left.  There is one relation
-    per row not chosen, in order.
+    their reductions are triangular there.  Returns ``(chosen, pivots)``.
     """
-    chosen, pivots, echelon, reduced = [], [], [], []
-    width = len(rows[0]) if rows else 0
-    zeros = [0] * len(rows)
+    chosen, pivots, echelon = [], [], []
     for i, row in enumerate(rows):
-        # the row, then its combination of ``rows``: reductions act on both
-        row = [*row, *zeros]
-        row[width + i] = 1
         for p, e in zip(pivots, echelon):
             c = row[p]
             if c:
                 a = e[p]
                 row = [a * x - c * y for x, y in zip(row, e)]
-        lead = next((j for j in range(width) if row[j]), None)
-        if lead is None:
-            reduced.append((i, row[width:]))
-        else:
+        lead = next((j for j, x in enumerate(row) if x), None)
+        if lead is not None:
             chosen.append(i)
             pivots.append(lead)
             echelon.append(row)
-    relations = []
-    for i, combination in reduced:
-        own, coefficients = combination[i], [-combination[k] for k in chosen]
-        g = gcd(own, *coefficients) * (1 if own > 0 else -1)
-        relations.append((i, own // g, [c // g for c in coefficients]))
-    return chosen, pivots, relations
+    return chosen, pivots
+
+
+def reduce_system(pairs):
+    """One fraction-free Gauss-Jordan pass over ``form . x = t``, t in ``allowed``.
+
+    ``pairs`` yields integer forms of one length with nonempty tuples of
+    values, read lazily.  Each kept row is d on its pivot and 0 on the other
+    pivots, followed by its integer combination c of the kept forms' targets
+    t, so ``row . x = c . t``; a new pivot clears the other rows, and
+    dividing them by the old d is exact (Bareiss, Math. Comp. 22, 1968).  A
+    form reduced to zero keeps only the tuples t that give it an allowed
+    value.  Returns None at the first form no tuple survives, reading no
+    further; else ``(d, pivots, rows, targets)``, the tuples in ``product``
+    order.
+    """
+    rows, pivots, targets, d = [], [], [()], 1
+    for form, allowed in pairs:
+        row = [d * x for x in form] if d != 1 else list(form)
+        row += [0] * len(rows)
+        for p, e in zip(pivots, rows):
+            c = form[p]
+            if c:
+                row = [x - c * y for x, y in zip(row, e)]
+        for lead in range(len(form)):
+            if row[lead]:
+                break
+        else:
+            # 0 = row . x = d * (its target) + c . t
+            c, scaled = row[len(form):], {-d * a for a in allowed}
+            targets = [t for t in targets if sum(map(mul, c, t)) in scaled]
+            if not targets:
+                return None
+            continue
+        row.append(d)
+        top = row[lead]
+        for k, e in enumerate(rows):
+            e.append(0)
+            c = e[lead]
+            if c or top != d:
+                rows[k] = [(top * x - c * y) // d for x, y in zip(e, row)]
+        rows.append(row)
+        pivots.append(lead)
+        d = top
+        targets = [t + (a,) for t in targets for a in allowed]
+    return d, pivots, rows, targets
 
 
 def nonneg_solution(rows, rhs):

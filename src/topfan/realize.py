@@ -291,14 +291,12 @@ def search_labeling(problem: LabelingProblem):
     return _search(complex_, n, normalization, problem.mode, problem.bound, sign_table)
 
 
-# Linear forms kept per completed facet and search.  A form depends only on
-# the labels of the facet's other vertices, and different branches and the
-# probes reach the same labels: 63 % of the lookups in the label-search
-# benchmark's realize jobs hit (seeds 3 and 5), and those jobs run about
-# 16 % faster with the cache (the best of 7 rounds, 2-vCPU host).  The cap
-# bounds a long search's memory: Barnette's toric-sign search at bound 5
-# fills it (5,973 forms on its fullest facet without the cap; a traced peak
-# of 3.1 MB with the cap, 3.5 MB without).
+# Linear forms kept per completed facet and search.  Branches and probes
+# reach the same labels: 65-66 % of the lookups in the label-search
+# benchmark's realize jobs hit (seeds 3 and 5), and the cache makes those
+# jobs about 22 % faster (medians of 12 interleaved rounds, 2-vCPU host).
+# The cap bounds memory: C4(9)'s unimodular search at bound 4 would keep
+# 24,576 forms on a facet (a traced peak of 12.7 MB; 5.2 MB capped).
 _FORMS_PER_FACET = 4096
 
 
@@ -312,6 +310,16 @@ class _Completion:
         self.position = position  # the vertex's column in the facet's ascending order
         self.allowed = allowed  # allowed determinants: (1, -1), or the sign table's sign
         self.forms = {}  # the others' labels -> the facet's linear form, this search only
+
+    def form(self, assignment):
+        """The facet's determinant as a linear form in the vertex's label, cached."""
+        labels = tuple(map(assignment.__getitem__, self.others))
+        form = self.forms.get(labels)
+        if form is None:
+            form = linalg.cofactor_row(labels, self.position)
+            if len(self.forms) < _FORMS_PER_FACET:
+                self.forms[labels] = form
+        return form
 
 
 class _Step:
@@ -436,48 +444,24 @@ def _box_points(step, assignment, n, bound):
     """The candidates of ``step`` in the box, unsorted, one at a time.
 
     Each completed facet's determinant is the linear form ``cofactor_row``
-    of its other columns.  ``independent_rows`` picks r independent forms
-    and writes each other form as a rational combination of them, so the
-    targets t of the r forms fix every dependent form's value: t is kept
-    only when each of those values is an integer the facet allows.  None
-    kept means no candidate, found before anything is factored (in a
-    search that fails, most systems end here).  Otherwise one nonsingular
-    r x r block A of the r forms, on pivot coordinates P, is factored once
-    as its determinant D and adjugate.  For kept targets t and free
-    coordinates y in the box, ``D·x_P = adj·t - adj·B·y`` (B: the forms'
-    free columns), which must divide by D and stay in the bound; the
-    dependent forms then hold by their relations.  A form equal to ±1
-    makes x primitive, so only the unconstrained box needs filtering.
+    of its other columns, built only when ``linalg.reduce_system`` reaches
+    it.  Each pivot row then reads ``d·x_p + g·y = c·t`` for the free
+    coordinates y and a surviving target tuple t, so x_p = (c·t - g·y)/d
+    must be an integer in the bound.  A form equal to ±1 makes x primitive,
+    so only the unconstrained box needs filtering.
     """
     span = range(-bound, bound + 1)
     if not step.completes:
         yield from (x for x in product(span, repeat=n) if any(x) and linalg.vec_gcd(x) == 1)
         return
-    forms = []
-    for c in step.completes:
-        labels = tuple(assignment[u] for u in c.others)
-        form = c.forms.get(labels)
-        if form is None:
-            form = linalg.cofactor_row(labels, c.position)
-            if len(c.forms) < _FORMS_PER_FACET:
-                c.forms[labels] = form
-        forms.append(form)
-    chosen, pivots, relations = linalg.independent_rows(forms)
-    completes = step.completes
-    targets = list(product(*(completes[i].allowed for i in chosen)))
-    for i, scale, coefs in relations:
-        # the form's value coefs·t / scale must be an allowed integer
-        scaled = {scale * a for a in completes[i].allowed}
-        targets = [t for t in targets if sum(map(mul, coefs, t)) in scaled]
-    if not targets:
-        return  # with no form chosen, every form vanishes, and 0 is never allowed
+    system = linalg.reduce_system((c.form(assignment), c.allowed) for c in step.completes)
+    if system is None:
+        return
+    det, pivots, rows, targets = system
     free = [j for j in range(n) if j not in pivots]
-    kept = [forms[i] for i in chosen]
-    cols = tuple(tuple(f[p] for f in kept) for p in pivots)  # the columns of A
-    adj = [linalg.cofactor_row(cols[:k] + cols[k + 1:], k) for k in range(len(cols))]
-    det = sum(map(mul, adj[0], cols[0]))
-    shift = [[sum(map(mul, row, [f[j] for f in kept])) for j in free] for row in adj]
-    tops = [[sum(map(mul, row, t)) for row in adj] for t in targets]
+    shift = [[row[j] for j in free] for row in rows]
+    combinations = [row[n:] for row in rows]
+    tops = [[sum(map(mul, c, t)) for c in combinations] for t in targets]
     x = [0] * n
     for y in product(span, repeat=len(free)):
         for j, value in zip(free, y):

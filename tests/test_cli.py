@@ -333,6 +333,31 @@ def test_facet_options_take_ascii_vertex_numbers_only(capsys, tmp_path, command,
     assert err == f"error: {option} takes comma-separated vertex numbers, not {value!r}\n"
 
 
+@pytest.mark.parametrize("value", ["\u0661", "\uff12", " 1", "1 ", "+4", "1_0", "-1", "1.0", ""])
+def test_realize_bound_takes_ascii_digits_only(capsys, tmp_path, value):
+    """``int`` alone would read the Arabic-Indic one, " 1", "+4" and "1_0" as a bound."""
+    run_cli(capsys, "fixtures", "barnette", "--dir", str(tmp_path))
+    code, out, err = run_cli(capsys, "realize", str(tmp_path / "barnette.complex.json"),
+                             "--mode", "unimodular", f"--bound={value}")
+    assert (code, out) == (2, "")
+    assert err == f"error: --bound takes a number in ASCII digits, not {value!r}\n"
+
+
+@pytest.mark.parametrize("name", ["cyclic:4", "cyclic:4:7:1", "cyclic:+4:7", "cyclic: 4:7",
+                                  "cyclic:4:1_0", "cyclic:\u0664:\u0667", "cyclic:4:", "cyclic:"])
+def test_cyclic_fixture_takes_two_ascii_numbers(capsys, tmp_path, name):
+    code, out, err = run_cli(capsys, "fixtures", name, "--dir", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err == f"error: fixture cyclic:<n>:<m> takes n and m in ASCII digits, not {name!r}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cyclic_fixture_names_its_file_by_the_numbers(capsys, tmp_path):
+    code, out, _ = run_cli(capsys, "fixtures", "cyclic:04:7", "--dir", str(tmp_path))
+    assert code == 0
+    assert list(json.loads(out)["written"]) == ["cyclic_4_7.complex.json"]
+
+
 def test_realize_empty_normalize_is_parsed_not_ignored(capsys, tmp_path):
     path = tmp_path / "square.json"
     path.write_text(json.dumps(SimplicialComplex(4, [(1, 2), (2, 3), (3, 4), (4, 1)]).to_json()))

@@ -1,8 +1,8 @@
 """Exact linear algebra against its definitions and a dense reference elimination."""
 
+import itertools
 import random
 from fractions import Fraction
-from math import gcd
 from operator import mul
 
 import pytest
@@ -154,28 +154,141 @@ def test_rref_matches_the_dense_gauss_jordan_reference():
         assert rows == before  # the input is left as it was
 
 
-def test_independent_rows_writes_each_other_row_through_the_chosen_ones():
+def _seeded_rows(rng, n):
+    """0-9 rows of Z^n: random ones and combinations of a few random ones."""
+    basis = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(1, n))]
+    rows = []
+    for _ in range(rng.randint(0, 9)):
+        if rng.random() < 0.4:
+            rows.append(tuple(rng.randint(-3, 3) for _ in range(n)))
+        else:
+            coefs = [rng.randint(-2, 2) for _ in basis]
+            rows.append(tuple(sum(c * b[j] for c, b in zip(coefs, basis)) for j in range(n)))
+    return rows
+
+
+def _forced_value(rows, chosen, pivots, targets, i):
+    """``rows[i] . x`` for any rational x with ``rows[chosen] . x = targets``.
+
+    Solved on the pivot block by ``rref`` (the free coordinates 0); rows[i]
+    lies in the span of the chosen rows, so any such x gives the same value.
+    """
+    block = [[rows[k][p] for p in pivots] + [t] for k, t in zip(chosen, targets)]
+    reduced, _ = linalg.rref(block)
+    x = [Fraction(0)] * len(rows[i])
+    for p, solved in zip(pivots, reduced):
+        x[p] = solved[-1]
+    return sum(map(mul, rows[i], x))
+
+
+def test_reduce_system_writes_each_other_row_through_the_kept_ones():
+    """Each kept form's target is pinned to one value; each other form then
+    survives exactly when its allowed values hold the rational value that the
+    pinned targets force on it, and the reduced rows are integer combinations
+    of the kept forms, d on their own pivot and 0 on the others."""
     rng = random.Random(157)
     for _ in range(400):
         n = rng.randint(1, 6)
-        basis = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(1, n))]
-        rows = []
-        for _ in range(rng.randint(0, 9)):
-            if rng.random() < 0.4:
-                rows.append(tuple(rng.randint(-3, 3) for _ in range(n)))
-            else:
-                coefs = [rng.randint(-2, 2) for _ in basis]
-                rows.append(tuple(sum(c * b[j] for c, b in zip(coefs, basis)) for j in range(n)))
-        chosen, pivots, relations = linalg.independent_rows(rows)
+        rows = _seeded_rows(rng, n)
+        chosen, pivots = linalg.independent_rows(rows)
         assert len(chosen) == len(pivots) == (linalg.rank(rows) if rows else 0)
         block = [[rows[i][p] for p in pivots] for i in chosen]
         assert linalg.int_det(block) != 0
-        assert sorted(chosen + [i for i, _, _ in relations]) == list(range(len(rows)))
-        for i, scale, coefs in relations:
-            assert scale > 0 and len(coefs) == len(chosen)
-            assert gcd(scale, *coefs) == 1
-            combined = [sum(c * rows[k][j] for c, k in zip(coefs, chosen)) for j in range(n)]
-            assert [scale * x for x in rows[i]] == combined, rows
+        # consistent targets (those of an integer point) or arbitrary ones
+        point = [rng.randint(-2, 2) for _ in range(n)]
+        if rng.random() < 0.5:
+            targets = tuple(sum(map(mul, rows[i], point)) for i in chosen)
+        else:
+            targets = tuple(rng.randint(-4, 4) for _ in chosen)
+        pairs, survives = [], True
+        for i, row in enumerate(rows):
+            if i in chosen:
+                pairs.append((row, (targets[chosen.index(i)],)))
+                continue
+            forced = _forced_value(rows, chosen, pivots, targets, i)
+            allowed = (rng.randint(-4, 4), int(forced)) if forced.denominator == 1 else (0, 1, -1)
+            if rng.random() < 0.3:
+                allowed = tuple(a for a in allowed if a != forced) or (int(forced) + 1,)
+            pairs.append((row, rng.sample(allowed, len(allowed))))
+            survives = survives and forced in allowed
+        system = linalg.reduce_system(iter(pairs))
+        if not survives:
+            assert system is None, rows
+            continue
+        d, got_pivots, reduced, kept = system
+        assert got_pivots == pivots and kept == [targets], rows
+        assert abs(d) == abs(linalg.int_det(block)), rows
+        for k, row in enumerate(reduced):
+            form, combination = row[:n], row[n:]
+            assert [form[p] for p in pivots] == [d if j == k else 0 for j in range(len(pivots))]
+            assert len(combination) == len(chosen)
+            combined = [sum(c * rows[i][j] for c, i in zip(combination, chosen)) for j in range(n)]
+            assert list(form) == combined, rows
+
+
+def _box_solutions(system, n, bound):
+    """The integer x in the box that ``reduce_system``'s result describes."""
+    d, pivots, rows, targets = system
+    free = [j for j in range(n) if j not in pivots]
+    found = set()
+    for y in itertools.product(range(-bound, bound + 1), repeat=len(free)):
+        for t in targets:
+            x = [0] * n
+            for j, value in zip(free, y):
+                x[j] = value
+            for p, row in zip(pivots, rows):
+                num = sum(map(mul, row[n:], t)) - sum(row[j] * x[j] for j in free)
+                if num % d or abs(num // d) > bound:
+                    break
+                x[p] = num // d
+            else:
+                found.add(tuple(x))
+    return found
+
+
+def test_reduce_system_matches_the_whole_box():
+    """n = 1..6, bounds 1-3 (the box kept to at most 7^4 points), allowed sets
+    (1,), (-1,) and (1, -1) mixed; zero, repeated and dependent forms."""
+    rng = random.Random(163)
+    outcomes = set()
+    for _ in range(800):
+        n = rng.randint(1, 6)
+        bound = rng.randint(1, 3)
+        while (2 * bound + 1) ** n > 7 ** 4:
+            bound -= 1
+        forms = list(_seeded_rows(rng, n))
+        if forms and rng.random() < 0.3:
+            forms.insert(rng.randrange(len(forms) + 1), rng.choice(forms))
+        if rng.random() < 0.1:
+            forms.insert(rng.randrange(len(forms) + 1), (0,) * n)
+        # mostly sets that a box point meets, so that dependent forms often hold
+        point = [rng.randint(-bound, bound) for _ in range(n)]
+        pairs = []
+        for form in forms:
+            sets = [(1,), (-1,), (1, -1)]
+            met = [a for a in sets if sum(map(mul, form, point)) in a]
+            pairs.append((form, rng.choice(met if met and rng.random() < 0.7 else sets)))
+        box = itertools.product(range(-bound, bound + 1), repeat=n)
+        want = {x for x in box
+                if all(sum(map(mul, form, x)) in allowed for form, allowed in pairs)}
+        system = linalg.reduce_system(iter(pairs))
+        got = set() if system is None else _box_solutions(system, n, bound)
+        assert got == want, pairs
+        outcomes.add((system is None, bool(want)))
+    # no solution at all, no box point of a rational solution, and box points
+    assert outcomes == {(True, False), (False, False), (False, True)}
+
+
+def test_reduce_system_reads_no_form_after_the_first_that_fails():
+    def pairs():
+        yield (1, 0, 0), (1,)
+        yield (0, 1, 0), (1, -1)
+        yield (1, 1, 0), (3,)  # 1 + (+-1) is never 3
+        raise AssertionError("read past the first form no target survives")
+
+    assert linalg.reduce_system(pairs()) is None
+    assert linalg.reduce_system(iter([((0, 0), (1, -1))])) is None
+    assert linalg.reduce_system(iter([])) == (1, [], [], [()])
 
 
 def test_parse_rational_agrees_with_fraction_on_the_accepted_forms():

@@ -277,7 +277,7 @@ def test_independent_rows_agrees_with_rank():
     for _ in range(2000):
         n, k = rng.randint(1, 6), rng.randint(1, 8)
         rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(k)]
-        chosen, pivots, _ = linalg.independent_rows(rows)
+        chosen, pivots = linalg.independent_rows(rows)
         assert len(chosen) == len(pivots) == linalg.rank(rows), rows
         # the kept rows on the pivot columns form a nonsingular block
         assert linalg.int_det([[rows[i][p] for p in pivots] for i in chosen]) != 0
