@@ -311,28 +311,36 @@ def cyclic_polytope_boundary(n, m) -> SimplicialComplex:
 
     Facets are picked by Gale's evenness criterion: an n-subset S of 1..m is a
     facet iff every maximal run of consecutive members of S that touches
-    neither 1 nor m has even length.
+    neither 1 nor m has even length.  The subsets grow one member at a time,
+    smallest first, so the facets come in lexicographic order.  A member
+    that skips a value closes the run before it, and a prefix whose closed
+    run breaks the rule is not extended, so the work follows the number of
+    facets rather than the C(m, n) subsets.
     """
     if not (m > n >= 2):
         raise ValueError("need m > n >= 2")
     facets = []
-    for s in combinations(range(1, m + 1), n):
-        runs = []
-        current = [s[0]]
-        for v in s[1:]:
-            if v == current[-1] + 1:
-                current.append(v)
-            else:
-                runs.append(current)
-                current = [v]
-        runs.append(current)
-        ok = True
-        for run in runs:
-            if run[0] == 1 or run[-1] == m:
+    prefix, runs = [], []  # runs[i]: length of the run that ends at prefix[i]
+    v = 1
+    while True:
+        k = len(prefix)
+        if k == n:
+            # the last run may touch m, or 1 if it is the only one
+            if prefix[-1] in (m, runs[-1]) or runs[-1] % 2 == 0:
+                facets.append(tuple(prefix))
+        elif v <= m - n + k + 1:  # room is left for the members after v
+            if k and v == prefix[-1] + 1:
+                prefix.append(v)
+                runs.append(runs[-1] + 1)
+                v += 1
                 continue
-            if len(run) % 2 != 0:
-                ok = False
-                break
-        if ok:
-            facets.append(s)
-    return SimplicialComplex(m, facets)
+            # v closes the open run, and so would every larger v
+            if not k or prefix[-1] == runs[-1] or runs[-1] % 2 == 0:
+                prefix.append(v)
+                runs.append(1)
+                v += 1
+                continue
+        if not prefix:
+            return SimplicialComplex(m, facets)
+        v = prefix.pop() + 1
+        runs.pop()

@@ -13,6 +13,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
+from math import lcm
+from operator import add
 
 from . import linalg
 from .complexes import FVector
@@ -69,6 +71,15 @@ class GradedRing:
     surviving generators modulo the substituted non-face monomials.  Per
     degree we keep a reduced row basis for the ideal and a monomial basis of
     the quotient; squarefree monomials are preferred as basis representatives.
+
+    The arithmetic is integer.  With q the least common denominator of the
+    reduced relations on the survivor columns, each pivot generator is an
+    integer linear form in the survivors over q, so a monomial with j pivot
+    factors is an integer polynomial over q^j.  The degree rows are those
+    integer polynomials: a row scaled by q^j spans the same line, so
+    ``rref`` gives the same reduced rows and pivots, and the quotient basis
+    is the same.  ``reduce`` sums integer images of the columns over one
+    common denominator and builds one ``Fraction`` per coordinate.
     """
 
     def __init__(self, presentation: CohomPresentation):
@@ -78,43 +89,45 @@ class GradedRing:
             raise ValueError("linear relations are degenerate")
         self.pivots = pivots  # 0-based generator indices eliminated by relations
         self.survivors = [j for j in range(self.m) if j not in pivots]
-        # substitution: pivot generator -> linear form over survivors
+        self._survivor_pos = {j: pos for pos, j in enumerate(self.survivors)}
+        s = len(self.survivors)
+        self.q = lcm(*(reduced[r][j].denominator
+                       for r in range(len(pivots)) for j in self.survivors))
+        # substitution: pivot generator -> q times its linear form over the
+        # survivors, as an integer polynomial
         self.substitution = {}
-        for r, p in enumerate(pivots):
-            form = {}
-            for pos, j in enumerate(self.survivors):
-                coeff = -reduced[r][j]
-                if coeff != 0:
-                    form[pos] = coeff
-            self.substitution[p] = form
+        for row, p in zip(reduced, pivots):
+            self.substitution[p] = {
+                tuple(int(k == pos) for k in range(s)): -x.numerator * (self.q // x.denominator)
+                for pos, j in enumerate(self.survivors) if (x := row[j])
+            }
         self.sr_polynomials = [
-            self._substitute_monomial({i - 1: 1 for i in mono})
+            self._substitute_monomial({i - 1: 1 for i in mono})[0]
             for mono in presentation.sr_monomials
         ]
         self._degree_cache = {}
 
-    # -- polynomials over survivors: dict exponent tuple -> Fraction ---------
+    # -- polynomials over survivors: dict exponent tuple -> int --------------
 
     def _substitute_monomial(self, exponents):
-        """Rewrite a monomial over all generators into survivor coordinates."""
-        s = len(self.survivors)
-        poly = {(0,) * s: Fraction(1)}
-        survivor_pos = {j: pos for pos, j in enumerate(self.survivors)}
+        """Rewrite a monomial over all generators into survivor coordinates.
+
+        Returns ``(poly, j)``: the monomial equals the integer polynomial
+        ``poly`` over q^j, j being the number of pivot factors.
+        """
+        shift = [0] * len(self.survivors)
+        poly, j = {tuple(shift): 1}, 0
         for gen, power in exponents.items():
-            if power == 0:
+            pos = self._survivor_pos.get(gen)
+            if pos is not None:
+                shift[pos] += power
                 continue
-            if gen in survivor_pos:
-                factor = {tuple(power if k == survivor_pos[gen] else 0
-                                for k in range(s)): Fraction(1)}
-                poly = _poly_mul(poly, factor)
-            else:
-                linear = {}
-                for pos, coeff in self.substitution[gen].items():
-                    mono = tuple(1 if k == pos else 0 for k in range(s))
-                    linear[mono] = coeff
-                for _ in range(power):
-                    poly = _poly_mul(poly, linear)
-        return poly
+            for _ in range(power):
+                poly = _poly_mul(poly, self.substitution[gen])
+            j += power
+        if any(shift):
+            poly = {tuple(map(add, mono, shift)): c for mono, c in poly.items()}
+        return poly, j
 
     def _monomials_of_degree(self, k):
         s = len(self.survivors)
@@ -148,27 +161,37 @@ class GradedRing:
             gdeg = sum(next(iter(g)))
             if gdeg > k:
                 continue
+            # a nonzero polynomial shifted by a monomial: a nonzero row
             for mult in self._monomials_of_degree(k - gdeg):
-                row = [Fraction(0)] * len(columns)
+                row = [0] * len(columns)
                 for mono, coeff in g.items():
-                    shifted = tuple(a + b for a, b in zip(mono, mult))
-                    row[col_of_mono[shifted]] += coeff
-                if any(x != 0 for x in row):
-                    rows.append(row)
+                    row[col_of_mono[tuple(map(add, mono, mult))]] = coeff
+                rows.append(row)
         reduced, pivots = linalg.rref(rows) if rows else ([], [])
         # emit the basis in generator order (earlier generators first)
+        taken = set(pivots)
         basis_cols = sorted(
-            (c for c in range(len(columns)) if c not in pivots),
+            (c for c in range(len(columns)) if c not in taken),
             key=lambda c: tuple(-e for e in columns[c]),
         )
+        # A reduced row is zero on the other pivots, so reducing a vector
+        # sends each column to a fixed image on the basis: a basis column to
+        # itself, a pivot column to minus the basis part of its row.  Both
+        # are kept times den, the rows' common denominator there.
+        position = {c: b for b, c in enumerate(basis_cols)}
+        den = lcm(*(reduced[r][c].denominator
+                    for r in range(len(pivots)) for c in basis_cols))
+        images = [[(position[c], den)] if c in position else None
+                  for c in range(len(columns))]
+        for row, p in zip(reduced, pivots):
+            images[p] = [(b, -x.numerator * (den // x.denominator))
+                         for b, c in enumerate(basis_cols) if (x := row[c])]
         data = {
             "columns": columns,
             "col_of_mono": col_of_mono,
-            # the nonzero (column, entry) pairs of each nonzero reduced row
-            "reduced_rows": [[(c, x) for c, x in enumerate(reduced[r]) if x]
-                             for r in range(len(pivots))],
-            "pivots": pivots,
             "basis_cols": basis_cols,
+            "images": images,
+            "den": den,
         }
         self._degree_cache[k] = data
         return data
@@ -190,38 +213,39 @@ class GradedRing:
     def reduce(self, polynomial, k):
         """Coordinates of a degree-k polynomial on the quotient basis.
 
-        ``polynomial`` maps exponent tuples over all m generators to rational
-        coefficients; every monomial must have total degree k.
+        ``polynomial`` maps exponent tuples over all m generators to ``int``
+        or ``Fraction`` coefficients; every monomial must have total degree k.
         """
         for mono in polynomial:
             if sum(mono) != k:
                 raise ValueError("polynomial is not homogeneous of the requested degree")
         data = self._degree_data(k)
-        vec = [Fraction(0)] * len(data["columns"])
+        col_of_mono, images = data["col_of_mono"], data["images"]
+        # one common denominator: the coefficients' lcm times q^k times den
+        scale = lcm(*(c.denominator for c in polynomial.values()))
+        total = [0] * len(data["basis_cols"])
         for mono, coeff in polynomial.items():
             if coeff == 0:
                 continue
-            sub = self._substitute_monomial({i: e for i, e in enumerate(mono) if e})
+            sub, j = self._substitute_monomial({i: e for i, e in enumerate(mono) if e})
+            f = coeff.numerator * (scale // coeff.denominator) * self.q ** (k - j)
             for smono, scoeff in sub.items():
-                vec[data["col_of_mono"][smono]] += Fraction(coeff) * scoeff
-        for row, pivot in zip(data["reduced_rows"], data["pivots"]):
-            factor = vec[pivot]
-            if factor:
-                for c, x in row:
-                    vec[c] -= factor * x
-        return [vec[c] for c in data["basis_cols"]]
+                for b, x in images[col_of_mono[smono]]:
+                    total[b] += f * scoeff * x
+        den = scale * self.q ** k * data["den"]
+        return [Fraction(t, den) for t in total]
 
 
 def _poly_mul(a, b):
     out = {}
     for ma, ca in a.items():
         for mb, cb in b.items():
-            mono = tuple(x + y for x, y in zip(ma, mb))
-            val = out.get(mono, Fraction(0)) + ca * cb
-            if val == 0:
-                out.pop(mono, None)
-            else:
+            mono = tuple(map(add, ma, mb))
+            val = out.get(mono, 0) + ca * cb
+            if val:
                 out[mono] = val
+            else:
+                del out[mono]
     return out
 
 

@@ -11,8 +11,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
-from math import gcd
+from itertools import combinations, compress
+from math import gcd, lcm
 from operator import mul
 
 
@@ -22,51 +22,70 @@ def rref(rows):
     Returns ``(reduced, pivot_columns)`` where ``reduced`` keeps the original
     number of rows (zero rows at the bottom) and every entry is a
     ``Fraction``.  Deterministic: pivots are the leftmost nonzero columns,
-    scanned top to bottom.
+    scanned top to bottom.  The input is left as it was.
 
-    Gauss-Jordan elimination that scales and subtracts only the pivot row's
-    nonzero entries: a zero entry would leave every other entry as it is, so
-    the result equals the dense elimination's.  ``Fraction`` entries are
-    kept, not copied.
+    Fraction-free.  Each row is scaled by the lcm of its denominators (an
+    integer row is taken as it is) and kept as a sparse dict of its nonzero
+    integer entries.  The rows join one at a time.  A new row is cleared on
+    each kept pivot p by cross multiplication against that pivot's row e,
+    ``row <- e[p]·row - row[p]·e``, and divided by its content (the gcd of
+    its entries).  If anything is left, its leftmost column becomes a pivot,
+    and the kept rows are cleared on that column the same way.  So every
+    kept row starts at its own pivot and is zero on the others: sorted by
+    pivot and divided by their pivot entries, the kept rows are the unique
+    reduced echelon form of the row space.
     """
-    m = [[x if type(x) is Fraction else Fraction(x) for x in row] for row in rows]
-    if not m:
+    if not rows:
         return [], []
-    nrows, ncols = len(m), len(m[0])
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if m[i][col]:
-                pivot_row = i
-                break
-        if pivot_row is None:
+    ncols = len(rows[0])
+    kept = {}  # pivot column -> its row, a sparse primitive integer vector
+    for row in rows:
+        new = dict(compress(enumerate(row), row))
+        den = lcm(*(x.denominator for x in new.values()))
+        new = {j: x.numerator * (den // x.denominator) for j, x in new.items()}
+        for p in [j for j in new if j in kept]:
+            new = _cross(new, kept[p], p)
+        if not new:
             continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        prow = m[r]
-        # the pivot row is zero left of col: earlier columns are pivots
-        # cleared above it or were zero from row r down
-        support = [j for j in range(col, ncols) if prow[j]]
-        inv = 1 / prow[col]
-        if inv != 1:
-            for j in support:
-                prow[j] *= inv
-        for i in range(nrows):
-            row = m[i]
-            f = row[col]
-            if f and i != r:
-                for j in support:
-                    row[j] -= f * prow[j]
-        pivots.append(col)
-        r += 1
-        if r == nrows:
-            break
-    return m, pivots
+        lead = min(new)
+        for p, e in kept.items():
+            if lead in e:
+                kept[p] = _cross(e, new, lead)
+        kept[lead] = new
+    pivots = sorted(kept)
+    zero = Fraction(0)
+    reduced = []
+    for p in pivots:
+        e = kept[p]
+        d = e[p]
+        out = [zero] * ncols
+        for j, x in e.items():
+            out[j] = Fraction(x, d)
+        reduced.append(out)
+    reduced += [[zero] * ncols for _ in range(len(rows) - len(pivots))]
+    return reduced, pivots
 
 
-def rank(rows):
-    return len(rref(rows)[1])
+def _cross(row, e, p):
+    """``e[p]·row - row[p]·e`` over the two factors' gcd, divided by its content.
+
+    Sparse integer rows; the result is zero at p, and empty if nothing is left.
+    """
+    a, b = e[p], row[p]
+    g = gcd(a, b)
+    if g != 1:
+        a, b = a // g, b // g
+    out = {j: a * x for j, x in row.items()} if a != 1 else dict(row)
+    for j, y in e.items():
+        v = out.get(j, 0) - b * y
+        if v:
+            out[j] = v
+        else:
+            del out[j]
+    c = gcd(*out.values())
+    if c > 1:
+        out = {j: x // c for j, x in out.items()}
+    return out
 
 
 def int_det(rows):
@@ -344,10 +363,8 @@ def maximal_minor_gcd(int_rows, size):
 def clear_denominators(vec):
     """Scale a rational vector to a primitive integer vector (same ray)."""
     fracs = [Fraction(x) for x in vec]
-    lcm = 1
-    for f in fracs:
-        lcm = lcm * f.denominator // gcd(lcm, f.denominator)
-    ints = [int(f * lcm) for f in fracs]
+    den = lcm(*(f.denominator for f in fracs))
+    ints = [f.numerator * (den // f.denominator) for f in fracs]
     g = vec_gcd(ints)
     if g > 1:
         ints = [x // g for x in ints]

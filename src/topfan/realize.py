@@ -661,180 +661,3 @@ def product_fan(a: TopologicalFan, b: TopologicalFan, validate=True) -> Topologi
     rays += [Ray(zero_a + r.b, zero_a + r.c, (0,) * a.n + r.v) for r in b.rays]
     return _checked(TopologicalFan(a.n + b.n, complex_, rays), validate)
 
-
-# -- the eight-vertex sphere's equation system ----------------------------------------
-
-
-BARNETTE_EQ_TRIPLES = [(1, 2, 3), (2, 3, 1), (3, 1, 2)]
-BARNETTE_EQ_PAIRS = [(1, 2), (2, 3), (3, 1)]
-
-
-def verify_barnette_system(d):
-    """Evaluate the six equation families in the 4x4 integer table d.
-
-    ``d`` maps (i, j) to d_ij for i, j in 1..4.  Returns a per-family report;
-    ``all_hold`` is True only for a table satisfying every equation.
-    """
-
-    def val(i, j):
-        return d[(i, j)]
-
-    report = {
-        "eq1": [(i, val(i, i) == -1) for i in range(1, 5)],
-        "eq2": [((i, j), val(i, j) * val(j, i) == 0) for i, j in BARNETTE_EQ_PAIRS],
-        "eq3": [((i, j), val(j, 4) + val(i, 4) * val(j, i) == -1) for i, j in BARNETTE_EQ_PAIRS],
-        "eq4": [((i, j), val(j, i) + val(j, 4) * val(4, i) == -1) for i, j in BARNETTE_EQ_PAIRS],
-        "eq5": [
-            ((i, j, k),
-             val(i, j) - val(k, j) - val(4, j) - val(i, j) * val(k, 4) * val(4, k) == 1)
-            for i, j, k in BARNETTE_EQ_TRIPLES
-        ],
-        "eq6": [((), val(1, 3) * val(3, 2) * val(2, 1) + val(1, 2) * val(2, 3) * val(3, 1) == 0)],
-    }
-    report["all_hold"] = all(ok for fam in ("eq1", "eq2", "eq3", "eq4", "eq5", "eq6")
-                             for _, ok in report[fam])
-    return report
-
-
-def barnette_system_exhaustive(bound=5):
-    """Exhaustively confirm the system has no solution with |d_ij| <= bound.
-
-    The zero structure of eq2 is branched first, then eq3/eq4 propagate the
-    fourth row and column, so the enumeration stays small.  Returns the number
-    of solutions found (expected 0) and the number of assignments tried.
-    """
-    span = range(-bound, bound + 1)
-    pair_choices = []
-    for a in span:
-        pair_choices.append((a, 0))
-        if a != 0:
-            pair_choices.append((0, a))
-    solutions = 0
-    tried = 0
-    for d12, d21 in pair_choices:
-        for d23, d32 in pair_choices:
-            for d31, d13 in pair_choices:
-                if d13 * d32 * d21 + d12 * d23 * d31 != 0:
-                    continue
-                for d14 in span:
-                    tried += 1
-                    d24 = -1 - d14 * d21
-                    if abs(d24) > bound:
-                        continue
-                    d34 = -1 - d24 * d32
-                    if abs(d34) > bound:
-                        continue
-                    if d14 != -1 - d34 * d13:
-                        continue
-                    for d41 in _eq4_values(d21, d24, bound):
-                        for d42 in _eq4_values(d32, d34, bound):
-                            for d43 in _eq4_values(d13, d14, bound):
-                                table = {
-                                    (1, 1): -1, (2, 2): -1, (3, 3): -1, (4, 4): -1,
-                                    (1, 2): d12, (2, 1): d21, (2, 3): d23, (3, 2): d32,
-                                    (3, 1): d31, (1, 3): d13,
-                                    (1, 4): d14, (2, 4): d24, (3, 4): d34,
-                                    (4, 1): d41, (4, 2): d42, (4, 3): d43,
-                                }
-                                if verify_barnette_system(table)["all_hold"]:
-                                    solutions += 1
-    return {"solutions": solutions, "assignments_tried": tried, "bound": bound}
-
-
-def _eq4_values(d_ji, d_j4, bound):
-    """Values of d_4i solving d_ji + d_j4 * d_4i = -1 within the bound."""
-    if d_j4 == 0:
-        return list(range(-bound, bound + 1)) if d_ji == -1 else []
-    num = -1 - d_ji
-    if num % d_j4 != 0:
-        return []
-    val = num // d_j4
-    return [val] if abs(val) <= bound else []
-
-
-def _cyclic_relabel(table):
-    """Relabel a 4x4 table by the index cycle 1 -> 2 -> 3 -> 1 (4 fixed)."""
-    sigma = {1: 2, 2: 3, 3: 1, 4: 4}
-    return {(sigma[i], sigma[j]): v for (i, j), v in table.items()}
-
-
-def _random_probe_tables(count=40, bound=3, seed=7):
-    import random as _random
-
-    rng = _random.Random(seed)
-    tables = []
-    for _ in range(count):
-        t = {(i, j): rng.randint(-bound, bound) for i in range(1, 5) for j in range(1, 5)}
-        tables.append(t)
-    return tables
-
-
-def barnette_toric_certificate():
-    """Bound-free infeasibility of the sign-matched labeling, by case analysis.
-
-    eq2 and eq6 force at least one of the cyclic entries d21, d32, d13 to
-    vanish.  If all three vanish, eq3/eq4 force the fourth row and column,
-    eq5 then forces d12 = d23 = d31 = 1, and eq6 fails.  Otherwise some
-    nonzero cyclic entry is followed (cyclically) by a zero one; up to the
-    cyclic relabeling symmetry of the system this is d32 != 0 with d13 = 0,
-    and then d23 = 0, d14 = -1, d43 = 1 follow, making eq5 at (2, 3, 1) read
-    -1 = 1 regardless of every remaining entry.  Each step is replayed
-    numerically so the certificate is self-checking.
-    """
-    cases = []
-
-    # Case A: d21 = d32 = d13 = 0.  The derivations pin a full table whose
-    # only failing family must be eq6.
-    forced = {(i, i): -1 for i in range(1, 5)}
-    forced.update({(2, 1): 0, (3, 2): 0, (1, 3): 0})
-    forced.update({(1, 4): -1, (2, 4): -1, (3, 4): -1})
-    forced.update({(4, 1): 1, (4, 2): 1, (4, 3): 1})
-    forced.update({(1, 2): 1, (2, 3): 1, (3, 1): 1})
-    report = verify_barnette_system(forced)
-    cases.append({
-        "case": "all three cyclic entries zero",
-        "derived": {f"d{i}{j}": v for (i, j), v in sorted(forced.items()) if i != j},
-        "violated": "eq6",
-        "consistent_up_to_violation": all(
-            ok for fam in ("eq1", "eq2", "eq3", "eq4", "eq5") for _, ok in report[fam]
-        ),
-        "contradiction": not report["eq6"][0][1],
-    })
-
-    # Case B: d32 != 0 and d13 = 0 (cyclic representative).  With d23 = 0
-    # (eq2), d14 = -1 (eq3 at (3,1)), d43 = 1 (eq4 at (3,1)), eq5 at (2,3,1)
-    # evaluates to d23 - d13 - d43 - d23*d14*d41 = -1 for every value of the
-    # entries the case leaves free; probe a spread of them to confirm.
-    d13, d23, d14, d43 = 0, 0, -1, 1
-    free_probes = (-5, -2, -1, 0, 1, 2, 5)
-    nonzero_probes = tuple(p for p in free_probes if p != 0)
-    eq2_pins_d23 = all(p * q != 0 for p in nonzero_probes for q in nonzero_probes)
-    eq3_pins_d14 = all(d14 == -1 - d34 * d13 for d34 in free_probes)
-    eq4_pins_d43 = (d13 + d14 * d43 == -1)
-    eq5_holds_somewhere = any(
-        d23 - d13 - d43 - d23 * d14 * d41 == 1 for d41 in free_probes
-    )
-    cases.append({
-        "case": "a nonzero cyclic entry followed by a zero one (cyclic representative)",
-        "derived": {"d13": d13, "d23": d23, "d14": d14, "d43": d43},
-        "violated": "eq5 at (i,j,k) = (2,3,1) evaluates to -1",
-        "contradiction": (eq2_pins_d23 and eq3_pins_d14 and eq4_pins_d43
-                          and not eq5_holds_somewhere),
-    })
-
-    # The reduction of case B to one representative uses the invariance of
-    # the whole system under the cyclic relabeling 1 -> 2 -> 3 -> 1; replay
-    # that invariance on random probe tables.
-    symmetry_ok = True
-    for table in _random_probe_tables():
-        a = verify_barnette_system(table)
-        b = verify_barnette_system(_cyclic_relabel(table))
-        for fam in ("eq1", "eq2", "eq3", "eq4", "eq5", "eq6"):
-            if sorted(ok for _, ok in a[fam]) != sorted(ok for _, ok in b[fam]):
-                symmetry_ok = False
-
-    complete = symmetry_ok and all(c["contradiction"] for c in cases)
-    witness = {"cases": cases, "cyclic_symmetry_verified": symmetry_ok, "complete": complete}
-    if not complete:
-        raise AssertionError(f"case analysis failed to close: {witness}")
-    return Infeasible("case-analysis", witness)

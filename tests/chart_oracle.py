@@ -6,7 +6,8 @@ reads each facet's dual basis off its integer adjugates.  This module
 recomputes the same data from the definitions instead: the dual basis by a
 rational Gauss–Jordan block inverse (``inverse``), each of the F^2
 transitions from it and ``pairing``, and the identities by composing all
-F^2 pairs and F^3 triples of transition matrices over the ring.
+F^2 pairs and F^3 triples of transition matrices over the ring.  ``rank``
+reads a rational matrix's rank off ``rref``, for the tests of other layers.
 """
 
 from fractions import Fraction
@@ -61,6 +62,10 @@ def inverse(rows):
             if i != col and f != 0:
                 m[i] = [a - f * b for a, b in zip(m[i], m[col])]
     return [row[n:] for row in m], det
+
+
+def rank(rows):
+    return len(linalg.rref(rows)[1])
 
 
 def solve_unique_columns(cols, target):

@@ -130,3 +130,29 @@ def orbit_face_poset(complex_):
                 covers.append((e, smaller))
     elements.sort(key=lambda t: (len(t), t))
     return FacePoset(tuple(elements), tuple(sorted(covers)))
+
+
+def cyclic_facets(n, m):
+    """Facets of the boundary of the cyclic polytope, by testing Gale's evenness
+    criterion on every n-subset of 1..m in ``combinations`` order."""
+    facets = []
+    for s in combinations(range(1, m + 1), n):
+        runs = []
+        current = [s[0]]
+        for v in s[1:]:
+            if v == current[-1] + 1:
+                current.append(v)
+            else:
+                runs.append(current)
+                current = [v]
+        runs.append(current)
+        ok = True
+        for run in runs:
+            if run[0] == 1 or run[-1] == m:
+                continue
+            if len(run) % 2 != 0:
+                ok = False
+                break
+        if ok:
+            facets.append(s)
+    return facets

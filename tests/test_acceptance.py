@@ -29,7 +29,6 @@ from topfan.realize import (
     Infeasible,
     LabelingProblem,
     Unsat,
-    barnette_toric_certificate,
     derive_sign_table,
     mod2_obstruction,
     realize_2sphere,
@@ -40,6 +39,7 @@ from topfan.realize import (
 )
 from topfan.ring import RElem
 from tests import chart_oracle
+from tests.barnette_oracle import barnette_toric_certificate
 from tests.conftest import random_valid_fan
 
 

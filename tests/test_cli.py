@@ -358,6 +358,15 @@ def test_cyclic_fixture_names_its_file_by_the_numbers(capsys, tmp_path):
     assert list(json.loads(out)["written"]) == ["cyclic_4_7.complex.json"]
 
 
+def test_cyclic_fixture_with_many_vertices(capsys, tmp_path):
+    """The cyclic 4-polytope with m vertices has m(m - 3)/2 facets."""
+    code, out, _ = run_cli(capsys, "fixtures", "cyclic:4:120", "--dir", str(tmp_path))
+    assert code == 0
+    assert list(json.loads(out)["written"]) == ["cyclic_4_120.complex.json"]
+    data = json.loads((tmp_path / "cyclic_4_120.complex.json").read_text())
+    assert data["m"] == 120 and len(data["facets"]) == 7020
+
+
 def test_realize_empty_normalize_is_parsed_not_ignored(capsys, tmp_path):
     path = tmp_path / "square.json"
     path.write_text(json.dumps(SimplicialComplex(4, [(1, 2), (2, 3), (3, 4), (4, 1)]).to_json()))

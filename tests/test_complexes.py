@@ -186,6 +186,14 @@ def test_cyclic_polytope_3d_euler():
         assert k.is_pseudomanifold()
 
 
+def test_cyclic_polytope_facets_match_the_gale_filter():
+    """The pruned generation gives the facets, in the same order, that testing
+    every n-subset against Gale's evenness criterion does."""
+    for n in range(2, 7):
+        for m in range(n + 1, 15):
+            assert list(cyclic_polytope_boundary(n, m).facets) == complex_oracle.cyclic_facets(n, m)
+
+
 def test_cyclic_polytope_bad_parameters():
     with pytest.raises(ValueError):
         cyclic_polytope_boundary(4, 4)

@@ -2,12 +2,13 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from topfan import invariants, linalg
-from topfan.fans import TopologicalFan
-from topfan.fixtures import cp2cp2_fan, octahedron_fan, projective_fan, segment_fan
+from topfan.fans import Ray, TopologicalFan
+from topfan.fixtures import barnette_fan, cp2cp2_fan, octahedron_fan, projective_fan, segment_fan
 from topfan.invariants import (
     DegenerateDirectionError,
     betti_numbers,
@@ -21,7 +22,7 @@ from topfan.invariants import (
 )
 from topfan.realize import product_fan, suspend_fan
 from topfan.ring import MU0
-from tests import chart_oracle
+from tests import chart_oracle, graded_oracle
 from tests.conftest import random_valid_fan
 
 
@@ -326,3 +327,90 @@ def test_graded_ring_cached_on_the_fan(monkeypatch):
     assert [graded_rank(fan, k) for k in range(3)] == [1, 2, 1]
     normal_form(fan, {_mono(4, (1, 1)): Fraction(1)}, 1)
     assert len(built) == 21  # one ring for the fan, reused
+
+
+def _seeded_fan(rng, n, max_m):
+    while True:
+        fan = random_valid_fan(rng, max_m=max_m, max_n=n)
+        if fan.n == n:
+            return fan
+
+
+def _oracle_fans(rng):
+    """Seeded valid fans with n = 2, 3, 4 in turn (n = 4 by suspension or
+    product), every other one with c = 0 on all rays and the rest with c != 0
+    on all rays, each also relabeled so that the pivot generators need not
+    span a facet; then cp2cp2, the octahedron, P^2 x P^2 and Barnette's
+    sphere."""
+    fans = []
+    for i in range(30):
+        n = 2 + i % 3
+        if n < 4:
+            fan = _seeded_fan(rng, n, 9)
+        elif rng.random() < 0.5:
+            fan = suspend_fan(_seeded_fan(rng, 3, 7), validate=False)
+        else:
+            fan = product_fan(_seeded_fan(rng, 2, 5), _seeded_fan(rng, 2, 5), validate=False)
+        rays = []
+        for ray in fan.rays:
+            c = (0,) * fan.n if i % 2 == 0 else tuple(
+                Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3)) for _ in range(fan.n))
+            rays.append(Ray(ray.b, c, ray.v))
+        fan = TopologicalFan(fan.n, fan.complex, rays)
+        # n rays with |det v| > 1 first, when there are such, so that the
+        # substitution has a denominator q > 1
+        front = next((s for s in combinations(range(1, fan.m + 1), fan.n)
+                      if abs(linalg.int_det([fan.ray(i).v for i in s])) > 1), ())
+        rest = [i for i in range(1, fan.m + 1) if i not in front]
+        rng.shuffle(rest)
+        mapping = {old: new for new, old in enumerate([*front, *rest], 1)}
+        moved = [None] * fan.m
+        for old, new in mapping.items():
+            moved[new - 1] = fan.ray(old)
+        fans += [fan, TopologicalFan(fan.n, fan.complex.relabeled(mapping), moved)]
+    return fans + [cp2cp2_fan(), octahedron_fan(),
+                   product_fan(projective_fan(2), projective_fan(2)), barnette_fan()]
+
+
+def _random_polynomial(rng, m, k):
+    poly = {}
+    for _ in range(rng.randint(1, 6)):
+        exp = [0] * m
+        for i in rng.choices(range(m), k=k):
+            exp[i] += 1
+        poly[tuple(exp)] = rng.choice([rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 12))])
+    return poly
+
+
+def _pontrjagin_polynomial(m, k):
+    """The degree-k piece of prod_i (1 + mu_i^2), k even."""
+    return {tuple(2 if i in subset else 0 for i in range(m)): Fraction(1)
+            for subset in combinations(range(m), k // 2)}
+
+
+def test_integer_graded_ring_matches_the_fraction_oracle():
+    """Ranks, bases and reductions of random rational polynomials and of the
+    Pontrjagin pieces agree, degree by degree, with the Fraction-arithmetic ring."""
+    rng = random.Random(199)
+    denominators, image_denominators = [], []
+    for fan in _oracle_fans(rng):
+        presentation = cohomology_presentation(fan)
+        ring = invariants.GradedRing(presentation)
+        oracle = graded_oracle.GradedRing(presentation)
+        assert ring.pivots == oracle.pivots and ring.survivors == oracle.survivors
+        denominators.append(ring.q)
+        for k in range(fan.n + 1):
+            assert ring.rank(k) == oracle.rank(k), (fan, k)
+            assert ring.basis_monomials(k) == oracle.basis_monomials(k), (fan, k)
+            image_denominators.append(ring._degree_data(k)["den"])
+            polys = [_random_polynomial(rng, fan.m, k) for _ in range(4)]
+            if k % 2 == 0:
+                polys.append(_pontrjagin_polynomial(fan.m, k))
+            for poly in polys:
+                coords = ring.reduce(poly, k)
+                assert coords == oracle.reduce(poly, k), (fan, k, poly)
+                assert all(type(x) is Fraction for x in coords)
+    # the relabeled fans reach substitutions over a denominator q > 1, and a
+    # few degrees whose reduced rows are not integral on the basis columns
+    assert sum(q > 1 for q in denominators) >= 10
+    assert sum(d > 1 for d in image_denominators) >= 2

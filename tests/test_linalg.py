@@ -8,6 +8,7 @@ from operator import mul
 import pytest
 
 from topfan import linalg
+from tests import chart_oracle
 
 
 def _minor_row(cols, position):
@@ -141,6 +142,25 @@ def _rref_cases():
                         for row in rows:
                             row[column] = zero
                     yield rows
+    # integer entries up to 10^12
+    for nrows, ncols in ((3, 3), (4, 6), (7, 4), (6, 6)):
+        yield [[rng.choice([0, rng.randint(-10 ** 12, 10 ** 12)]) for _ in range(ncols)]
+               for _ in range(nrows)]
+    # proportional rows, and rows whose content is greater than 1
+    for _ in range(8):
+        ncols = rng.randint(2, 7)
+        base = [rng.randint(-5, 5) for _ in range(ncols)]
+        rows = [[f * x for x in base] for f in rng.sample([1, -1, 2, -3, 6, 10 ** 6], 3)]
+        rows += [[content * rng.randint(-4, 4) for _ in range(ncols)]
+                 for content in rng.sample([2, 3, 4, 6, 35, 10 ** 9], rng.randint(1, 3))]
+        rng.shuffle(rows)
+        yield rows
+        yield to_fractions(rows)
+    # Fraction rows whose entries have pairwise different denominators
+    primes = (2, 3, 5, 7, 11, 13, 17, 19, 23)
+    for nrows, ncols in ((2, 3), (3, 5), (4, 4), (5, 7), (3, 9)):
+        yield [[Fraction(rng.choice([-1, 1]) * rng.randint(1, p - 1), p)
+                for p in rng.sample(primes, ncols)] for _ in range(nrows)]
     yield []
     yield [[0, 0, 0], [0, 0, 0]]
 
@@ -191,7 +211,7 @@ def test_reduce_system_writes_each_other_row_through_the_kept_ones():
         n = rng.randint(1, 6)
         rows = _seeded_rows(rng, n)
         chosen, pivots = linalg.independent_rows(rows)
-        assert len(chosen) == len(pivots) == (linalg.rank(rows) if rows else 0)
+        assert len(chosen) == len(pivots) == (chart_oracle.rank(rows) if rows else 0)
         block = [[rows[i][p] for p in pivots] for i in chosen]
         assert linalg.int_det(block) != 0
         # consistent targets (those of an integer point) or arbitrary ones

@@ -31,8 +31,6 @@ from topfan.realize import (
     SignContradiction,
     SignTable,
     Unsat,
-    barnette_system_exhaustive,
-    barnette_toric_certificate,
     derive_sign_table,
     find_clique,
     mod2_obstruction,
@@ -41,10 +39,14 @@ from topfan.realize import (
     search_labeling,
     stellar_subdivide_fan,
     suspend_fan,
-    verify_barnette_system,
     verify_labeling,
 )
 from tests import search_oracle
+from tests.barnette_oracle import (
+    barnette_system_exhaustive,
+    barnette_toric_certificate,
+    verify_barnette_system,
+)
 from tests.conftest import random_valid_fan
 
 
