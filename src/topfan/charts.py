@@ -183,10 +183,6 @@ class FacePoset:
             counts[len(e)] = counts.get(len(e), 0) + 1
         return counts
 
-    def leq(self, a, b):
-        """a <= b in the poset, i.e. the face a is contained in the face b."""
-        return set(b) <= set(a)
-
     def to_json(self):
         return {
             "elements": [list(e) for e in self.elements],

@@ -3,9 +3,9 @@
 Vertices are the integers 1..m.  Complexes are immutable, so each derives
 its incidence once, on first use: the vertex stars, the wall -> facets map
 and one face index ordered by (size, lexicographic).  Every star, wall and
-face query reads these.  Sphere-ness is never decided: callers get purity,
-Euler characteristic and pseudomanifold checks as sanity gates and otherwise
-trust their fixtures.
+face query reads these.  Sphere-ness is never decided: callers get purity
+and pseudomanifold checks as sanity gates and otherwise trust their
+fixtures.
 """
 
 from __future__ import annotations
@@ -25,9 +25,15 @@ class SimplicialComplex:
     __slots__ = ("m", "facets", "labels", "_stars", "_walls", "_faces")
 
     def __init__(self, m, facets, labels=None):
+        if int(m) != m:
+            raise ValueError(f"m = {m!r} is not an integer")
         facet_set = set()
         for f in facets:
-            t = tuple(sorted(set(int(v) for v in f)))
+            f = tuple(f)
+            t = tuple(map(int, f))
+            if t != f:
+                raise ValueError(f"facet {f} is not integral")
+            t = tuple(sorted(set(t)))
             if not t:
                 raise ValueError("empty facet")
             if t[0] < 1 or t[-1] > m:
@@ -99,9 +105,6 @@ class SimplicialComplex:
 
     def f_vector(self):
         return tuple(Counter(map(len, self._face_index())).values())[1:]
-
-    def euler_characteristic(self):
-        return sum((-1) ** k * fk for k, fk in enumerate(self.f_vector()))
 
     # -- pseudomanifold structure ------------------------------------------
 

@@ -262,7 +262,8 @@ class TopologicalFan:
         facet's block is independent when the det of its cached ``(det,
         adj)`` record (``_adjugate``) is nonzero, the record that cone
         location, the weights and the charts read as well; facets of any
-        other size are row-reduced (``linalg.independent_rows``).
+        other size are independent when ``linalg.rref`` of their columns
+        (as rows) has one pivot per column.
 
         Once the b-columns of every facet are independent, a fan that passes
         ``check_complete`` certifies its own intersections by a local
@@ -313,7 +314,7 @@ class TopologicalFan:
                     independent = self._adjugate(part, f)[0] != 0
                 else:
                     columns = self._int_columns(part, f)
-                    independent = len(linalg.independent_rows(columns)[0]) == len(f)
+                    independent = len(linalg.rref(columns)[1]) == len(f)
                 if not independent:
                     return Verdict(False, {"kind": f"dependent-{part}", "facet": list(f)})
         if self.check_complete().ok:

@@ -318,9 +318,6 @@ class OmniWeights:
     def w(self, facet):
         return self.weights[tuple(sorted(facet))]
 
-    def w_pair(self, facet):
-        return (1, 0) if self.w(facet) == 1 else (0, 1)
-
     def to_json(self):
         return {",".join(map(str, f)): w for f, w in sorted(self.weights.items())}
 
@@ -344,9 +341,13 @@ def todd_genus(fan: TopologicalFan, direction=None) -> int:
     """Signed count of top cones in the multi-fan containing a regular direction.
 
     Without ``direction`` one is drawn from ``Random(0)``; a given one must
-    pass ``TopologicalFan.is_regular`` for the v-cones.
+    pass ``TopologicalFan.is_regular`` for the v-cones.  For n = 0 nothing
+    is drawn: the cone of the empty face is all of R^0, so the point's
+    genus is 1.
     """
     fan.require_valid()
+    if fan.n == 0 and direction is None:
+        return 1
     weights = omni_weights(fan)
     if direction is not None:
         direction = [Fraction(x) for x in direction]

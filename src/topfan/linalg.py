@@ -117,8 +117,9 @@ def int_det(rows):
 
 # Largest n whose exterior-product tables ``cofactor_row`` builds and keeps.
 # Each step up doubles the table.  Per call (Python 3.11, 2-vCPU host, random
-# entries in -3..3) the product takes 21/51/111/644 us at n = 6/7/8/10 and
-# the elimination 41/63/90/230 us: the crossover lies between 7 and 8.
+# entries in -3..3) the product takes 19/48/93 us at n = 6/7/8 and the
+# ``reduce_system`` pass 39/67/104/174 us at n = 6/7/8/10: the two are close
+# at n = 8, where the table would be twice the size of n = 7's.
 _WEDGE_MAX_N = 7
 
 
@@ -153,47 +154,28 @@ def cofactor_row(cols, position):
     n minors come from one exterior product ``cols[0] ∧ ... ∧ cols[-1]``,
     built column by column over row subsets; for n = 4 that is about five
     times faster than n ``int_det`` minors.  Its tables hold about n·2^(n-1)
-    terms, so above ``_WEDGE_MAX_N`` one fraction-free Gauss-Jordan
-    elimination (Bareiss, Math. Comp. 22, 1968) of ``cols`` as rows gives
-    them all.  With n - 1 pivots and free column f, every pivot entry is
-    the same d, the minor without row f up to the sign of the row swaps,
-    and the row of pivot p holds d times the reduced echelon form at f.  So
-    c_f = ±d and c_p = ∓row_p[f], the sign set by ``position``, f and the
-    swaps.  Fewer pivots give the zero form.
+    terms, so above ``_WEDGE_MAX_N`` the form comes from one
+    ``reduce_system`` pass over ``cols`` as rows, each with target 0.  With
+    fewer than n - 1 pivots the form is zero.  Otherwise let f be the free
+    column: the rows are d on their own pivot and 0 on the others, so the
+    kernel of ``cols`` is spanned by z with z_f = d and z_p = -row_p[f].
+    d is the determinant of ``cols`` on the pivot columns in pivot order,
+    so the form is ε·z with ε = (-1)^(inv + n - 1 + position), where inv
+    counts the inversions of ``pivots + [f]``.
     """
     n = len(cols) + 1
     if n == 1:
         return (1,)
     if n > _WEDGE_MAX_N:
-        rows = [list(col) for col in cols]
-        pivots, free, sign, prev = [], None, (-1) ** position, 1
-        for j in range(n):
-            r = len(pivots)
-            if r == n - 1:
-                break
-            p = next((i for i in range(r, n - 1) if rows[i][j]), None)
-            if p is None:
-                if free is not None:
-                    return (0,) * n
-                free = j
-                continue
-            if p != r:
-                rows[r], rows[p] = rows[p], rows[r]
-                sign = -sign
-            prow = rows[r]
-            d = prow[j]
-            for i, row in enumerate(rows):
-                if i != r:
-                    a = row[j]
-                    row[:] = [(d * x - a * y) // prev for x, y in zip(row, prow)]
-            prev = d
-            pivots.append(j)
-        if free is None:
-            free = n - 1
-        if free % 2:
-            sign = -sign
+        d, pivots, rows, _ = reduce_system((col, (0,)) for col in cols)
+        if len(pivots) < n - 1:
+            return (0,) * n
+        order = pivots + [sum(range(n)) - sum(pivots)]
+        free = order[-1]
+        inversions = sum(a > b for a, b in combinations(order, 2))
+        sign = -1 if (inversions + n - 1 + position) % 2 else 1
         c = [0] * n
-        c[free] = sign * prev
+        c[free] = sign * d
         for p, row in zip(pivots, rows):
             c[p] = -sign * row[free]
         return tuple(c)
@@ -208,30 +190,6 @@ def cofactor_row(cols, position):
         w = wedge
     # the (n-1)-subsets come in the order that omits row n-1, n-2, ..., 0
     return tuple(w[n - 1 - k] if (k + position) % 2 == 0 else -w[n - 1 - k] for k in range(n))
-
-
-def independent_rows(rows):
-    """A maximal independent subset of integer rows, and its pivots.
-
-    Fraction-free elimination in list order: each row is reduced by cross
-    multiplication against the rows kept before it, and kept when something
-    is left; its pivot is its first nonzero column then.  The kept rows
-    restricted to the pivot columns form a nonsingular square block, since
-    their reductions are triangular there.  Returns ``(chosen, pivots)``.
-    """
-    chosen, pivots, echelon = [], [], []
-    for i, row in enumerate(rows):
-        for p, e in zip(pivots, echelon):
-            c = row[p]
-            if c:
-                a = e[p]
-                row = [a * x - c * y for x, y in zip(row, e)]
-        lead = next((j for j, x in enumerate(row) if x), None)
-        if lead is not None:
-            chosen.append(i)
-            pivots.append(lead)
-            echelon.append(row)
-    return chosen, pivots
 
 
 def reduce_system(pairs):

@@ -67,28 +67,6 @@ class RElem:
     def is_zero(self) -> bool:
         return self.b == 0 and self.c == 0 and self.v == 0
 
-    def is_homeo_scalar(self) -> bool:
-        """True when the endomorphism extends to a homeomorphism of C.
-
-        That is b > 0 and v = +-1; these are exactly the scalars allowed in
-        the per-ray matching of H-equivalence.
-        """
-        return self.b > 0 and self.v in (1, -1)
-
-    def is_laurent(self) -> bool:
-        """True when g^mu is a Laurent monomial in g and conj(g)."""
-        return self.c == 0 and self.b.denominator == 1 and (self.b.numerator - self.v) % 2 == 0
-
-    def laurent_exponents(self):
-        """Exponents (p, q) with g^mu = g^p conj(g)^q, or None."""
-        if not self.is_laurent():
-            return None
-        b = self.b.numerator
-        return ((b + self.v) // 2, (b - self.v) // 2)
-
-    def as_matrix(self):
-        return [[self.b, Fraction(0)], [self.c, Fraction(self.v)]]
-
     def to_json(self):
         return [self.b.numerator, self.b.denominator, self.c.numerator, self.c.denominator, self.v]
 

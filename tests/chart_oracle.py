@@ -7,7 +7,9 @@ recomputes the same data from the definitions instead: the dual basis by a
 rational Gauss–Jordan block inverse (``inverse``), each of the F^2
 transitions from it and ``pairing``, and the identities by composing all
 F^2 pairs and F^3 triples of transition matrices over the ring.  ``rank``
-reads a rational matrix's rank off ``rref``, for the tests of other layers.
+reads a rational matrix's rank off ``rref``, for the tests of other layers,
+and ``laurent_exponents`` reads a transition entry as a monomial in g and
+conj(g).
 """
 
 from fractions import Fraction
@@ -180,6 +182,19 @@ def cocycle_failure(fan):
                 if compose(mats[(fj, fk)], mats[(fi, fj)]) != mats[(fi, fk)].entries:
                     return ("triple", fi, fj, fk)
     return None
+
+
+def is_laurent(mu) -> bool:
+    """True when g^mu is a Laurent monomial in g and conj(g)."""
+    return mu.c == 0 and mu.b.denominator == 1 and (mu.b.numerator - mu.v) % 2 == 0
+
+
+def laurent_exponents(mu):
+    """Exponents (p, q) with g^mu = g^p conj(g)^q, or None."""
+    if not is_laurent(mu):
+        return None
+    b = mu.b.numerator
+    return ((b + mu.v) // 2, (b - mu.v) // 2)
 
 
 def conjugation_equivariant(fan) -> bool:

@@ -8,7 +8,9 @@ star loops of the labeling plan and of ``equivalent``, the neighbour pass
 over the one-skeleton, the facet scans of ``has_face`` and ``link``, one
 face enumeration per dimension for the f-vector, and the face poset's
 membership test and re-sort.  Each takes the complex as its first argument
-and must give the same values in the same order as the index.
+and must give the same values in the same order as the index.  Two
+readings that no caller in the package needs live here too: the Euler
+characteristic of a complex and the order of the face poset.
 """
 
 from itertools import combinations
@@ -130,6 +132,15 @@ def orbit_face_poset(complex_):
                 covers.append((e, smaller))
     elements.sort(key=lambda t: (len(t), t))
     return FacePoset(tuple(elements), tuple(sorted(covers)))
+
+
+def euler_characteristic(complex_):
+    return sum((-1) ** k * fk for k, fk in enumerate(complex_.f_vector()))
+
+
+def face_poset_leq(a, b):
+    """a <= b in the orbit-space face poset, i.e. the face a contains the face b."""
+    return set(b) <= set(a)
 
 
 def cyclic_facets(n, m):

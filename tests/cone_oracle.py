@@ -9,10 +9,12 @@ over a kernel basis, one signed maximal minor per choice of active
 inequalities, in integer arithmetic.
 
 ``check_fan_condition`` and ``check_nonsingular`` decide every facet
-without the cached ``(det, adj)`` records: independence by row reduction
-(``linalg.independent_rows``) of both parts, and unimodularity by
-``linalg.int_det`` of each top facet's v-block (``maximal_minor_gcd`` for
-the other facets).
+without the cached ``(det, adj)`` records: independence by the
+fraction-free row reduction ``independent_rows`` below, of both parts, and
+unimodularity by ``linalg.int_det`` of each top facet's v-block
+(``maximal_minor_gcd`` for the other facets).  ``independent_rows`` is
+also the tests' reference for the rank that ``linalg.rref``'s pivots give
+and for the rows that ``linalg.reduce_system`` keeps.
 """
 
 from fractions import Fraction
@@ -22,12 +24,36 @@ from topfan import linalg
 from topfan.fans import Verdict
 
 
+def independent_rows(rows):
+    """A maximal independent subset of integer rows, and its pivots.
+
+    Fraction-free elimination in list order: each row is reduced by cross
+    multiplication against the rows kept before it, and kept when something
+    is left; its pivot is its first nonzero column then.  The kept rows
+    restricted to the pivot columns form a nonsingular square block, since
+    their reductions are triangular there.  Returns ``(chosen, pivots)``.
+    """
+    chosen, pivots, echelon = [], [], []
+    for i, row in enumerate(rows):
+        for p, e in zip(pivots, echelon):
+            c = row[p]
+            if c:
+                a = e[p]
+                row = [a * x - c * y for x, y in zip(row, e)]
+        lead = next((j for j, x in enumerate(row) if x), None)
+        if lead is not None:
+            chosen.append(i)
+            pivots.append(lead)
+            echelon.append(row)
+    return chosen, pivots
+
+
 def check_fan_condition(fan):
     """``TopologicalFan.check_fan_condition`` with every facet row-reduced."""
     for f in fan.complex.facets:
-        if len(linalg.independent_rows(fan._int_columns("b", f))[0]) != len(f):
+        if len(independent_rows(fan._int_columns("b", f))[0]) != len(f):
             return Verdict(False, {"kind": "dependent-b", "facet": list(f)})
-        if len(linalg.independent_rows(fan._int_columns("v", f))[0]) != len(f):
+        if len(independent_rows(fan._int_columns("v", f))[0]) != len(f):
             return Verdict(False, {"kind": "dependent-v", "facet": list(f)})
     if fan.check_complete().ok:
         return Verdict(True)

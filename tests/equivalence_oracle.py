@@ -7,7 +7,8 @@ stars of the target's vertices.  This module keeps the plain version:
 every (source, target) ray pair is decided by solving for its scalar
 (``_ray_match_scalar``), and every partial image is compared with every
 target facet.  Both search vertices 1..m with ascending candidates, so they
-must return the same sigma, scalars and None.
+must return the same sigma, scalars and None.  ``is_homeo_scalar`` tells
+the scalars that the ``h`` mode allows.
 """
 
 from fractions import Fraction
@@ -15,6 +16,15 @@ from typing import Optional
 
 from topfan.fans import Isomorphism, Ray
 from topfan.ring import MU0, RElem
+
+
+def is_homeo_scalar(mu: RElem) -> bool:
+    """True when the endomorphism extends to a homeomorphism of C.
+
+    That is b > 0 and v = +-1; these are exactly the scalars allowed in
+    the per-ray matching of H-equivalence.
+    """
+    return mu.b > 0 and mu.v in (1, -1)
 
 
 def _h_scalar(source: Ray, target: Ray) -> Optional[RElem]:

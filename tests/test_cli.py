@@ -205,12 +205,22 @@ def test_invariants_direction_without_todd_exits_2(capsys, cp2cp2_path, selector
     assert err == "error: --dir applies only to --todd\n"
 
 
-def test_todd_in_dimension_zero_exits_2(capsys, tmp_path):
-    # no nonzero direction exists, so the draw for the Todd genus must fail, not spin
+def test_todd_in_dimension_zero_is_the_points_genus(capsys, tmp_path):
+    """No nonzero direction exists in R^0, so nothing is drawn: the cone of the
+    empty face is all of R^0 and the point's Todd genus is 1, for --todd and for
+    the full report alike, on the fan validate accepts.  A given direction has
+    no coordinate to give and still exits 2."""
     path = tmp_path / "point.json"
     path.write_text(json.dumps({"n": 0, "complex": {"m": 0, "facets": []}, "rays": []}))
-    code, _, err = run_cli(capsys, "invariants", str(path), "--todd")
-    assert code == 2 and err.startswith("error:")
+    assert run_cli(capsys, "validate", str(path))[0] == 0
+    code, out, err = run_cli(capsys, "invariants", str(path), "--todd")
+    assert (code, err) == (0, "") and json.loads(out)["result"] == {"todd_genus": 1}
+    code, out, err = run_cli(capsys, "invariants", str(path))
+    result = json.loads(out)["result"]
+    assert (code, err) == (0, "") and result["todd_genus"] == 1 and result["betti"] == [1]
+    code, out, err = run_cli(capsys, "invariants", str(path), "--todd", "--dir", "0")
+    assert (code, out) == (2, "")
+    assert err == "error: direction has 1 coordinates, the fan has dimension 0\n"
 
 
 def test_negative_dimension_exits_2(capsys, tmp_path, cp2cp2_path):

@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations
 from math import comb
 
@@ -43,6 +44,20 @@ def test_construction_rejects_uncovered_vertices():
     # the count comes from the facets alone: a huge m builds no vertex set
     with pytest.raises(ValueError, match=r"^vertex 3 appears in no facet \(99999999998 uncovered"):
         SimplicialComplex(10 ** 11, [(1, 2)])
+
+
+def test_construction_rejects_non_integral_input():
+    """A vertex or an m that differs from its int() is named, not truncated;
+    integral floats and Fractions are taken as their ints."""
+    with pytest.raises(ValueError, match=r"^facet \(1\.7, 2, 3\) is not integral$"):
+        SimplicialComplex(3, [(1.7, 2, 3)])
+    with pytest.raises(ValueError, match=r"^facet \(Fraction\(5, 2\), 1\) is not integral$"):
+        SimplicialComplex(3, [(Fraction(5, 2), 1), (2, 3)])
+    with pytest.raises(ValueError, match=r"^m = 2\.5 is not an integer$"):
+        SimplicialComplex(2.5, [(1, 2)])
+    k = SimplicialComplex(Fraction(3), [[1.0, Fraction(2), 3]])
+    assert k.m == 3 and k.facets == ((1, 2, 3),)
+    assert all(type(v) is int for v in k.facets[0])
 
 
 def test_purity():
@@ -202,7 +217,7 @@ def test_cyclic_polytope_bad_parameters():
 def test_barnette_complex_shape():
     k = barnette_complex()
     assert k.f_vector() == (8, 27, 38, 19)
-    assert k.euler_characteristic() == 0
+    assert complex_oracle.euler_characteristic(k) == 0
     assert k.is_pseudomanifold()
     # the single missing edge
     assert not k.has_face((4, 8))

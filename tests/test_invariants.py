@@ -123,13 +123,18 @@ def test_minimal_non_faces_of_octahedron():
     assert minimal_non_faces(octahedron_complex()) == ((1, 4), (2, 5), (3, 6))
 
 
+def _w_pair(weights, facet):
+    """A facet's weight as the pair (1, 0) for +1 and (0, 1) for -1."""
+    return (1, 0) if weights.w(facet) == 1 else (0, 1)
+
+
 def test_omni_weights_square(square_fan):
     w = omni_weights(square_fan)
     assert w.w((1, 2)) == 1
     assert w.w((2, 3)) == 1
     assert w.w((3, 4)) == -1
     assert w.w((4, 1)) == 1
-    assert w.w_pair((3, 4)) == (0, 1)
+    assert _w_pair(w, (3, 4)) == (0, 1)
 
 
 def test_omni_weights_ordinary_fans_positive(oct_fan):

@@ -19,15 +19,29 @@ from topfan.ring import (
 from topfan import linalg
 from topfan.complexes import SimplicialComplex
 from topfan.fans import Ray, TopologicalFan
-from tests.chart_oracle import dual_basis, inverse, mat_mul, orientation_sign, rank
-from tests.cone_oracle import extreme_rays_nonneg_kernel
+from tests.chart_oracle import (
+    dual_basis,
+    inverse,
+    is_laurent,
+    laurent_exponents,
+    mat_mul,
+    orientation_sign,
+    rank,
+)
+from tests.cone_oracle import extreme_rays_nonneg_kernel, independent_rows
+from tests.equivalence_oracle import is_homeo_scalar
 
 import pytest
 
 
+def as_matrix(x):
+    """The ring element as its matrix [[b, 0], [c, v]]."""
+    return [[x.b, Fraction(0)], [x.c, Fraction(x.v)]]
+
+
 def mat_oracle_mul(x, y):
     """2x2 rational matrix product, kept independent of RElem.__mul__."""
-    a, b = x.as_matrix(), y.as_matrix()
+    a, b = as_matrix(x), as_matrix(y)
     return [
         [a[0][0] * b[0][0] + a[0][1] * b[1][0], a[0][0] * b[0][1] + a[0][1] * b[1][1]],
         [a[1][0] * b[0][0] + a[1][1] * b[1][0], a[1][0] * b[0][1] + a[1][1] * b[1][1]],
@@ -46,7 +60,7 @@ def test_product_matches_matrix_oracle_bulk():
     rng = random.Random(42)
     for _ in range(10_000):
         x, y = random_elem(rng), random_elem(rng)
-        assert (x * y).as_matrix() == mat_oracle_mul(x, y)
+        assert as_matrix(x * y) == mat_oracle_mul(x, y)
 
 
 def test_ring_axioms_bulk():
@@ -86,18 +100,18 @@ def test_conjugate_involution():
 
 
 def test_homeo_scalar_predicate():
-    assert MU0.is_homeo_scalar()
-    assert not RElem(0, 0, 1).is_homeo_scalar()
-    assert RElem(Fraction(1, 2), 7, 1).is_homeo_scalar()
-    assert not RElem(1, 0, 2).is_homeo_scalar()
+    assert is_homeo_scalar(MU0)
+    assert not is_homeo_scalar(RElem(0, 0, 1))
+    assert is_homeo_scalar(RElem(Fraction(1, 2), 7, 1))
+    assert not is_homeo_scalar(RElem(1, 0, 2))
 
 
 def test_laurent_exponents():
     m = RElem(0, 0, -2)
-    assert m.is_laurent() and m.laurent_exponents() == (-1, 1)
-    assert not RElem(Fraction(1, 2), 0, 0).is_laurent()
-    assert not RElem(1, 1, 1).is_laurent()
-    assert RElem(3, 0, 1).laurent_exponents() == (2, 1)
+    assert is_laurent(m) and laurent_exponents(m) == (-1, 1)
+    assert not is_laurent(RElem(Fraction(1, 2), 0, 0))
+    assert not is_laurent(RElem(1, 1, 1))
+    assert laurent_exponents(RElem(3, 0, 1)) == (2, 1)
 
 
 def test_algebraic_subring_closed():
@@ -173,7 +187,7 @@ def test_sparse_pairing_matches_the_dense_sum_on_seeded_sparse_vectors():
         n = rng.randint(0, 5)
         alpha, beta = _sparse_vector(rng, n), _sparse_vector(rng, n)
         zero_parts.update(tuple(x == 0 for x in (e.b, e.c, e.v)) for e in alpha + beta)
-        assert pairing(alpha, beta).as_matrix() == _dense_pairing_matrix(alpha, beta)
+        assert as_matrix(pairing(alpha, beta)) == _dense_pairing_matrix(alpha, beta)
     assert len(zero_parts) == 8  # every pattern of zero parts was paired
 
 
@@ -272,12 +286,14 @@ def test_inverse_returns_the_determinant():
 
 def test_independent_rows_agrees_with_rank():
     """Fraction-free independence against the row-reduction rank, on 1-8
-    integer vectors in Z^1..Z^6, more vectors than coordinates included."""
+    integer vectors in Z^1..Z^6, more vectors than coordinates included.
+    ``rank`` is ``linalg.rref``'s pivot count, the rank validation reads
+    for a facet of any size but n."""
     rng = random.Random(29)
     for _ in range(2000):
         n, k = rng.randint(1, 6), rng.randint(1, 8)
         rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(k)]
-        chosen, pivots = linalg.independent_rows(rows)
+        chosen, pivots = independent_rows(rows)
         assert len(chosen) == len(pivots) == rank(rows), rows
         # the kept rows on the pivot columns form a nonsingular block
         assert linalg.int_det([[rows[i][p] for p in pivots] for i in chosen]) != 0
@@ -348,7 +364,7 @@ def test_dual_basis_property_random():
 def test_product_matches_oracle_hypothesis(bn1, bd1, cn1, cd1, v1, bn2, bd2, cn2, cd2, v2):
     x = RElem(Fraction(bn1, bd1), Fraction(cn1, cd1), v1)
     y = RElem(Fraction(bn2, bd2), Fraction(cn2, cd2), v2)
-    assert (x * y).as_matrix() == mat_oracle_mul(x, y)
+    assert as_matrix(x * y) == mat_oracle_mul(x, y)
 
 
 def test_integer_and_fraction_parts_give_one_element():
