@@ -227,7 +227,8 @@ def _parse_labels(raw, m):
     """Vertex labels read from JSON: one string each for distinct vertices 1..m.
 
     An absent field, ``null`` and ``{}`` mean no labels; any other value that
-    is not an object is a ValueError.
+    is not an object is a ValueError, and so is a key that is not ASCII
+    digits naming a vertex.
     """
     if raw is None:
         return None
@@ -238,7 +239,7 @@ def _parse_labels(raw, m):
     labels = {}
     for key, label in raw.items():
         try:
-            vertex = int(key) if key.isdecimal() else 0
+            vertex = int(key) if key.isascii() and key.isdecimal() else 0
         except ValueError:  # more digits than int() converts
             vertex = 0
         if not 1 <= vertex <= m:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
 from operator import mul
 from typing import Optional
 
@@ -263,7 +264,7 @@ class TopologicalFan:
         adj)`` record (``_adjugate``) is nonzero, the record that cone
         location, the weights and the charts read as well; facets of any
         other size are independent when ``linalg.rref`` of their columns
-        (as rows) has one pivot per column.
+        (as sparse rows) has one pivot per column.
 
         Once the b-columns of every facet are independent, a fan that passes
         ``check_complete`` certifies its own intersections by a local
@@ -313,7 +314,8 @@ class TopologicalFan:
                 if len(f) == self.n:
                     independent = self._adjugate(part, f)[0] != 0
                 else:
-                    columns = self._int_columns(part, f)
+                    columns = [dict(compress(enumerate(col), col))
+                               for col in self._int_columns(part, f)]
                     independent = len(linalg.rref(columns)[1]) == len(f)
                 if not independent:
                     return Verdict(False, {"kind": f"dependent-{part}", "facet": list(f)})

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, compress
 from math import lcm
 from operator import add
 
@@ -84,22 +84,24 @@ class GradedRing:
 
     def __init__(self, presentation: CohomPresentation):
         self.m = presentation.m
-        reduced, pivots = linalg.rref(presentation.relation_matrix)
+        reduced, pivots = linalg.rref(
+            [dict(compress(enumerate(r), r)) for r in presentation.relation_matrix])
         if len(pivots) != len(presentation.relation_matrix):
             raise ValueError("linear relations are degenerate")
         self.pivots = pivots  # 0-based generator indices eliminated by relations
         self.survivors = [j for j in range(self.m) if j not in pivots]
         self._survivor_pos = {j: pos for pos, j in enumerate(self.survivors)}
         s = len(self.survivors)
-        self.q = lcm(*(reduced[r][j].denominator
-                       for r in range(len(pivots)) for j in self.survivors))
+        # a primitive row zero on the other pivots: its reduced entries have
+        # least common denominator |e[p]|
+        self.q = lcm(*(e[p] for e, p in zip(reduced, pivots)))
         # substitution: pivot generator -> q times its linear form over the
         # survivors, as an integer polynomial
         self.substitution = {}
-        for row, p in zip(reduced, pivots):
+        for e, p in zip(reduced, pivots):
             self.substitution[p] = {
-                tuple(int(k == pos) for k in range(s)): -x.numerator * (self.q // x.denominator)
-                for pos, j in enumerate(self.survivors) if (x := row[j])
+                tuple(int(k == pos) for k in range(s)): -e[j] * (self.q // e[p])
+                for pos, j in enumerate(self.survivors) if j in e
             }
         self.sr_polynomials = [
             self._substitute_monomial({i - 1: 1 for i in mono})[0]
@@ -163,10 +165,8 @@ class GradedRing:
                 continue
             # a nonzero polynomial shifted by a monomial: a nonzero row
             for mult in self._monomials_of_degree(k - gdeg):
-                row = [0] * len(columns)
-                for mono, coeff in g.items():
-                    row[col_of_mono[tuple(map(add, mono, mult))]] = coeff
-                rows.append(row)
+                rows.append({col_of_mono[tuple(map(add, mono, mult))]: coeff
+                             for mono, coeff in g.items()})
         reduced, pivots = linalg.rref(rows) if rows else ([], [])
         # emit the basis in generator order (earlier generators first)
         taken = set(pivots)
@@ -176,16 +176,14 @@ class GradedRing:
         )
         # A reduced row is zero on the other pivots, so reducing a vector
         # sends each column to a fixed image on the basis: a basis column to
-        # itself, a pivot column to minus the basis part of its row.  Both
-        # are kept times den, the rows' common denominator there.
+        # itself, a pivot column p to minus the basis part of its row e over
+        # e[p].  Both are kept times den, the lcm of the |e[p]|.
         position = {c: b for b, c in enumerate(basis_cols)}
-        den = lcm(*(reduced[r][c].denominator
-                    for r in range(len(pivots)) for c in basis_cols))
+        den = lcm(*(e[p] for e, p in zip(reduced, pivots)))
         images = [[(position[c], den)] if c in position else None
                   for c in range(len(columns))]
-        for row, p in zip(reduced, pivots):
-            images[p] = [(b, -x.numerator * (den // x.denominator))
-                         for b, c in enumerate(basis_cols) if (x := row[c])]
+        for e, p in zip(reduced, pivots):
+            images[p] = [(position[c], -x * (den // e[p])) for c, x in e.items() if c != p]
         data = {
             "columns": columns,
             "col_of_mono": col_of_mono,

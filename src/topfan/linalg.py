@@ -1,9 +1,10 @@
 """Exact linear algebra over the rationals and the integers.
 
-All routines operate on plain lists of lists holding ``Fraction`` or ``int``
-entries and never touch floating point.  Everything downstream (cone
-membership, dual bases, graded ranks, labeling searches) relies on that
-exactness, so keep it that way.
+Matrices are plain lists of lists holding ``Fraction`` or ``int`` entries,
+except in ``rref``, whose rows are sparse dicts of nonzero ``int`` entries.
+Nothing touches floating point.  Everything downstream (cone membership,
+dual bases, graded ranks, labeling searches) relies on that exactness, so
+keep it that way.
 """
 
 from __future__ import annotations
@@ -11,59 +12,44 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, compress
+from itertools import combinations
 from math import gcd, lcm
 from operator import mul
 
 
 def rref(rows):
-    """Reduced row echelon form.
+    """Reduced row echelon form of sparse integer rows.
 
-    Returns ``(reduced, pivot_columns)`` where ``reduced`` keeps the original
-    number of rows (zero rows at the bottom) and every entry is a
-    ``Fraction``.  Deterministic: pivots are the leftmost nonzero columns,
-    scanned top to bottom.  The input is left as it was.
+    ``rows`` is a list of dicts from column to nonzero ``int``.  Returns
+    ``(reduced, pivots)``: one primitive integer dict per pivot, in
+    ascending pivot order, each zero on the other pivots.  Row e divided by
+    e[p] is pivot p's row of the unique reduced echelon form of the row
+    space.  Deterministic: pivots are the leftmost nonzero columns, scanned
+    top to bottom.  The input is left as it was.
 
-    Fraction-free.  Each row is scaled by the lcm of its denominators (an
-    integer row is taken as it is) and kept as a sparse dict of its nonzero
-    integer entries.  The rows join one at a time.  A new row is cleared on
+    Fraction-free.  The rows join one at a time.  A new row is cleared on
     each kept pivot p by cross multiplication against that pivot's row e,
     ``row <- e[p]·row - row[p]·e``, and divided by its content (the gcd of
     its entries).  If anything is left, its leftmost column becomes a pivot,
-    and the kept rows are cleared on that column the same way.  So every
-    kept row starts at its own pivot and is zero on the others: sorted by
-    pivot and divided by their pivot entries, the kept rows are the unique
-    reduced echelon form of the row space.
+    and the kept rows are cleared on that column the same way.
     """
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    kept = {}  # pivot column -> its row, a sparse primitive integer vector
+    kept = {}  # pivot column -> its row
     for row in rows:
-        new = dict(compress(enumerate(row), row))
-        den = lcm(*(x.denominator for x in new.values()))
-        new = {j: x.numerator * (den // x.denominator) for j, x in new.items()}
-        for p in [j for j in new if j in kept]:
+        new = row
+        for p in [j for j in row if j in kept]:
             new = _cross(new, kept[p], p)
         if not new:
             continue
+        if new is row:
+            c = gcd(*row.values())
+            new = {j: x // c for j, x in row.items()}
         lead = min(new)
         for p, e in kept.items():
             if lead in e:
                 kept[p] = _cross(e, new, lead)
         kept[lead] = new
     pivots = sorted(kept)
-    zero = Fraction(0)
-    reduced = []
-    for p in pivots:
-        e = kept[p]
-        d = e[p]
-        out = [zero] * ncols
-        for j, x in e.items():
-            out[j] = Fraction(x, d)
-        reduced.append(out)
-    reduced += [[zero] * ncols for _ in range(len(rows) - len(pivots))]
-    return reduced, pivots
+    return [kept[p] for p in pivots], pivots
 
 
 def _cross(row, e, p):

@@ -7,14 +7,13 @@ recomputes the same data from the definitions instead: the dual basis by a
 rational Gauss–Jordan block inverse (``inverse``), each of the F^2
 transitions from it and ``pairing``, and the identities by composing all
 F^2 pairs and F^3 triples of transition matrices over the ring.  ``rank``
-reads a rational matrix's rank off ``rref``, for the tests of other layers,
-and ``laurent_exponents`` reads a transition entry as a monomial in g and
-conj(g).
+reads a rational matrix's rank off the dense reference ``dense_rref``, for
+the tests of other layers, and ``laurent_exponents`` reads a transition
+entry as a monomial in g and conj(g).
 """
 
 from fractions import Fraction
 
-from topfan import linalg
 from topfan.charts import TransitionMatrix
 from topfan.ring import (
     ONE,
@@ -24,6 +23,7 @@ from topfan.ring import (
     VNotUnimodularError,
     pairing,
 )
+from tests.rref_oracle import dense_rref
 
 
 def transpose(rows):
@@ -67,7 +67,7 @@ def inverse(rows):
 
 
 def rank(rows):
-    return len(linalg.rref(rows)[1])
+    return len(dense_rref(rows)[1])
 
 
 def solve_unique_columns(cols, target):
@@ -79,7 +79,7 @@ def solve_unique_columns(cols, target):
     ncols = len(cols)
     aug = [[Fraction(cols[j][i]) for j in range(ncols)] + [Fraction(target[i])]
            for i in range(len(target))]
-    red, pivots = linalg.rref(aug)
+    red, pivots = dense_rref(aug)
     if ncols in pivots:
         return None
     if pivots != list(range(ncols)):

@@ -14,7 +14,8 @@ fraction-free row reduction ``independent_rows`` below, of both parts, and
 unimodularity by ``linalg.int_det`` of each top facet's v-block
 (``maximal_minor_gcd`` for the other facets).  ``independent_rows`` is
 also the tests' reference for the rank that ``linalg.rref``'s pivots give
-and for the rows that ``linalg.reduce_system`` keeps.
+and for the rows that ``linalg.reduce_system`` keeps.  ``kernel_basis``
+reads the dense reference ``dense_rref``.
 """
 
 from fractions import Fraction
@@ -22,6 +23,7 @@ from itertools import combinations
 
 from topfan import linalg
 from topfan.fans import Verdict
+from tests.rref_oracle import dense_rref
 
 
 def independent_rows(rows):
@@ -81,7 +83,7 @@ def kernel_basis(rows):
     if not rows:
         return []
     ncols = len(rows[0])
-    red, pivots = linalg.rref(rows)
+    red, pivots = dense_rref(rows)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for f in free:

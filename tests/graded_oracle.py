@@ -3,15 +3,16 @@
 ``GradedRing`` and ``_poly_mul`` below are the implementation that
 ``topfan.invariants`` used before its arithmetic became integer, kept as they
 were: every substitution form, degree row and reduction is a dict or list of
-``Fraction``s.  ``tests/test_invariants.py`` holds ranks, bases and reductions
-of the production ring against it.
+``Fraction``s, and the rows are reduced by ``tests/rref_oracle.py``'s dense
+``Fraction`` elimination.  ``tests/test_invariants.py`` holds ranks, bases
+and reductions of the production ring against it.
 """
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from topfan import linalg
 from topfan.invariants import CohomPresentation
+from tests.rref_oracle import dense_rref
 
 
 class GradedRing:
@@ -26,7 +27,7 @@ class GradedRing:
 
     def __init__(self, presentation: CohomPresentation):
         self.m = presentation.m
-        reduced, pivots = linalg.rref(presentation.relation_matrix)
+        reduced, pivots = dense_rref(presentation.relation_matrix)
         if len(pivots) != len(presentation.relation_matrix):
             raise ValueError("linear relations are degenerate")
         self.pivots = pivots  # 0-based generator indices eliminated by relations
@@ -108,7 +109,7 @@ class GradedRing:
                     row[col_of_mono[shifted]] += coeff
                 if any(x != 0 for x in row):
                     rows.append(row)
-        reduced, pivots = linalg.rref(rows) if rows else ([], [])
+        reduced, pivots = dense_rref(rows)
         # emit the basis in generator order (earlier generators first)
         basis_cols = sorted(
             (c for c in range(len(columns)) if c not in pivots),

@@ -5,10 +5,11 @@ linear form from one cofactor vector and solves the small system from one
 integer factorization per search node.  This module recomputes the same
 data from the definitions instead: the facets a vertex completes by scanning
 every facet, each linear form from n determinants with a unit column, and
-the box points by one ``Fraction`` row reduction per combination of target
-determinants.  It also keeps a complete backtracking search of its own for
-each mode, so whole-search verdicts, first solutions and search counts can
-be compared, with the kernel's forward checking or without it.
+the box points by one dense ``Fraction`` row reduction (``dense_rref``) per
+combination of target determinants.  It also keeps a complete backtracking
+search of its own for each mode, so whole-search verdicts, first solutions
+and search counts can be compared, with the kernel's forward checking or
+without it.
 """
 
 from fractions import Fraction
@@ -24,6 +25,7 @@ from topfan.realize import (
     _gf2_rank,
     derive_sign_table,
 )
+from tests.rref_oracle import dense_rref
 
 
 def vertex_order(complex_, assigned):
@@ -49,11 +51,11 @@ def full_box(n, bound):
 
 
 def box_solutions(rows, targets, n, bound):
-    """Integer points x with rows . x = targets and |x_i| <= bound, by ``rref``."""
+    """Integer points x with rows . x = targets and |x_i| <= bound, by ``dense_rref``."""
     if not rows:
         return full_box(n, bound)
     aug = [list(map(Fraction, row)) + [Fraction(t)] for row, t in zip(rows, targets)]
-    reduced, pivots = linalg.rref(aug)
+    reduced, pivots = dense_rref(aug)
     if n in pivots:
         return []
     free = [c for c in range(n) if c not in pivots]

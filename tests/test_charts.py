@@ -60,8 +60,6 @@ def test_kernel_base_independence(square_fan):
     The v-parts of the exponent vectors span the same integer kernel lattice
     of the map v, and the (b, c)-parts the same rational kernel of (b, c).
     """
-    from topfan import linalg
-
     lattices = []
     spaces = []
     for base in square_fan.complex.facets:
@@ -75,11 +73,9 @@ def test_kernel_base_independence(square_fan):
         lattices.append(v_rows)
         spaces.append(bc_rows)
     for other in lattices[1:]:
-        combined = linalg.rref(lattices[0] + other)[1]
-        assert len(combined) == len(linalg.rref(lattices[0])[1])
+        assert chart_oracle.rank(lattices[0] + other) == chart_oracle.rank(lattices[0])
     for other in spaces[1:]:
-        combined = linalg.rref(spaces[0] + other)[1]
-        assert len(combined) == len(linalg.rref(spaces[0])[1])
+        assert chart_oracle.rank(spaces[0] + other) == chart_oracle.rank(spaces[0])
 
 
 def test_transition_identity(square_fan):

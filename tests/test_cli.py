@@ -517,6 +517,9 @@ def _labeled_cp2cp2(tmp_path, labels):
     ({"1": 5}, "label of vertex '1' is not a string: 5"),
     ({"1": ["a"]}, "label of vertex '1' is not a string: ['a']"),
     ({"1": "a", "01": "b"}, "label key '01' names vertex 1 a second time"),
+    # digits of other scripts are not ASCII digits, as everywhere else in the input
+    ({"\u0661": "a"}, "label key '\u0661' is not a vertex in 1..4"),
+    ({"1": "a", "\uff12": "b"}, "label key '\uff12' is not a vertex in 1..4"),
 ])
 def test_labels_off_the_vertices_or_not_strings_exit_2(capsys, tmp_path, labels, message):
     code, out, err = run_cli(capsys, "surgery", _labeled_cp2cp2(tmp_path, labels), "--suspend")

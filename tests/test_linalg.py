@@ -3,12 +3,13 @@
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 from operator import mul
 
 import pytest
 
 from topfan import linalg
-from tests import chart_oracle, cone_oracle
+from tests import chart_oracle, cone_oracle, rref_oracle
 
 
 def _minor_row(cols, position):
@@ -78,41 +79,6 @@ def to_fractions(rows):
     return [[Fraction(x) for x in row] for row in rows]
 
 
-def _dense_rref(rows):
-    """Reduced row echelon form.
-
-    Returns ``(reduced, pivot_columns)`` where ``reduced`` keeps the original
-    number of rows (zero rows at the bottom).  Deterministic: pivots are the
-    leftmost nonzero columns, scanned top to bottom.
-    """
-    m = to_fractions(rows)
-    if not m:
-        return [], []
-    nrows, ncols = len(m), len(m[0])
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if m[i][col] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = Fraction(1) / m[r][col]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(col)
-        r += 1
-        if r == nrows:
-            break
-    return m, pivots
-
-
 def _random_matrix(rng, nrows, ncols, density, rational):
     def entry():
         if rng.random() >= density:
@@ -166,12 +132,24 @@ def _rref_cases():
 
 
 def test_rref_matches_the_dense_gauss_jordan_reference():
+    """Every case, each row scaled to integers: divided by its pivot entries,
+    the output is the reference's reduced form; each output row is primitive
+    and zero on the other pivots, and the input dicts are left unchanged."""
     for rows in _rref_cases():
-        before = [list(r) for r in rows]
-        reduced, pivots = linalg.rref(rows)
-        assert (reduced, pivots) == _dense_rref(rows), rows
-        assert all(type(x) is Fraction for row in reduced for x in row), rows
-        assert rows == before  # the input is left as it was
+        ncols = len(rows[0]) if rows else 0
+        sparse = rref_oracle.sparse_rows(rows)
+        before = [dict(row) for row in sparse]
+        reduced, pivots = linalg.rref(sparse)
+        want, want_pivots = rref_oracle.dense_rref(rows)
+        assert pivots == want_pivots, rows
+        assert len(reduced) == len(pivots), rows
+        assert [[Fraction(e.get(j, 0), e[p]) for j in range(ncols)]
+                for e, p in zip(reduced, pivots)] == want[:len(pivots)], rows
+        for e, p in zip(reduced, pivots):
+            assert all(type(x) is int and x for x in e.values()), rows
+            assert gcd(*e.values()) == 1, rows
+            assert [q for q in pivots if q in e] == [p], rows
+        assert sparse == before, rows
 
 
 def _seeded_rows(rng, n):
@@ -190,11 +168,11 @@ def _seeded_rows(rng, n):
 def _forced_value(rows, chosen, pivots, targets, i):
     """``rows[i] . x`` for any rational x with ``rows[chosen] . x = targets``.
 
-    Solved on the pivot block by ``rref`` (the free coordinates 0); rows[i]
+    Solved on the pivot block by ``dense_rref`` (the free coordinates 0); rows[i]
     lies in the span of the chosen rows, so any such x gives the same value.
     """
     block = [[rows[k][p] for p in pivots] + [t] for k, t in zip(chosen, targets)]
-    reduced, _ = linalg.rref(block)
+    reduced, _ = rref_oracle.dense_rref(block)
     x = [Fraction(0)] * len(rows[i])
     for p, solved in zip(pivots, reduced):
         x[p] = solved[-1]
@@ -211,7 +189,8 @@ def test_reduce_system_writes_each_other_row_through_the_kept_ones():
         n = rng.randint(1, 6)
         rows = _seeded_rows(rng, n)
         chosen, pivots = cone_oracle.independent_rows(rows)
-        assert len(chosen) == len(pivots) == (chart_oracle.rank(rows) if rows else 0)
+        assert len(chosen) == len(pivots) == chart_oracle.rank(rows), rows
+        assert len(pivots) == len(linalg.rref(rref_oracle.sparse_rows(rows))[1]), rows
         block = [[rows[i][p] for p in pivots] for i in chosen]
         assert linalg.int_det(block) != 0
         # consistent targets (those of an integer point) or arbitrary ones

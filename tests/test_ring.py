@@ -30,6 +30,7 @@ from tests.chart_oracle import (
 )
 from tests.cone_oracle import extreme_rays_nonneg_kernel, independent_rows
 from tests.equivalence_oracle import is_homeo_scalar
+from tests.rref_oracle import sparse_rows
 
 import pytest
 
@@ -287,14 +288,16 @@ def test_inverse_returns_the_determinant():
 def test_independent_rows_agrees_with_rank():
     """Fraction-free independence against the row-reduction rank, on 1-8
     integer vectors in Z^1..Z^6, more vectors than coordinates included.
-    ``rank`` is ``linalg.rref``'s pivot count, the rank validation reads
-    for a facet of any size but n."""
+    ``rank`` is the dense reference's pivot count, and ``linalg.rref``'s
+    pivot count on the same rows is the rank validation reads for a facet of
+    any size but n."""
     rng = random.Random(29)
     for _ in range(2000):
         n, k = rng.randint(1, 6), rng.randint(1, 8)
         rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(k)]
         chosen, pivots = independent_rows(rows)
         assert len(chosen) == len(pivots) == rank(rows), rows
+        assert len(pivots) == len(linalg.rref(sparse_rows(rows))[1]), rows
         # the kept rows on the pivot columns form a nonsingular block
         assert linalg.int_det([[rows[i][p] for p in pivots] for i in chosen]) != 0
 
