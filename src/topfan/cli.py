@@ -47,19 +47,22 @@ EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 
 
-def _digest(path):
-    h = hashlib.sha256()
+def _read(path):
     with open(path, "rb") as fh:
-        h.update(fh.read())
-    return h.hexdigest()[:16]
+        return fh.read()
 
 
-def _load_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except RecursionError:
-            raise ValueError("malformed input: JSON nested too deeply") from None
+def _digest(data):
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def _load_json(data):
+    """The JSON of a file's bytes, decoded as text-mode ``open`` reads them (UTF-8, newlines as \\n)."""
+    text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("malformed input: JSON nested too deeply") from None
 
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -135,13 +138,17 @@ def _parse(from_json, data):
         raise ValueError(f"malformed input: missing field {exc}") from exc
 
 
-def _load_fan(path):
-    return _parse(TopologicalFan.from_json, _load_json(path))
+def _load_fan(data):
+    return _parse(TopologicalFan.from_json, _load_json(data))
 
 
 class _Report:
+    """A verdict command's run report; each input file is read once, for its digest and its JSON."""
+
     def __init__(self, command, inputs):
-        self.data = {"command": command, "inputs": {p: _digest(p) for p in inputs}}
+        self.files = {p: _read(p) for p in inputs}
+        self.data = {"command": command,
+                     "inputs": {p: _digest(data) for p, data in self.files.items()}}
         self.start = time.monotonic()
 
     def emit(self, result, **extra):
@@ -179,7 +186,7 @@ def _parse_positions(positions):
 
 def cmd_validate(args):
     report = _Report("validate", [args.fan])
-    fan = _load_fan(args.fan)
+    fan = _load_fan(report.files[args.fan])
     result = fan.validate()
     report.emit(result.to_json())
     return EXIT_OK if result.ok else EXIT_NEGATIVE
@@ -190,7 +197,7 @@ def cmd_invariants(args):
     if args.dir is not None and selected and not args.todd:
         raise ValueError("--dir applies only to --todd")
     report = _Report("invariants", [args.fan])
-    fan = _load_fan(args.fan)
+    fan = _load_fan(report.files[args.fan])
     validation = fan.validate()
     if not validation.ok:
         report.emit({"validation": validation.to_json()})
@@ -214,7 +221,7 @@ def cmd_invariants(args):
 
 def cmd_charts(args):
     report = _Report("charts", [args.fan])
-    fan = _load_fan(args.fan)
+    fan = _load_fan(report.files[args.fan])
     validation = fan.validate()
     if not validation.ok:
         report.emit({"validation": validation.to_json()})
@@ -242,8 +249,8 @@ def cmd_charts(args):
 
 def cmd_equiv(args):
     report = _Report("equiv", [args.fan_a, args.fan_b])
-    fan_a = _load_fan(args.fan_a)
-    fan_b = _load_fan(args.fan_b)
+    fan_a = _load_fan(report.files[args.fan_a])
+    fan_b = _load_fan(report.files[args.fan_b])
     stats = {}
     iso = equivalent(fan_a, fan_b, mode=args.mode, stats=stats)
     found = {} if iso is None else iso.to_json()
@@ -252,13 +259,13 @@ def cmd_equiv(args):
 
 
 def cmd_surgery(args):
-    fan = _load_fan(args.fan)
+    fan = _load_fan(_read(args.fan))
     if args.stellar is not None:
         out = stellar_subdivide_fan(fan, _parse_facet("--stellar", args.stellar))
     elif args.suspend:
         out = suspend_fan(fan)
     else:
-        out = product_fan(fan, _load_fan(args.product))
+        out = product_fan(fan, _load_fan(_read(args.product)))
     _write_json(out.to_json(), sys.stdout)
     return EXIT_OK
 
@@ -269,7 +276,7 @@ def cmd_realize(args):
             if value is not None:
                 raise ValueError(f"{option} does not apply to --mode {args.mode}")
     report = _Report("realize", [args.complex])
-    raw = _load_json(args.complex)
+    raw = _load_json(report.files[args.complex])
     complex_ = _parse(SimplicialComplex.from_json, raw)
 
     if args.mode == "sphere":
@@ -339,7 +346,7 @@ def cmd_fixtures(args):
         path = os.path.join(args.dir, filename)
         with open(path, "w", encoding="utf-8") as fh:
             _write_json(data, fh)
-        manifest[filename] = _digest(path)
+        manifest[filename] = _digest(_read(path))
     _write_json({"written": manifest, "dir": args.dir}, sys.stdout)
     return EXIT_OK
 

@@ -297,7 +297,7 @@ class TopologicalFan:
         Every side question above is a sign of phi_W . x for an integer
         wall normal phi_W (``_wall_normal``): the wall test compares the
         signs at the two rays off W, and locating a direction reads the
-        signs of its coordinates in each facet (``coordinates``).  No
+        signs of its coordinates in each facet (``_locate``).  No
         rational inverse is built.
 
         For n = 1 the check accepts exactly two rays on opposite sides,
@@ -456,12 +456,10 @@ class TopologicalFan:
         """True when x is nonzero and lies in no wall's cone of the b-cones or v-cones.
 
         That is, no top facet gives x coordinates that are all >= 0 with one
-        of them 0 (``coordinates``).  Regular directions are the ones the
-        degree argument of ``check_fan_condition`` counts over.
+        of them 0 (``_locate``).  Regular directions are the ones the degree
+        argument of ``check_fan_condition`` counts over.
         """
-        point = self._int_point(x, part)
-        return any(point) and all(min(self._scaled_coordinates(f, point, part)) != 0
-                                  for f in self.complex.facets)
+        return self._locate(x, part)[1]
 
     def check_nonsingular(self) -> Verdict:
         """Every facet's v-columns extend to a Z-basis (subsets inherit).
@@ -477,9 +475,7 @@ class TopologicalFan:
                 if abs(d) != 1:
                     return Verdict(False, {"kind": "bad-determinant", "facet": list(f), "det": d})
             else:
-                cols = self._int_columns("v", f)
-                rows = [[col[k] for col in cols] for k in range(self.n)]
-                g = linalg.maximal_minor_gcd(rows, len(f))
+                g = linalg.maximal_minor_gcd(self._int_columns("v", f))
                 if g != 1:
                     return Verdict(False, {"kind": "bad-minor-gcd", "facet": list(f), "gcd": g})
         return Verdict(True)
@@ -521,54 +517,38 @@ class TopologicalFan:
 
     # -- cone location ------------------------------------------------------
 
-    def coordinates(self, facet, x, part="b"):
-        """The exact coordinates of x in the basis of a top facet's b- or v-columns.
-
-        x lies in the facet's cone exactly when they are all >= 0, and on the
-        cone's boundary when moreover one of them is 0.  Row k of the
-        facet's adjugate (``_adjugate``) vanishes on every other column, so
-        coordinate k is row_k . x / row_k . col_k.
-        """
-        self._check_point(x, part)
-        facet = self._top_facet(facet)
-        det, adj = self._adjugate(part, facet)
-        if det == 0:
-            raise ValueError(f"the {part}-columns of {facet} are singular")
-        cols = [self.ray(i).b if part == "b" else self.ray(i).v for i in facet]
-        return [Fraction(_dot(row, x)) / _dot(row, col) for row, col in zip(adj, cols)]
-
     def locate_cone(self, x, mode="b"):
         """Top facets whose cone (b-cones or v-cones) contains the point x."""
-        point = self._int_point(x, mode)
-        return [f for f in self.complex.facets
-                if min(self._scaled_coordinates(f, point, mode)) >= 0]
+        return self._locate(x, mode)[0]
 
-    def _int_point(self, x, part):
-        """x scaled by a positive number to a primitive integer vector, which moves no sign."""
-        self._check_point(x, part)
-        return linalg.clear_denominators(x)
+    def _locate(self, x, part):
+        """``(hits, regular)``: the top facets whose cone contains x, and whether x is regular.
 
-    def _check_point(self, x, part):
+        x is scaled by a positive number to a primitive integer point, which
+        moves no sign.  adj . x is det times x's coordinates in a facet's
+        basis (``_adjugate``), so det * (row . point) has the sign of
+        coordinate k: the facet is a hit when the least of them is >= 0, and
+        x lies on a wall's cone when that least one is 0.  Raises ValueError
+        on a point of the wrong length, a part other than ``"b"`` or ``"v"``,
+        a non-top facet or a singular block.
+        """
         if len(x) != self.n:
             raise ValueError(f"point has {len(x)} coordinates, the fan has dimension {self.n}")
         if part not in ("b", "v"):
             raise ValueError("part must be 'b' or 'v'")
-
-    def _scaled_coordinates(self, facet, point, part):
-        """Positive multiples of an integer point's coordinates in a sorted top facet's basis.
-
-        adj . x is det times the coordinates (``_adjugate``), so entry k is
-        row_k . x with the sign of det.  Raises ValueError on a non-top
-        facet or a singular block.
-        """
-        if len(facet) != self.n:
-            raise ValueError(f"{facet} is not a top-dimensional facet")
-        det, adj = self._adjugate(part, facet)
-        if det == 0:
-            raise ValueError(f"the {part}-columns of {facet} are singular")
-        if det > 0:
-            return [_dot(row, point) for row in adj]
-        return [-_dot(row, point) for row in adj]
+        point = linalg.clear_denominators(x)
+        hits, regular = [], any(point)
+        for f in self.complex.facets:
+            if len(f) != self.n:
+                raise ValueError(f"{f} is not a top-dimensional facet")
+            det, adj = self._adjugate(part, f)
+            if det == 0:
+                raise ValueError(f"the {part}-columns of {f} are singular")
+            least = min(det * _dot(row, point) for row in adj)
+            if least >= 0:
+                hits.append(f)
+                regular = regular and least != 0
+        return hits, regular
 
     # -- serialization -------------------------------------------------------
 

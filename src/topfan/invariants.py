@@ -352,10 +352,10 @@ def todd_genus(fan: TopologicalFan, direction=None) -> int:
         if len(direction) != fan.n:
             raise ValueError(
                 f"direction has {len(direction)} coordinates, the fan has dimension {fan.n}")
-        if not fan.is_regular(direction, "v"):
+        hits, regular = fan._locate(direction, "v")
+        if not regular:
             raise DegenerateDirectionError(
                 f"direction {','.join(map(linalg.format_rational, direction))} lies on a cone wall")
     else:
-        direction = fan.generic_direction(random.Random(0), "v")
-    hits = fan.locate_cone(direction, mode="v")
+        hits = fan.locate_cone(fan.generic_direction(random.Random(0), "v"), mode="v")
     return sum(weights.w(f) for f in hits)

@@ -290,17 +290,31 @@ def vec_gcd(values):
     return g
 
 
-def maximal_minor_gcd(int_rows, size):
-    """gcd of all size x size minors of an integer matrix (rows x cols)."""
-    nrows = len(int_rows)
-    ncols = len(int_rows[0]) if int_rows else 0
-    g = 0
-    for ri in combinations(range(nrows), size):
-        for ci in combinations(range(ncols), size):
-            minor = [[int_rows[i][j] for j in ci] for i in ri]
-            g = gcd(g, abs(int_det(minor)))
-            if g == 1:
-                return 1
+def maximal_minor_gcd(columns):
+    """gcd of the k x k minors of the integer matrix with these k columns (0 if they are dependent).
+
+    Unimodular row operations keep that gcd, so Euclidean elimination brings
+    the matrix to row echelon form without changing it: a column without a
+    pivot makes every k x k minor 0, and otherwise the only nonzero one is
+    the product of the pivots.
+    """
+    rows = [list(row) for row in zip(*columns)]
+    g = 1
+    for k in range(len(columns)):
+        while True:
+            live = [row for row in rows if row[k]]
+            if not live:
+                return 0
+            pivot = min(live, key=lambda row: abs(row[k]))
+            if len(live) == 1:
+                break
+            for row in live:
+                if row is not pivot:
+                    q = row[k] // pivot[k]
+                    for j in range(k, len(row)):
+                        row[j] -= q * pivot[j]
+        rows = [row for row in rows if row is not pivot]
+        g *= abs(pivot[k])
     return g
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import product
+from itertools import combinations, product
 from operator import mul
 from typing import Optional
 
@@ -32,22 +32,9 @@ from .fans import Ray, TopologicalFan
 
 
 def _permutation_parity(source, target):
-    """Sign of the permutation rearranging tuple ``source`` into ``target``."""
+    """Sign of the permutation rearranging tuple ``source`` into ``target``: (-1)^inversions."""
     perm = [source.index(x) for x in target]
-    sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    return -1 if sum(a > b for a, b in combinations(perm, 2)) % 2 else 1
 
 
 @dataclass

@@ -12,7 +12,8 @@ inequalities, in integer arithmetic.
 without the cached ``(det, adj)`` records: independence by the
 fraction-free row reduction ``independent_rows`` below, of both parts, and
 unimodularity by ``linalg.int_det`` of each top facet's v-block
-(``maximal_minor_gcd`` for the other facets).  ``independent_rows`` is
+(``maximal_minor_gcd`` below, one ``int_det`` per choice of rows and
+columns, for the other facets).  ``independent_rows`` is
 also the tests' reference for the rank that ``linalg.rref``'s pivots give
 and for the rows that ``linalg.reduce_system`` keeps.  ``kernel_basis``
 reads the dense reference ``dense_rref``.
@@ -20,6 +21,7 @@ reads the dense reference ``dense_rref``.
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 from topfan import linalg
 from topfan.fans import Verdict
@@ -72,10 +74,24 @@ def check_nonsingular(fan):
             if abs(d) != 1:
                 return Verdict(False, {"kind": "bad-determinant", "facet": list(f), "det": d})
         else:
-            g = linalg.maximal_minor_gcd(rows, len(f))
+            g = maximal_minor_gcd(rows, len(f))
             if g != 1:
                 return Verdict(False, {"kind": "bad-minor-gcd", "facet": list(f), "gcd": g})
     return Verdict(True)
+
+
+def maximal_minor_gcd(int_rows, size):
+    """gcd of all size x size minors of an integer matrix (rows x cols)."""
+    nrows = len(int_rows)
+    ncols = len(int_rows[0]) if int_rows else 0
+    g = 0
+    for ri in combinations(range(nrows), size):
+        for ci in combinations(range(ncols), size):
+            minor = [[int_rows[i][j] for j in ci] for i in ri]
+            g = gcd(g, abs(linalg.int_det(minor)))
+            if g == 1:
+                return 1
+    return g
 
 
 def kernel_basis(rows):

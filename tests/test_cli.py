@@ -3,6 +3,7 @@
 import contextlib
 import copy
 import enum
+import hashlib
 import io
 import json
 import os
@@ -11,6 +12,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 from fractions import Fraction
 
 import pytest
@@ -73,6 +75,79 @@ def test_validate_malformed_json(capsys, tmp_path):
     code, _, err = run_cli(capsys, "validate", str(path))
     assert code == 2
     assert err
+
+
+def _wide_facet_fan():
+    """n = 24, one facet of twelve rays with v-columns e_{2j-1} +- e_{2j}: minor gcd 2^6."""
+    rays = []
+    for j in range(6):
+        for sign in (1, -1):
+            v = [0] * 24
+            v[2 * j], v[2 * j + 1] = 1, sign
+            rays.append({"b": v, "v": v})
+    return {"n": 24, "complex": {"m": 12, "facets": [list(range(1, 13))]}, "rays": rays}
+
+
+def test_validate_wide_facet_reports_its_minor_gcd_at_once(capsys, tmp_path):
+    # C(24, 12) maximal minors: one int_det per minor did not finish in 30 s
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(_wide_facet_fan()))
+    start = time.monotonic()
+    code, out, _ = run_cli(capsys, "validate", str(path))
+    assert time.monotonic() - start < 1
+    assert code == 1
+    assert json.loads(out)["result"]["witnesses"]["nonsingularity"] == {
+        "kind": "bad-minor-gcd", "facet": list(range(1, 13)), "gcd": 64}
+
+
+@pytest.mark.parametrize("command", ["validate", "invariants", "charts", "equiv", "realize"])
+def test_each_input_file_is_read_once(capsys, monkeypatch, tmp_path, cp2cp2_path, command):
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps(cp2cp2_fan().to_json()))
+    inputs = {"equiv": [cp2cp2_path, str(other)], "realize": [str(other)]}.get(command,
+                                                                               [cp2cp2_path])
+    if command == "realize":
+        other.write_text(json.dumps(octahedron_complex().to_json()))
+    argv = [command, *inputs] + (["--mode", "mod2"] if command == "realize" else [])
+    opened = []
+
+    def spy_open(path, *args, **kwargs):
+        opened.append(str(path))
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", spy_open, raising=False)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert opened == inputs
+    digests = json.loads(out)["inputs"]
+    for path in inputs:
+        with open(path, "rb") as fh:
+            assert digests[path] == hashlib.sha256(fh.read()).hexdigest()[:16]
+
+
+def test_missing_input_exits_2_with_the_os_error(capsys, tmp_path, cp2cp2_path):
+    missing = str(tmp_path / "missing.json")
+    for argv in (["validate", missing], ["equiv", cp2cp2_path, missing],
+                 ["realize", missing, "--mode", "mod2"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: [Errno 2] No such file or directory: {missing!r}\n"
+
+
+@pytest.mark.parametrize("text", ["{\r\n  \"n\": 2,\r\n  \"n\" 3}", "\ufeff{}", "{\"a\": \"x\ry\"}",
+                                  "[" * 100_000])
+def test_malformed_input_reports_what_text_mode_json_load_reports(capsys, tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_bytes(text.encode("utf-8"))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            json.load(fh)
+    except json.JSONDecodeError as exc:
+        expected = f"error: {exc}\n"
+    except RecursionError:
+        expected = "error: malformed input: JSON nested too deeply\n"
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert (code, out, err) == (2, "", expected)
 
 
 def _malformed_fans():

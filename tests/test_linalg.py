@@ -66,6 +66,37 @@ def test_cofactor_row_matches_the_minors_on_both_paths():
     assert singular > 40
 
 
+def _minor_gcd_cases(rng):
+    """k integer columns of Z^n for n <= 6 and k <= n + 1: random ones, then a zero
+    column, a column a combination of others, and columns scaled to share a factor."""
+    for n in range(0, 7):
+        for k in range(0, n + 2):
+            for _ in range(20):
+                cols = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(k)]
+                yield cols
+                if k:
+                    i = rng.randrange(k)
+                    yield cols[:i] + [[0] * n] + cols[i + 1:]
+                    scaled = [[rng.choice((2, 3)) * x for x in col] for col in cols]
+                    yield scaled
+                if k >= 2:
+                    a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+                    combo = [a * x + b * y for x, y in zip(cols[0], cols[1])]
+                    yield cols[:-1] + [combo]
+
+
+def test_maximal_minor_gcd_matches_every_minor():
+    rng = random.Random(29)
+    zero = above_one = 0
+    for cols in _minor_gcd_cases(rng):
+        rows = [list(r) for r in zip(*cols)] if cols and cols[0] else []
+        g = linalg.maximal_minor_gcd(cols)
+        assert g == cone_oracle.maximal_minor_gcd(rows, len(cols)), cols
+        zero += g == 0
+        above_one += g > 1
+    assert zero > 300 and above_one > 300
+
+
 def test_cofactor_row_keeps_no_table_above_the_wedge_limit():
     linalg._wedge_levels.cache_clear()
     rng = random.Random(139)
