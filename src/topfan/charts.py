@@ -9,6 +9,7 @@ is presented by one exponent vector per vertex outside a base facet.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 from .fans import TopologicalFan
@@ -47,21 +48,24 @@ def _top_facets(fan: TopologicalFan):
 def chart_table(fan: TopologicalFan, facet):
     """The matrix D_J·R of the top facet J, cached on the fan.
 
-    Row p pairs the J-chart dual at the p-th vertex of J (sorted) with every
-    ray: ``chart_table(fan, J)[p][k - 1] = pairing(alpha^J_j, beta_k)``.  Its
-    columns at a facet I form the transition I -> J, its columns outside J
-    give the kernel generators over the base J, and its columns at J itself
-    certify the cocycle (see ``check_cocycle``).
+    Row p pairs the J-chart dual at the p-th vertex j of J (sorted) with
+    every ray: ``chart_table(fan, J)[p][k - 1] = pairing(alpha^J_j, beta_k)``,
+    read off one ``pairing(sigma * alpha_j, beta_k * (q, 0, 1))`` of integer
+    ring vectors (``_scaled_dual``, ``_scaled_rvecs``): b and c over q * sigma,
+    v over sigma.  Its columns at a facet I form the transition I -> J, its
+    columns outside J give the kernel generators over the base J, and its
+    columns at J itself certify the cocycle (see ``check_cocycle``).
     """
     key = fan._top_facet(facet)
     table = fan._chart_tables.get(key)
     if table is None:
-        betas = [fan.rvec(k) for k in range(1, fan.m + 1)]
-        table = tuple(
-            tuple(pairing(alpha, beta) for beta in betas)
-            for alpha in fan.dual_basis(key).values()
-        )
-        fan._chart_tables[key] = table
+        q, betas = fan._scaled_rvecs()
+        sigma, alphas = fan._scaled_dual(key)
+        qs = q * sigma
+        table = fan._chart_tables[key] = tuple(
+            tuple(RElem(Fraction(e.b, qs), Fraction(e.c, qs), e.v // sigma)
+                  for e in (pairing(alpha, beta) for beta in betas))
+            for alpha in alphas)
     return table
 
 

@@ -13,6 +13,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress
+from math import gcd, lcm
 from operator import mul
 from typing import Optional
 
@@ -129,9 +130,9 @@ class TopologicalFan:
     # (det, adjugate) record per (part, top facet), assembled from its wall
     # normals, is the facet's only factorization: validation, cone location,
     # regularity, orientation weights and the dual bases of the chart tables
-    # (filled by ``charts``) all read it.  The graded ring is filled by
-    # ``invariants``.  Each lives and dies with its fan.
-    __slots__ = ("n", "complex", "rays", "_rvecs", "_chart_tables", "_ring",
+    # (filled by ``charts`` from the integer-scaled rays) all read it.  The
+    # graded ring is filled by ``invariants``.  Each lives and dies with its fan.
+    __slots__ = ("n", "complex", "rays", "_scaled", "_chart_tables", "_ring",
                  "_complete", "_report", "_int_b", "_normals", "_adjugates")
 
     def __init__(self, n, complex_: SimplicialComplex, rays):
@@ -146,7 +147,7 @@ class TopologicalFan:
         self.n = int(n)
         self.complex = complex_
         self.rays = rays
-        self._rvecs = None
+        self._scaled = None
         self._chart_tables = {}
         self._ring = None
         self._complete = None
@@ -163,9 +164,7 @@ class TopologicalFan:
         return self.rays[i - 1]
 
     def rvec(self, i) -> tuple[RElem, ...]:
-        if self._rvecs is None:
-            self._rvecs = tuple(ray.rvec() for ray in self.rays)
-        return self._rvecs[i - 1]
+        return self.rays[i - 1].rvec()
 
     def _int_b_column(self, i):
         # cone arithmetic is scale-invariant, so integer-primitive b's suffice
@@ -221,18 +220,25 @@ class TopologicalFan:
 
     # -- chart data ---------------------------------------------------------
 
-    def dual_basis(self, facet):
-        """The dual basis ``{j: alpha_j}`` of a top facet J: pairing(alpha_j, beta_i) = delta_ij.
+    def _scaled_rvecs(self):
+        """Cached ``(q, rays)``: q = lcm of all b, c denominators; ray i is beta_i * (q, 0, 1)."""
+        if self._scaled is None:
+            q = lcm(*(x.denominator for r in self.rays for x in r.b + r.c))
+            self._scaled = q, tuple(tuple(RElem(int(q * b), int(q * c), v)
+                                          for b, c, v in zip(r.b, r.c, r.v)) for r in self.rays)
+        return self._scaled
 
-        Writing J's rays columnwise as [[B, 0], [C, V]], alpha_j is the row
-        of [[B^-1, 0], [-V^-1 C B^-1, V^-1]] at j, read off the cached
-        adjugates (``_adjugate``).  With b_j = s_j * ``_int_b_column(j)``
-        for some s_j > 0, row j of B^-1 is the adjugate's row over
-        s_j * det, which is that row dotted with b_j; V^-1 = det V * adj V
-        since det V = +-1.  The divisors, V^-1 C and the c-entries are each
-        one ``linalg.rational_dot``: one ``Fraction`` per entry, summed over
-        one denominator.  Raises BSingularError when B is singular and
-        VNotUnimodularError when det V != +-1.
+    def _scaled_dual(self, facet):
+        """``(sigma, duals)``: an integer sigma > 0 and J's integer ring vectors sigma * alpha_j.
+
+        alpha_j is row j of [[B^-1, 0], [-V^-1 C B^-1, V^-1]] for J's rays
+        [[B, 0], [C, V]] (``dual_basis``).  From the cached adjugates
+        (``_adjugate``), with q * b_j = t_j * ``_int_b_column(j)`` (q from
+        ``_scaled_rvecs``) and L = +-lcm(t_j) of det B's sign: B^-1 = M / Delta
+        for M_j = q (L / t_j) adj_j and Delta = det B * L > 0, and
+        V^-1 = det V * adj V.  So sigma = q * Delta gives sigma * alpha_j =
+        (q M_j, -(V^-1 (qC) M)_j, sigma V^-1_j).  Raises BSingularError when B
+        is singular and VNotUnimodularError when det V != +-1.
         """
         facet = self._top_facet(facet)
         b_det, b_adj = self._adjugate("b", facet)
@@ -242,17 +248,25 @@ class TopologicalFan:
         if abs(v_det) != 1:
             raise VNotUnimodularError(
                 f"winding parts of rays {facet} have determinant {v_det}, not a Z-basis")
-        dot = linalg.rational_dot
-        divisors = [dot(row, self.ray(j).b) for row, j in zip(b_adj, facet)]
-        b_inv = [[a / d for a in row] for row, d in zip(b_adj, divisors)]
+        q, rays = self._scaled_rvecs()
+        t = [gcd(*(e.b for e in rays[j - 1])) for j in facet]
+        scale = lcm(*t) if b_det > 0 else -lcm(*t)
+        sigma = q * b_det * scale
+        m = [[q * (scale // tj) * a for a in row] for row, tj in zip(b_adj, t)]
         v_inv = [[v_det * a for a in row] for row in v_adj]
-        neg_v_inv = [[-a for a in row] for row in v_inv]
-        neg_vc = [[dot(row, self.ray(j).c) for j in facet] for row in neg_v_inv]  # -V^-1 C
-        b_cols = list(zip(*b_inv))
-        return {
-            j: tuple(RElem(b, dot(vc_row, col), v) for b, col, v in zip(b_row, b_cols, v_row))
-            for j, b_row, vc_row, v_row in zip(facet, b_inv, neg_vc, v_inv)
-        }
+        vc = [[_dot(row, [e.c for e in rays[j - 1]]) for j in facet] for row in v_inv]  # V^-1 qC
+        m_cols = list(zip(*m))
+        return sigma, tuple(tuple(RElem(q * b, -_dot(vc_row, col), sigma * v)
+                                  for b, col, v in zip(m_row, m_cols, v_row))
+                            for m_row, vc_row, v_row in zip(m, vc, v_inv))
+
+    def dual_basis(self, facet):
+        """The dual basis ``{j: alpha_j}`` of a top facet J: pairing(alpha_j, beta_i) = delta_ij.
+
+        It is ``_scaled_dual`` with sigma divided out and raises its errors."""
+        sigma, duals = self._scaled_dual(facet)
+        return {j: tuple(RElem(Fraction(e.b, sigma), Fraction(e.c, sigma), e.v // sigma)
+                         for e in alpha) for j, alpha in zip(self._top_facet(facet), duals)}
 
     # -- validation ---------------------------------------------------------
 
@@ -427,8 +441,7 @@ class TopologicalFan:
                 )
         if not self.complex.dual_graph_connected():
             return Verdict(False, {"kind": "disconnected"})
-        direction = self.generic_direction(random.Random(0), "b")
-        hits = self.locate_cone(direction, mode="b")
+        direction, hits = self._draw(random.Random(0), "b")
         if len(hits) != 1:
             return Verdict(
                 False,
@@ -439,18 +452,23 @@ class TopologicalFan:
         return Verdict(True)
 
     def generic_direction(self, rng, part):
-        """A regular rational direction for the b-cones or the v-cones (see ``is_regular``).
+        """A regular rational direction for the b-cones or the v-cones (see ``_draw``)."""
+        return self._draw(rng, part)[0]
+
+    def _draw(self, rng, part):
+        """``(direction, hits)``: a regular direction and the top facets whose cone contains it.
 
         ``part`` is ``"b"`` or ``"v"``.  Candidates are drawn from ``rng``
-        until one passes ``is_regular``; every top facet's part must be
-        nonsingular.
+        until one ``_locate`` pass finds it regular (``is_regular``); its hits
+        come from that pass.  Every top facet's part must be nonsingular.
         """
         if self.n == 0:
             raise ValueError("dimension 0 has no nonzero direction")
         while True:
             cand = [Fraction(rng.randint(-99, 99), rng.randint(1, 9)) for _ in range(self.n)]
-            if self.is_regular(cand, part):
-                return cand
+            hits, regular = self._locate(cand, part)
+            if regular:
+                return cand, hits
 
     def is_regular(self, x, part="b"):
         """True when x is nonzero and lies in no wall's cone of the b-cones or v-cones.

@@ -357,5 +357,5 @@ def todd_genus(fan: TopologicalFan, direction=None) -> int:
             raise DegenerateDirectionError(
                 f"direction {','.join(map(linalg.format_rational, direction))} lies on a cone wall")
     else:
-        hits = fan.locate_cone(fan.generic_direction(random.Random(0), "v"), mode="v")
+        hits = fan._draw(random.Random(0), "v")[1]
     return sum(weights.w(f) for f in hits)

@@ -262,27 +262,6 @@ def nonneg_solution(rows, rhs):
     return x
 
 
-def rational_dot(a, b):
-    """The dot product of two vectors of ints and ``Fraction``s, as one ``Fraction``.
-
-    Equals ``sum(map(mul, a, b))``, but the numerator products are summed
-    as plain ints over one running denominator, which grows only by a
-    term's denominator that does not already divide it, and the ``Fraction``
-    is built (and reduced) once at the end instead of once per term.
-    """
-    num, den = 0, 1
-    for x, y in zip(a, b):
-        term = x.numerator * y.numerator
-        if term:
-            d = x.denominator * y.denominator
-            if den % d:
-                num = num * d + term * den
-                den *= d
-            else:
-                num += term * (den // d)
-    return Fraction(num, den)
-
-
 def vec_gcd(values):
     g = 0
     for v in values:

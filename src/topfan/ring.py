@@ -10,15 +10,14 @@ A vector over the ring is a plain tuple of ``RElem``, one entry per ambient
 coordinate; the module provides the exponent pairing of two such vectors,
 which skips every term with a zero factor (``b``, ``c`` and ``v`` all 0).  A
 facet's dual basis, the block inverse of its rays, is built by
-``TopologicalFan.dual_basis`` from the facet's integer adjugates, each entry
-summed over one running denominator (``linalg.rational_dot``); the
-exceptions below name its two failure modes.
+``TopologicalFan._scaled_dual`` from the facet's integer adjugates, scaled by
+an integer so that every entry is integral; the exceptions below name its
+two failure modes.
 
-Every chart-table entry is one ``pairing`` call.  The integer block table,
-which would compute ``D_J·R`` from the adjugates without pairing, waits for a
-benchmark update: the benchmark's tracer test needs a ``charts`` job to call
-``pairing`` through the charts module's own binding and to call
-``RElem.__mul__`` at least once.
+Every chart-table entry is one ``pairing`` of such integer ring vectors,
+the scaled dual with the ray scaled by ``(q, 0, 1)``, after which the
+common scale is divided out once.  Elements with integer ``b`` and ``c``
+multiply as ints, so no ``Fraction`` is built inside the pairing.
 """
 
 from __future__ import annotations

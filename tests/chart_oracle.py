@@ -1,15 +1,16 @@
 """Cubic reference for the chart layer, used only by tests.
 
 ``topfan.charts`` slices every transition out of one cached table per facet
-and certifies the cocycle facet by facet, and ``TopologicalFan.dual_basis``
-reads each facet's dual basis off its integer adjugates.  This module
-recomputes the same data from the definitions instead: the dual basis by a
+and certifies the cocycle facet by facet, and ``TopologicalFan._scaled_dual``
+reads each facet's integer-scaled dual basis off its integer adjugates.
+This module recomputes the same data from the definitions instead: the dual basis by a
 rational Gauss–Jordan block inverse (``inverse``), each of the F^2
 transitions from it and ``pairing``, and the identities by composing all
 F^2 pairs and F^3 triples of transition matrices over the ring.  ``rank``
 reads a rational matrix's rank off the dense reference ``dense_rref``, for
-the tests of other layers, and ``laurent_exponents`` reads a transition
-entry as a monomial in g and conj(g).
+the tests of other layers, ``laurent_exponents`` reads a transition
+entry as a monomial in g and conj(g), and ``rational_dot`` sums a dot
+product of ints and ``Fraction``s over one running denominator.
 """
 
 from fractions import Fraction
@@ -206,3 +207,24 @@ def conjugation_equivariant(fan) -> bool:
         for t in facets
         for mu in reference_transition(fan, s, t).entries.values()
     )
+
+
+def rational_dot(a, b):
+    """The dot product of two vectors of ints and ``Fraction``s, as one ``Fraction``.
+
+    Equals ``sum(map(mul, a, b))``, but the numerator products are summed
+    as plain ints over one running denominator, which grows only by a
+    term's denominator that does not already divide it, and the ``Fraction``
+    is built (and reduced) once at the end instead of once per term.
+    """
+    num, den = 0, 1
+    for x, y in zip(a, b):
+        term = x.numerator * y.numerator
+        if term:
+            d = x.denominator * y.denominator
+            if den % d:
+                num = num * d + term * den
+                den *= d
+            else:
+                num += term * (den // d)
+    return Fraction(num, den)

@@ -2,11 +2,14 @@
 
 import random
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 import pytest
 
 from topfan.charts import (
     TransitionMatrix,
+    chart_table,
     check_cocycle,
     check_conjugation_equivariant,
     kernel_presentation,
@@ -17,7 +20,7 @@ from topfan.complexes import SimplicialComplex
 from topfan.fans import Ray, TopologicalFan
 from topfan.fixtures import cp2cp2_fan, octahedron_fan, projective_fan
 from topfan.realize import product_fan
-from topfan.ring import ONE, ZERO, RElem
+from topfan.ring import ONE, ZERO, RElem, pairing
 from tests import chart_oracle, complex_oracle
 from tests.conftest import random_valid_fan
 
@@ -186,6 +189,35 @@ def test_dual_basis_matches_gauss_jordan_oracle_on_seeded_fans():
     assert non_integer_b > 100 and dimensions >= {1, 2, 3, 4}
 
 
+def test_chart_table_equals_oracle_products_on_rescaled_fans():
+    """Each entry of the integer-scaled chart table equals the Fraction product D_J·R of
+    the Gauss–Jordan dual basis with the rays, ``to_json`` included, on seeded fans with
+    non-integer b's and c's (q > 1), both signs of det B_J and n = 1..4."""
+    rng = random.Random(67)
+    facets = 0
+    scaled, signs, dimensions = set(), set(), set()
+    while facets < 200:
+        fan = random_valid_fan(rng, max_m=9)
+        if rng.random() < 0.3:
+            fan = product_fan(fan, random_valid_fan(rng, max_m=5, max_n=2), validate=False)
+        fan = _rescaled(fan, rng)
+        dimensions.add(fan.n)
+        scaled.add(lcm(*(x.denominator for r in fan.rays for x in r.b + r.c)) > 1)
+        betas = [fan.rvec(k) for k in range(1, fan.m + 1)]
+        for f in chart_oracle.top_facets(fan):
+            rvecs = {i: fan.rvec(i) for i in f}
+            duals = chart_oracle.dual_basis(rvecs)
+            signs.add(chart_oracle.inverse(chart_oracle.blocks(rvecs)[0])[1] > 0)
+            expected = [[pairing(duals[j], beta) for beta in betas] for j in f]
+            table = chart_table(fan, f)
+            assert fan._scaled_dual(f)[0] > 0, (fan, f)
+            assert [list(row) for row in table] == expected, (fan, f)
+            assert ([[e.to_json() for e in row] for row in table]
+                    == [[e.to_json() for e in row] for row in expected]), (fan, f)
+            facets += 1
+    assert True in scaled and signs == {True, False} and dimensions >= {1, 2, 3, 4}
+
+
 def test_cocycle_certificate_catches_corrupt_adjugate():
     """One wrong entry of any facet's cached b- or v-adjugate fails that facet's certificate."""
     for part in ("b", "v"):
@@ -207,6 +239,38 @@ def test_cocycle_certificate_catches_corrupt_adjugate():
             assert not report.ok
             assert report.failure == {"kind": "inverse", "pair": [list(facet), list(facet)]}
             assert chart_oracle.cocycle_failure(fan) is None  # the rays themselves are fine
+
+
+def _rational(rng):
+    if rng.random() < 0.3:
+        return rng.choice([0, Fraction(0)])
+    if rng.random() < 0.4:
+        return rng.randint(-9, 9)
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+
+
+def test_rational_dot_matches_the_fraction_sum_on_seeded_ints_and_fractions():
+    rng = random.Random(17)
+    for _ in range(3000):
+        n = rng.randint(0, 7)
+        a = [_rational(rng) for _ in range(n)]
+        b = [_rational(rng) for _ in range(n)]
+        dot = chart_oracle.rational_dot(a, b)
+        assert type(dot) is Fraction
+        assert dot == sum(map(mul, a, b))
+
+
+@pytest.mark.parametrize("a, b, expected", [
+    ([], [], 0),
+    ([0, Fraction(0)], [Fraction(5, 3), 7], 0),
+    ([1, 2, 3], [4, 5, 6], 32),
+    ([Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)], [1, 1, 1], 1),
+    ([Fraction(1, 4), Fraction(-1, 6)], [Fraction(2, 3), Fraction(3, 5)], Fraction(1, 15)),
+])
+def test_rational_dot_examples(a, b, expected):
+    dot = chart_oracle.rational_dot(a, b)
+    assert type(dot) is Fraction and dot == expected
+    assert (dot.numerator, dot.denominator) == (expected.numerator, expected.denominator)
 
 
 def test_conjugation_equivariance(square_fan, fan_generator):

@@ -211,7 +211,8 @@ def test_complex_loader_failure_exits_2(capsys, tmp_path, data, mode):
 def test_each_top_facet_is_factored_once_per_command(capsys, monkeypatch, tmp_path, fan):
     """Within one command every (part, wall) normal and every (part, top facet) adjugate
     is computed once: each read returns the same object.  Validation and invariants
-    build no dual vector; the chart tables build one dual basis per top facet."""
+    build no dual vector; the chart tables build one integer-scaled dual basis
+    (``_scaled_dual``) per top facet."""
     path = tmp_path / "fan.json"
     path.write_text(json.dumps(fan.to_json()))
     results, duals = {}, []
@@ -224,9 +225,9 @@ def test_each_top_facet_is_factored_once_per_command(capsys, monkeypatch, tmp_pa
             return out
 
         monkeypatch.setattr(TopologicalFan, name, spy)
-    dual_basis = TopologicalFan.dual_basis
-    monkeypatch.setattr(TopologicalFan, "dual_basis",
-                        lambda self, facet: duals.append(facet) or dual_basis(self, facet))
+    scaled_dual = TopologicalFan._scaled_dual
+    monkeypatch.setattr(TopologicalFan, "_scaled_dual",
+                        lambda self, facet: duals.append(facet) or scaled_dual(self, facet))
     base = ",".join(map(str, fan.complex.facets[0]))
     for argv, expected in (
             (["validate"], 0),
@@ -813,17 +814,17 @@ def test_invariants_draws_completeness_once(capsys, monkeypatch, cp2cp2_path):
     assert code == 0
     expected = json.loads(out)["result"]
     draws = []
-    generic_direction = TopologicalFan.generic_direction
+    draw = TopologicalFan._draw
 
     def drawn(self, rng, part):
-        draws.append(part)
-        return generic_direction(self, rng, part)
+        draws.append((part, rng.getstate() == random.Random(0).getstate()))
+        return draw(self, rng, part)
 
-    monkeypatch.setattr(TopologicalFan, "generic_direction", drawn)
+    monkeypatch.setattr(TopologicalFan, "_draw", drawn)
     code, out, _ = run_cli(capsys, "invariants", cp2cp2_path)
     assert code == 0
     # one completeness draw, read by the fan condition and the validation; one Todd draw
-    assert draws == ["b", "v"]
+    assert draws == [("b", True), ("v", True)]
     assert json.loads(out)["result"] == expected
 
 

@@ -75,7 +75,7 @@ def test_validate_computes_one_cached_report(monkeypatch, square_fan):
     calls, verdicts, draws = [], [], []
     check_complete = TopologicalFan.check_complete
     check_fan_condition = TopologicalFan.check_fan_condition
-    generic_direction = TopologicalFan.generic_direction
+    draw = TopologicalFan._draw
 
     def spy_complete(self):
         calls.append("complete")
@@ -87,12 +87,12 @@ def test_validate_computes_one_cached_report(monkeypatch, square_fan):
         return check_fan_condition(self)
 
     def spy_draw(self, rng, part):
-        draws.append(part)
-        return generic_direction(self, rng, part)
+        draws.append((part, rng.getstate() == random.Random(0).getstate()))
+        return draw(self, rng, part)
 
     monkeypatch.setattr(TopologicalFan, "check_complete", spy_complete)
     monkeypatch.setattr(TopologicalFan, "check_fan_condition", spy_fan_condition)
-    monkeypatch.setattr(TopologicalFan, "generic_direction", spy_draw)
+    monkeypatch.setattr(TopologicalFan, "_draw", spy_draw)
     first = square_fan.validate()
     assert first.ok
     assert square_fan.validate() is first
@@ -101,20 +101,27 @@ def test_validate_computes_one_cached_report(monkeypatch, square_fan):
     # verdict are one computed result, from one draw
     assert calls == ["fan-condition", "complete", "complete"]
     assert verdicts[0] is verdicts[1]
-    assert draws == ["b"]
+    assert draws == [("b", True)]
 
 
 def test_completeness_draws_one_direction(monkeypatch, oct_fan):
-    draws = []
-    generic_direction = TopologicalFan.generic_direction
+    """One draw from Random(0), and no point is located twice: the draw's hits are read."""
+    draws, located = [], []
+    draw, locate = TopologicalFan._draw, TopologicalFan._locate
 
     def spy(self, rng, part):
-        draws.append(part)
-        return generic_direction(self, rng, part)
+        draws.append((part, rng.getstate() == random.Random(0).getstate()))
+        return draw(self, rng, part)
 
-    monkeypatch.setattr(TopologicalFan, "generic_direction", spy)
+    def spy_locate(self, x, part):
+        located.append((tuple(x), part))
+        return locate(self, x, part)
+
+    monkeypatch.setattr(TopologicalFan, "_draw", spy)
+    monkeypatch.setattr(TopologicalFan, "_locate", spy_locate)
     assert oct_fan.check_complete().ok
-    assert draws == ["b"]
+    assert draws == [("b", True)]
+    assert located and len(set(located)) == len(located)
 
 
 def test_fan_condition_overlap_witness():

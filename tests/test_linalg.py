@@ -333,35 +333,3 @@ def test_parse_rational_agrees_with_fraction_on_the_accepted_forms():
                  "\u0661", "\u0663/\u0664", "1/\uff12"):
         with pytest.raises(ValueError, match="not a rational"):
             linalg.parse_rational(text)
-
-
-def _rational(rng):
-    if rng.random() < 0.3:
-        return rng.choice([0, Fraction(0)])
-    if rng.random() < 0.4:
-        return rng.randint(-9, 9)
-    return Fraction(rng.randint(-9, 9), rng.randint(1, 12))
-
-
-def test_rational_dot_matches_the_fraction_sum_on_seeded_ints_and_fractions():
-    rng = random.Random(17)
-    for _ in range(3000):
-        n = rng.randint(0, 7)
-        a = [_rational(rng) for _ in range(n)]
-        b = [_rational(rng) for _ in range(n)]
-        dot = linalg.rational_dot(a, b)
-        assert type(dot) is Fraction
-        assert dot == sum(map(mul, a, b))
-
-
-@pytest.mark.parametrize("a, b, expected", [
-    ([], [], 0),
-    ([0, Fraction(0)], [Fraction(5, 3), 7], 0),
-    ([1, 2, 3], [4, 5, 6], 32),
-    ([Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)], [1, 1, 1], 1),
-    ([Fraction(1, 4), Fraction(-1, 6)], [Fraction(2, 3), Fraction(3, 5)], Fraction(1, 15)),
-])
-def test_rational_dot_examples(a, b, expected):
-    dot = linalg.rational_dot(a, b)
-    assert type(dot) is Fraction and dot == expected
-    assert (dot.numerator, dot.denominator) == (expected.numerator, expected.denominator)
