@@ -52,9 +52,10 @@ def chart_table(fan: TopologicalFan, facet):
     every ray: ``chart_table(fan, J)[p][k - 1] = pairing(alpha^J_j, beta_k)``,
     read off one ``pairing(sigma * alpha_j, beta_k * (q, 0, 1))`` of integer
     ring vectors (``_scaled_dual``, ``_scaled_rvecs``): b and c over q * sigma,
-    v over sigma.  Its columns at a facet I form the transition I -> J, its
-    columns outside J give the kernel generators over the base J, and its
-    columns at J itself certify the cocycle (see ``check_cocycle``).
+    v over sigma; a zero pairing is ``ZERO`` itself.  Its columns at a facet
+    I form the transition I -> J, its columns outside J give the kernel
+    generators over the base J, and its columns at J itself certify the
+    cocycle (see ``check_cocycle``).
     """
     key = fan._top_facet(facet)
     table = fan._chart_tables.get(key)
@@ -64,6 +65,7 @@ def chart_table(fan: TopologicalFan, facet):
         qs = q * sigma
         table = fan._chart_tables[key] = tuple(
             tuple(RElem(Fraction(e.b, qs), Fraction(e.c, qs), e.v // sigma)
+                  if e.b or e.c or e.v else ZERO
                   for e in (pairing(alpha, beta) for beta in betas))
             for alpha in alphas)
     return table
@@ -98,15 +100,22 @@ class TransitionMatrix:
     def entry(self, j, i) -> RElem:
         return self.entries[(j, i)]
 
-    def to_json(self):
-        return {
-            "source": list(self.source),
-            "target": list(self.target),
-            "entries": [
-                {"row": j, "col": i, "value": mu.to_json()}
-                for (j, i), mu in sorted(self.entries.items())
-            ],
-        }
+    def to_json(self, shared=None):
+        """The matrix as JSON; ``shared`` maps (j, i) to the entry records of the target.
+
+        A report that writes several transitions into one target passes them
+        one such dict, so that each entry is built once and every transition
+        holds the same record (which the JSON writer then encodes once).
+        """
+        if shared is None:
+            shared = {}
+        entries = []
+        for (j, i), mu in sorted(self.entries.items()):
+            record = shared.get((j, i))
+            if record is None:
+                record = shared[(j, i)] = {"row": j, "col": i, "value": mu.to_json()}
+            entries.append(record)
+        return {"source": list(self.source), "target": list(self.target), "entries": entries}
 
 
 def transition_matrix(fan: TopologicalFan, source, target) -> TransitionMatrix:

@@ -78,17 +78,27 @@ _SCALAR_TEXT = {
 }
 
 
-def _encode(value, indent):
+def _encode(value, indent, records):
     """The JSON text of ``value``, whose line starts with ``indent`` (a newline and spaces).
 
     ``json.dumps(indent=2)`` runs as pure-Python generators and costs about
     twice as much; here each container is joined once, its scalar items are
-    looked up in the loop, and only containers recurse.
+    looked up in the loop, and only containers recurse.  ``records`` holds,
+    for one write, the text of each record by ``(id(record), indent)``: a
+    record is a dict whose values are scalars or lists of scalars, so a
+    record that repeats (one chart-table entry in many transitions) is
+    encoded once, and as records do not nest, ``records`` never holds more
+    text than the write.
     """
     inner = indent + "  "
     if isinstance(value, dict):
         if not value:
             return "{}"
+        memo = (id(value), indent)
+        text = records.get(memo)
+        if text is not None:
+            return text
+        record = True
         items = []
         for key, item in value.items():
             if type(key) is not str:  # coerced as json.dumps coerces it
@@ -98,16 +108,24 @@ def _encode(value, indent):
                                     f"not {key.__class__.__name__}")
                 key = text(key)
             text = _SCALAR_TEXT.get(type(item))
-            item_text = _encode(item, inner) if text is None else text(item)
+            if text is None:
+                item_text = _encode(item, inner, records)
+                record = record and not isinstance(item, dict) and all(
+                    type(x) in _SCALAR_TEXT for x in item)
+            else:
+                item_text = text(item)
             items.append(_encode_str(key) + ": " + item_text)
-        return "{" + inner + ("," + inner).join(items) + indent + "}"
+        text = "{" + inner + ("," + inner).join(items) + indent + "}"
+        if record:
+            records[memo] = text
+        return text
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
         items = []
         for item in value:
             text = _SCALAR_TEXT.get(type(item))
-            items.append(_encode(item, inner) if text is None else text(item))
+            items.append(_encode(item, inner, records) if text is None else text(item))
         return "[" + inner + ("," + inner).join(items) + indent + "]"
     text = _SCALAR_TEXT.get(type(value))
     if text is None:
@@ -121,7 +139,7 @@ def _write_json(data, stream):
     A subclass of ``str``, ``int`` or ``float`` raises ``TypeError``, as any
     other value that is not JSON does, before anything is written.
     """
-    stream.write(_encode(data, "\n") + "\n")
+    stream.write(_encode(data, "\n", {}) + "\n")
 
 
 def _parse(from_json, data):
@@ -232,8 +250,11 @@ def cmd_charts(args):
         out["kernel"] = kernel_presentation(fan, facet).to_json()
     if args.transitions:
         facets = [f for f in fan.complex.facets if len(f) == fan.n]
+        # one dict of entry records per target, for this report only
+        shared = {tgt: {} for tgt in facets}
         out["transitions"] = [
-            transition_matrix(fan, src, tgt).to_json() for src in facets for tgt in facets
+            transition_matrix(fan, src, tgt).to_json(shared[tgt])
+            for src in facets for tgt in facets
         ]
     ok = True
     if args.cocycle:

@@ -1,5 +1,6 @@
 """Kernel presentations, transition matrices, cocycle identities, face poset."""
 
+import json
 import random
 from fractions import Fraction
 from math import lcm
@@ -7,6 +8,7 @@ from operator import mul
 
 import pytest
 
+from topfan import cli
 from topfan.charts import (
     TransitionMatrix,
     chart_table,
@@ -102,6 +104,35 @@ def test_transition_kronecker_rows_on_shared_vertices(square_fan):
     mat = transition_matrix(square_fan, (2, 3), (3, 4))
     assert mat.entry(3, 3) == ONE
     assert mat.entry(4, 3) == ZERO
+
+
+@pytest.mark.parametrize("fan", [cp2cp2_fan(), octahedron_fan()], ids=["cp2cp2", "octahedron"])
+def test_transition_json_with_shared_records_equals_it_without(fan):
+    facets = [f for f in fan.complex.facets if len(f) == fan.n]
+    shared = {tgt: {} for tgt in facets}
+    for src in facets:
+        for tgt in facets:
+            mat = transition_matrix(fan, src, tgt)
+            assert mat.to_json(shared[tgt]) == mat.to_json(), (src, tgt)
+    for tgt in facets:
+        assert all(e is ZERO for row in chart_table(fan, tgt) for e in row if e == ZERO)
+
+
+@pytest.mark.parametrize("fan", [cp2cp2_fan(), octahedron_fan()], ids=["cp2cp2", "octahedron"])
+def test_charts_report_holds_one_record_per_target_entry(monkeypatch, tmp_path, fan):
+    """The transitions of one report into a target share their entry records."""
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps(fan.to_json()))
+    written = []
+    monkeypatch.setattr(cli, "_write_json", lambda data, stream: written.append(data))
+    assert cli.main(["charts", str(path), "--transitions"]) == 0
+    entries = [(tuple(mat["target"]), entry) for mat in written[0]["result"]["transitions"]
+               for entry in mat["entries"]]
+    records = {}
+    for target, entry in entries:
+        records.setdefault((target, entry["row"], entry["col"]), set()).add(id(entry))
+    assert all(len(ids) == 1 for ids in records.values())
+    assert len(records) < len(entries)  # entries repeat across transitions
 
 
 def test_cocycle_square_and_fixtures(square_fan, oct_fan):

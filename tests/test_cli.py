@@ -1132,6 +1132,86 @@ def test_writer_raises_on_scalar_subclasses_and_writes_nothing(scalar):
         assert stream.getvalue() == ""
 
 
+def _is_record(value):
+    return isinstance(value, dict) and all(
+        type(item) in cli._SCALAR_TEXT
+        or isinstance(item, (list, tuple)) and all(type(x) in cli._SCALAR_TEXT for x in item)
+        for item in value.values())
+
+
+def _memoized(data):
+    """The objects whose text the writer memoized in one write of ``data``, with their indents."""
+    records = {}
+    assert cli._encode(data, "\n", records) + "\n" == _written(data)
+    objects = {}
+    stack = [data]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, (dict, list, tuple)):
+            objects[id(value)] = value
+            stack.extend(value.values() if isinstance(value, dict) else value)
+    return [(objects[key], indent) for key, indent in records]
+
+
+def test_writer_encodes_a_repeated_record_once_per_indent():
+    record = {"row": 1, "col": 2, "value": [1, 1, 0, 1, -1]}
+    repeated = [record, record, record]
+    assert _written(repeated) == json.dumps(repeated, indent=2) + "\n"
+    assert _memoized(repeated) == [(record, "\n  ")]
+    nested = {"a": record, "b": [record, [record, record]], "c": record}
+    assert _written(nested) == json.dumps(nested, indent=2) + "\n"
+    assert sorted(len(indent) for value, indent in _memoized(nested)
+                  if value is record) == [3, 5, 7]
+
+
+def test_writer_memoizes_no_dict_that_holds_a_dict():
+    inner = {"x": 1, "y": [2, 3]}
+    holders = [{"inner": inner, "z": 4}, {"list": [inner], "z": 4}, {"deep": [[1]], "z": 4}]
+    data = [holders, holders, inner]
+    assert _written(data) == json.dumps(data, indent=2) + "\n"
+    memoized = _memoized(data)
+    assert memoized and all(value is inner for value, _ in memoized)
+
+
+def _shared_json_value(rng, depth, made):
+    """Like ``_random_json_value``, but a container is now and then one made before."""
+    if made and rng.random() < 0.3:
+        return rng.choice(made)
+    kind = rng.random() if depth else 0
+    if kind < 0.3:
+        return rng.choice(_SCALARS + [rng.randint(-10 ** 6, 10 ** 6)])
+    if kind < 0.5:  # a record: scalars and lists of scalars
+        value = {rng.choice(_KEYS): rng.choice(_SCALARS) for _ in range(rng.randint(1, 3))}
+        value["value"] = [rng.randint(-9, 9) for _ in range(5)]
+    else:
+        items = [_shared_json_value(rng, depth - 1, made) for _ in range(rng.randint(0, 4))]
+        value = items if kind < 0.7 else tuple(items) if kind < 0.8 else {
+            rng.choice(_KEYS): item for item in items}
+    made.append(value)
+    return value
+
+
+def test_writer_matches_json_dumps_on_seeded_values_that_share_sub_values():
+    rng = random.Random(271)
+    for _ in range(300):
+        value = _shared_json_value(rng, 5, [])
+        assert _written(value) == json.dumps(value, indent=2) + "\n", value
+        assert all(_is_record(record) for record, _ in _memoized(value)), value
+
+
+@pytest.mark.parametrize("record", [{"a": Fraction(1, 2)}, {"a": [1, Fraction(1)]},
+                                    {"a": 1, "b": {2}}, {"a": [1, object()]}])
+def test_writer_raises_the_stdlib_type_error_on_a_shared_record(record):
+    value = {"first": [record, 1], "again": [record, record]}
+    with pytest.raises(TypeError) as expected:
+        json.dumps(value, indent=2)
+    stream = io.StringIO()
+    with pytest.raises(TypeError) as raised:
+        cli._write_json(value, stream)
+    assert str(raised.value) == str(expected.value)
+    assert stream.getvalue() == ""
+
+
 def _fixture_argvs(name, directory, written):
     """Every command on the fixture's files: fan commands on fans, labeling modes on complexes."""
     argvs = [["fixtures", name, "--dir", directory]]
