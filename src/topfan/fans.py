@@ -12,7 +12,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress
 from math import gcd, lcm
 from operator import mul
 from typing import Optional
@@ -126,14 +125,13 @@ class TopologicalFan:
     """A pair (complex, rays) with exact validation and chart data."""
 
     # Caches of data derived from the (immutable) rays and complex.  One
-    # integer wall normal per (part, wall) settles the wall tests; one
-    # (det, adjugate) record per (part, top facet), assembled from its wall
-    # normals, is the facet's only factorization: validation, cone location,
-    # regularity, orientation weights and the dual bases of the chart tables
-    # (filled by ``charts`` from the integer-scaled rays) all read it.  The
-    # graded ring is filled by ``invariants``.  Each lives and dies with its fan.
+    # (det, adjugate) record per (part, top facet) is the facet's only
+    # factorization: validation, the wall tests, cone location, regularity,
+    # orientation weights and the dual bases of the chart tables (filled by
+    # ``charts`` from the integer-scaled rays) all read it.  The graded ring
+    # is filled by ``invariants``.  Each lives and dies with its fan.
     __slots__ = ("n", "complex", "rays", "_scaled", "_chart_tables", "_ring",
-                 "_complete", "_report", "_int_b", "_normals", "_adjugates")
+                 "_complete", "_report", "_int_b", "_adjugates")
 
     def __init__(self, n, complex_: SimplicialComplex, rays):
         if n < 0:
@@ -153,7 +151,6 @@ class TopologicalFan:
         self._complete = None
         self._report = None
         self._int_b = None
-        self._normals = {}
         self._adjugates = {}
 
     @property
@@ -178,38 +175,12 @@ class TopologicalFan:
             return [self._int_b_column(i) for i in indices]
         return [self.ray(i).v for i in indices]
 
-    def _wall_normal(self, part, wall):
-        """The integer form phi with phi . x = det(x, wall's columns), cached per fan.
-
-        ``wall`` is a sorted tuple of n - 1 vertices and ``part`` is ``"b"``
-        or ``"v"``.  phi vanishes on every column of the wall, so its sign on
-        a point tells the wall's side.  The b-columns are the integer ones of
-        ``_int_b_column``: a positive rescaling moves no sign.
-        """
-        key = (part, wall)
-        normal = self._normals.get(key)
-        if normal is None:
-            normal = self._normals[key] = linalg.cofactor_row(self._int_columns(part, wall), 0)
-        return normal
-
     def _adjugate(self, part, facet):
-        """``(det, rows)`` of a sorted top facet's integer b- or v-block, cached per fan.
-
-        The block's columns are ``_int_columns(part, facet)``.  Row k of its
-        adjugate is the form x -> det of the block with x in place of
-        column k, which is (-1)^k times the normal of the wall without
-        column k (``_wall_normal`` puts x first).  So adj . x is det times
-        the point's coordinates, and det = row 0 . column 0.  A singular
-        block has det 0.
-        """
+        """``linalg.adjugate`` of a sorted top facet's b- or v-block (``_int_columns``), cached."""
         key = (part, facet)
         record = self._adjugates.get(key)
         if record is None:
-            normals = [self._wall_normal(part, facet[:k] + facet[k + 1:]) for k in range(self.n)]
-            rows = tuple(row if k % 2 == 0 else tuple(-x for x in row)
-                         for k, row in enumerate(normals))
-            det = _dot(rows[0], self._int_columns(part, facet[:1])[0])
-            record = self._adjugates[key] = (det, rows)
+            record = self._adjugates[key] = linalg.adjugate(self._int_columns(part, facet))
         return record
 
     def _top_facet(self, facet):
@@ -277,8 +248,8 @@ class TopologicalFan:
         facet's block is independent when the det of its cached ``(det,
         adj)`` record (``_adjugate``) is nonzero, the record that cone
         location, the weights and the charts read as well; facets of any
-        other size are independent when ``linalg.rref`` of their columns
-        (as sparse rows) has one pivot per column.
+        other size are independent when the gcd of their maximal minors
+        (``linalg.maximal_minor_gcd``) is nonzero.
 
         Once the b-columns of every facet are independent, a fan that passes
         ``check_complete`` certifies its own intersections by a local
@@ -308,11 +279,11 @@ class TopologicalFan:
           neighbourhood of p.  A regular direction near p then has a
           preimage near R and another near R', a count of at least 2.
 
-        Every side question above is a sign of phi_W . x for an integer
-        wall normal phi_W (``_wall_normal``): the wall test compares the
-        signs at the two rays off W, and locating a direction reads the
-        signs of its coordinates in each facet (``_locate``).  No
-        rational inverse is built.
+        Every side question above is a sign read from a facet's cached
+        ``(det, adj)`` record: the wall test reads the sign of the
+        coordinate of the ray across W (``_opposite_sides``), and locating
+        a direction reads the signs of its coordinates in each facet
+        (``_locate``).  No rational inverse is built.
 
         For n = 1 the check accepts exactly two rays on opposite sides,
         which meet only at the origin.  When the certificate is not taken
@@ -328,9 +299,7 @@ class TopologicalFan:
                 if len(f) == self.n:
                     independent = self._adjugate(part, f)[0] != 0
                 else:
-                    columns = [dict(compress(enumerate(col), col))
-                               for col in self._int_columns(part, f)]
-                    independent = len(linalg.rref(columns)[1]) == len(f)
+                    independent = linalg.maximal_minor_gcd(self._int_columns(part, f)) != 0
                 if not independent:
                     return Verdict(False, {"kind": f"dependent-{part}", "facet": list(f)})
         if self.check_complete().ok:
@@ -386,13 +355,13 @@ class TopologicalFan:
     def _opposite_sides(self, f0, f1):
         """True when the rays of two top facets off their common wall lie strictly on opposite sides.
 
-        With x and y the vertices of f0 and f1 off the wall W, that is
-        (phi_W . b_x)(phi_W . b_y) < 0 for the wall's normal.  A singular
-        facet counts as one side, since its ray off W makes the product 0.
+        With x and y the vertices of f0 and f1 off the wall, row k of f0's
+        b-record (``_adjugate``), for x in position k, vanishes on the wall
+        and takes det at b_x, so y is across when det * (adj_k . b_y) < 0.
         """
         (x,), (y,) = set(f0) - set(f1), set(f1) - set(f0)
-        phi = self._wall_normal("b", tuple(sorted(set(f0) & set(f1))))
-        return _dot(phi, self._int_b_column(x)) * _dot(phi, self._int_b_column(y)) < 0
+        det, adj = self._adjugate("b", f0)
+        return det != 0 and det * _dot(adj[f0.index(x)], self._int_b_column(y)) < 0
 
     def check_complete(self) -> Verdict:
         """Wall-pairing completeness decided by one generic direction, cached per fan.

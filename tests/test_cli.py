@@ -209,22 +209,21 @@ def test_complex_loader_failure_exits_2(capsys, tmp_path, data, mode):
 
 @pytest.mark.parametrize("fan", [cp2cp2_fan(), octahedron_fan()], ids=["cp2cp2", "octahedron"])
 def test_each_top_facet_is_factored_once_per_command(capsys, monkeypatch, tmp_path, fan):
-    """Within one command every (part, wall) normal and every (part, top facet) adjugate
-    is computed once: each read returns the same object.  Validation and invariants
-    build no dual vector; the chart tables build one integer-scaled dual basis
+    """Within one command every (part, top facet) adjugate is read, and computed
+    once: each read returns the same object.  Validation and invariants build no dual
+    vector; the chart tables build one integer-scaled dual basis
     (``_scaled_dual``) per top facet."""
     path = tmp_path / "fan.json"
     path.write_text(json.dumps(fan.to_json()))
     results, duals = {}, []
-    for name in ("_wall_normal", "_adjugate"):
-        original = getattr(TopologicalFan, name)
+    adjugate = TopologicalFan._adjugate
 
-        def spy(self, part, key, _name=name, _original=original):
-            out = _original(self, part, key)
-            results.setdefault((_name, part, key), []).append(out)
-            return out
+    def spy(self, part, facet):
+        out = adjugate(self, part, facet)
+        results.setdefault((part, facet), []).append(out)
+        return out
 
-        monkeypatch.setattr(TopologicalFan, name, spy)
+    monkeypatch.setattr(TopologicalFan, "_adjugate", spy)
     scaled_dual = TopologicalFan._scaled_dual
     monkeypatch.setattr(TopologicalFan, "_scaled_dual",
                         lambda self, facet: duals.append(facet) or scaled_dual(self, facet))
@@ -239,7 +238,7 @@ def test_each_top_facet_is_factored_once_per_command(capsys, monkeypatch, tmp_pa
         code, _, _ = run_cli(capsys, argv[0], str(path), *argv[1:])
         assert code == 0
         assert len(duals) == expected, argv
-        assert {name for name, _, _ in results} == {"_wall_normal", "_adjugate"}, argv
+        assert set(results) == {(part, f) for part in "bv" for f in fan.complex.facets}, argv
         for key, outs in results.items():
             assert all(out is outs[0] for out in outs), (argv, key)
 

@@ -219,7 +219,8 @@ def test_completeness_of_fixtures(square_fan, oct_fan):
 
 
 def test_projective_space_of_dimension_16_validates():
-    # each wall normal of dimension 16 is one elimination, not a 2^15-term exterior product
+    # each facet's (det, adj) record of dimension 16 is one elimination pass,
+    # not a 2^15-term exterior product per wall
     assert projective_fan(16).validate().ok
 
 
@@ -384,8 +385,7 @@ def test_cone_tests_agree_with_oracle_inverses_and_row_reduction():
                 assert fan.locate_cone(point, part) == inside, (fan, part, point)
                 assert fan.is_regular(point, part) == (any(point) and not boundary)
                 boundary_hits += len(boundary)
-        walls = {w for f in fan.complex.facets for w in combinations(f, fan.n - 1)}
-        assert len(fan._normals) <= 2 * len(walls)
+        assert len(fan._adjugates) <= 2 * len(fan.complex.facets)
     assert boundary_hits > 0
 
 
@@ -468,9 +468,13 @@ def _negate_b(fan, k):
 
 
 def test_wall_test_matches_kernel_normal_signs(fan_generator):
-    """The wall test read from a facet's cached inverse, on every wall, both facet orders."""
+    """The wall test read from one facet's cached record, on every wall, both facet orders."""
     fans = [cp2cp2_fan(), octahedron_fan(), projective_fan(3), segment_fan()]
+    # n >= 5: adjugates from one elimination pass rather than cofactor rows
+    fans += [projective_fan(5), product_fan(projective_fan(3), projective_fan(3), validate=False),
+             suspend_fan(projective_fan(4), validate=False)]
     fans += [fan_generator(random.Random(seed)) for seed in range(8)]
+    assert {fan.n for fan in fans} >= {2, 3, 5, 6}
     verdicts = set()
     for fan in fans:
         for subject in [fan] + [_negate_b(fan, k) for k in range(fan.m)]:

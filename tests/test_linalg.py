@@ -66,6 +66,48 @@ def test_cofactor_row_matches_the_minors_on_both_paths():
     assert singular > 40
 
 
+def _adjugate_cases(rng, n):
+    """Square integer blocks with n columns: random ones (almost never singular),
+    then a repeated column, a zero column and a column the sum of two others."""
+    def block():
+        return [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+
+    for _ in range(6):
+        yield block()
+    if n >= 2:
+        cols = block()
+        cols[-1] = list(cols[0])
+        yield cols
+        cols = block()
+        cols[rng.randrange(n)] = [0] * n
+        yield cols
+    if n >= 3:
+        cols = block()
+        cols[1] = [a + b for a, b in zip(cols[0], cols[-1])]
+        yield cols
+
+
+def test_adjugate_matches_the_minors_on_both_routes():
+    """det is ``int_det`` and row k, entry j is the det with e_j in place of column k."""
+    rng = random.Random(149)
+    singular = {False: 0, True: 0}
+    for n in range(1, 11):
+        for cols in _adjugate_cases(rng, n):
+            det, rows = linalg.adjugate(cols)
+            assert det == linalg.int_det(list(zip(*cols))), (n, cols)
+            large = n > linalg._COFACTOR_ROWS_MAX_N
+            if det == 0:
+                assert rows == (), (n, cols)
+                singular[large] += 1
+                continue
+            unit = [[int(i == j) for i in range(n)] for j in range(n)]
+            expected = tuple(tuple(linalg.int_det(list(zip(*(cols[:k] + [e] + cols[k + 1:]))))
+                                   for e in unit) for k in range(n))
+            assert rows == expected, (n, cols)
+    assert min(singular.values()) >= 10
+    assert 1 <= linalg._COFACTOR_ROWS_MAX_N < 10
+
+
 def _minor_gcd_cases(rng):
     """k integer columns of Z^n for n <= 6 and k <= n + 1: random ones, then a zero
     column, a column a combination of others, and columns scaled to share a factor."""
