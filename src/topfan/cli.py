@@ -30,7 +30,7 @@ from .charts import (
 from .complexes import SimplicialComplex
 from .fans import TopologicalFan, equivalent
 from .invariants import betti_numbers, graded_rank, omni_weights, pontrjagin_class, todd_genus
-from .linalg import parse_rational
+from .linalg import parse_digits, parse_rational
 from .realize import (
     LabelingProblem,
     LabelingSolution,
@@ -63,6 +63,13 @@ def _load_json(data):
         return json.loads(text)
     except RecursionError:
         raise ValueError("malformed input: JSON nested too deeply") from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError:
+        # an integer of more digits than int() converts: parse again to name it
+        json.loads(text, parse_int=functools.partial(parse_digits,
+                                                     what="malformed input: JSON integer"))
+        raise
 
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -185,13 +192,13 @@ _FACET = re.compile(r"[0-9]+(?:,[0-9]+)*")
 def _parse_number(option, text):
     if not _NUMBER.fullmatch(text):
         raise ValueError(f"{option} takes a number in ASCII digits, not {text!r}")
-    return int(text)
+    return parse_digits(text, option)
 
 
 def _parse_facet(option, text):
     if not _FACET.fullmatch(text):
         raise ValueError(f"{option} takes comma-separated vertex numbers, not {text!r}")
-    return tuple(sorted(int(x) for x in text.split(",")))
+    return tuple(sorted(parse_digits(x, option) for x in text.split(",")))
 
 
 def _parse_direction(text):
@@ -354,7 +361,7 @@ def _fixture_files(name):
         match = re.fullmatch(r"cyclic:([0-9]+):([0-9]+)", name)
         if match is None:
             raise ValueError(f"fixture cyclic:<n>:<m> takes n and m in ASCII digits, not {name!r}")
-        n, m = map(int, match.groups())
+        n, m = (parse_digits(x, "fixture cyclic:<n>:<m>") for x in match.groups())
         return {f"cyclic_{n}_{m}.complex.json": fixtures.cyclic_complex(n, m).to_json()}
     raise ValueError(f"unknown fixture {name!r}")
 

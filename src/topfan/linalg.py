@@ -10,6 +10,7 @@ keep it that way.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -101,17 +102,18 @@ def int_det(rows):
     return sign * a[n - 1][n - 1]
 
 
-# Largest n whose exterior-product tables ``cofactor_row`` builds and keeps.
-# Each step up doubles the table.  Per call (Python 3.11, 2-vCPU host, random
-# entries in -3..3) the product takes 19/48/93 us at n = 6/7/8 and the
-# ``reduce_system`` pass 39/67/104/174 us at n = 6/7/8/10: the two are close
-# at n = 8, where the table would be twice the size of n = 7's.
+# Largest n whose exterior-product tables ``cofactor_row`` builds and keeps;
+# n <= 4 takes ``_det_form`` and builds none.  Each step up doubles the table.
+# Per call (Python 3.11.7, 2-vCPU host, random entries in -3..3, two runs) the
+# product takes 7.6-7.7/16/35/77-114 us at n = 5/6/7/8 and the
+# ``reduce_system`` pass 21/34-35/52/76-114/147-154 us at n = 5/6/7/8/10: the
+# two are close at n = 8, where the table would be twice the size of n = 7's.
 _WEDGE_MAX_N = 7
 
 
 @lru_cache(maxsize=None)
 def _wedge_levels(n):
-    """Expansion tables for the exterior product of n - 1 vectors of Z^n.
+    """Expansion tables for the exterior product of n - 1 vectors of Z^n, 5 <= n.
 
     Level ``size`` lists, for each ``size``-subset S of the rows (in
     ``combinations`` order), the terms ``(sign, row, index)`` of the
@@ -131,16 +133,34 @@ def _wedge_levels(n):
     return tuple(levels)
 
 
+def _det_form(u=None, w=None, z=None):
+    """The form x -> det(x, u, w, z) of the n - 1 <= 3 integer columns given, as a tuple.
+
+    n = 1 is the constant 1, n = 2 a swap, n = 3 the cross product; n = 4
+    expands each 3x3 minor along u over the six 2x2 minors of w and z.
+    """
+    if w is None:
+        return (1,) if u is None else (u[1], -u[0])
+    if z is None:
+        return (u[1] * w[2] - u[2] * w[1], u[2] * w[0] - u[0] * w[2], u[0] * w[1] - u[1] * w[0])
+    m01, m02, m03 = w[0] * z[1] - w[1] * z[0], w[0] * z[2] - w[2] * z[0], w[0] * z[3] - w[3] * z[0]
+    m12, m13, m23 = w[1] * z[2] - w[2] * z[1], w[1] * z[3] - w[3] * z[1], w[2] * z[3] - w[3] * z[2]
+    return (u[1] * m23 - u[2] * m13 + u[3] * m12, u[2] * m03 - u[0] * m23 - u[3] * m02,
+            u[0] * m13 - u[1] * m03 + u[3] * m01, u[1] * m02 - u[0] * m12 - u[2] * m01)
+
+
 def cofactor_row(cols, position):
     """The integer form c with ``c . x`` = det of ``cols`` with x inserted as column ``position``.
 
     ``cols`` are n - 1 integer vectors of length n; the result is a tuple.
     Expanding along the inserted column gives ``c_k = (-1)^(k + position)``
-    times the minor of ``cols`` without row k.  Up to ``_WEDGE_MAX_N`` all
-    n minors come from one exterior product ``cols[0] ∧ ... ∧ cols[-1]``,
-    built column by column over row subsets; for n = 4 that is about five
-    times faster than n ``int_det`` minors.  Its tables hold about n·2^(n-1)
-    terms, so above ``_WEDGE_MAX_N`` the form comes from one
+    times the minor of ``cols`` without row k.  Up to n = 4 that is
+    ``_det_form``, negated at odd positions: under 2 us, 4 (n = 2) to 8-16
+    (n = 4) times faster than n ``int_det`` minors.  Up to ``_WEDGE_MAX_N``
+    all n minors come from one exterior product ``cols[0] ∧ ... ∧ cols[-1]``,
+    built column by column over row subsets; for n = 5..7 that is three to
+    four times faster than n ``int_det`` minors.  Its tables hold about
+    n·2^(n-1) terms, so above ``_WEDGE_MAX_N`` the form comes from one
     ``reduce_system`` pass over ``cols`` as rows, each with target 0.  With
     fewer than n - 1 pivots the form is zero.  Otherwise let f be the free
     column: the rows are d on their own pivot and 0 on the others, so the
@@ -150,8 +170,9 @@ def cofactor_row(cols, position):
     counts the inversions of ``pivots + [f]``.
     """
     n = len(cols) + 1
-    if n == 1:
-        return (1,)
+    if n <= 4:
+        form = _det_form(*cols)
+        return tuple([-c for c in form]) if position % 2 else form
     if n > _WEDGE_MAX_N:
         d, pivots, rows, _ = reduce_system((col, (0,)) for col in cols)
         if len(pivots) < n - 1:
@@ -224,8 +245,9 @@ def reduce_system(pairs):
 
 
 # ``adjugate`` builds blocks up to this n as n cofactor rows, larger ones by one
-# ``reduce_system`` pass.  Per block (Python 3.11, 2-vCPU host, entries in -3..3)
-# the rows take 18-25/39-59/97-142 us at n = 4/5/6, the pass 22-40/33-45/51-71 us.
+# ``reduce_system`` pass.  Per block (Python 3.11.7, 2-vCPU host, entries in
+# -3..3, two runs) the rows take 8.9-9.4/39-40/97-109 us at n = 4/5/6, the pass
+# 23/36-38/55-56 us.
 _COFACTOR_ROWS_MAX_N = 4
 
 
@@ -363,7 +385,24 @@ def parse_rational(value):
             return Fraction(int(num), int(den or 1))
         except ZeroDivisionError:
             raise ValueError(f"not a rational: {value!r} has a zero denominator") from None
+        except ValueError:  # more digits than int() converts: name the part
+            parse_digits(num, "not a rational: numerator")
+            parse_digits(den, "not a rational: denominator")
+            raise
     raise ValueError(f"not a rational: {value!r}")
+
+
+def parse_digits(digits, what):
+    """``int`` of a string of ASCII digits with an optional sign, which ``what`` names.
+
+    Past ``sys.get_int_max_str_digits()`` digits ``int`` refuses with advice
+    on the interpreter's settings; this ValueError names the value and the limit.
+    """
+    try:
+        return int(digits)
+    except ValueError:
+        raise ValueError(f"{what} {digits[:15]}... has {len(digits.lstrip('+-'))} digits, "
+                         f"more than the limit of {sys.get_int_max_str_digits()}") from None
 
 
 def parse_int(value, field):

@@ -280,8 +280,13 @@ def search_labeling(problem: LabelingProblem):
 
 # Linear forms kept per completed facet and search.  Branches and probes
 # reach the same labels: 65-66 % of the lookups in the label-search
-# benchmark's realize jobs hit (seeds 3 and 5), and the cache makes those
-# jobs about 22 % faster (medians of 12 interleaved rounds, 2-vCPU host).
+# benchmark's realize jobs hit (seeds 3 and 5).  Those jobs have n <= 4,
+# whose straight-line forms take under 2 us, so there the cache saves -2 to
+# 6 % (medians of 12 interleaved rounds, 2-vCPU host).  Forms above n = 4
+# cost 8-35 us (n = 5..7) and more: the cache saves 41-43 % on the n = 5
+# unimodular searches of cyclic:5:9 and cyclic:5:10 at bound 1, and 11-14 %
+# on the n = 4 UNSAT searches Barnette toric-sign and C4(9) unimodular at
+# bound 2 (best of 3).
 # The cap bounds memory: C4(9)'s unimodular search at bound 4 would keep
 # 24,576 forms on a facet (a traced peak of 12.7 MB; 5.2 MB capped).
 _FORMS_PER_FACET = 4096

@@ -198,6 +198,39 @@ def test_rationals_are_integers_or_fractions(capsys, tmp_path, cp2cp2_path, text
     assert run_cli(capsys, "invariants", cp2cp2_path, "--todd", f"--dir={text},1") == (2, "", message)
 
 
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not _DIGIT_LIMIT, reason="this interpreter converts integers of any length")
+@pytest.mark.parametrize("case", ["rational", "json-integer", "option", "fixture"])
+def test_numbers_past_the_digit_limit_exit_2_naming_the_value_and_the_limit(capsys, tmp_path,
+                                                                           case):
+    """A rational, a JSON integer, an option value or a fixture size with more
+    digits than ``int`` converts (4300 by default) is a usage error that names
+    the value and the limit, not the interpreter's advice on its settings."""
+    digits = _DIGIT_LIMIT + 700
+    long = "9" * digits
+    data = cp2cp2_fan().to_json()
+    path = tmp_path / "long.json"
+    if case == "rational":
+        data["rays"][0]["b"] = ["1/" + long, "0"]
+        path.write_text(json.dumps(data))
+        argv, value = ["validate", str(path)], "not a rational: denominator"
+    elif case == "json-integer":
+        data["rays"][0]["v"] = [12345, 0]
+        path.write_text(json.dumps(data).replace("12345", long))
+        argv, value = ["validate", str(path)], "malformed input: JSON integer"
+    elif case == "option":
+        path.write_text(json.dumps(octahedron_complex().to_json()))
+        argv, value = ["realize", str(path), "--mode", "unimodular", "--bound", long], "--bound"
+    else:
+        argv = ["fixtures", f"cyclic:4:{long}", "--dir", str(tmp_path)]
+        value = "fixture cyclic:<n>:<m>"
+    message = (f"error: {value} 999999999999999... has {digits} digits, "
+               f"more than the limit of {_DIGIT_LIMIT}\n")
+    assert run_cli(capsys, *argv) == (2, "", message)
+
+
 @pytest.mark.parametrize("data, mode", [([1, 2], "mod2")] + [
     ({"m": 0, "facets": []}, mode) for mode in ("mod2", "unimodular", "toric-sign")])
 def test_complex_loader_failure_exits_2(capsys, tmp_path, data, mode):

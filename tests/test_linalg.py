@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 from operator import mul
@@ -14,7 +15,7 @@ from tests import chart_oracle, cone_oracle, rref_oracle
 
 def _minor_row(cols, position):
     """c_k = (-1)^(k + position) times the minor of ``cols`` (as columns) without row k."""
-    rows = [list(r) for r in zip(*cols)]
+    rows = [list(r) for r in zip(*cols)] if cols else [[]]  # n = 1: one empty row
     return tuple((-1) ** (k + position) * linalg.int_det(rows[:k] + rows[k + 1:])
                  for k in range(len(rows)))
 
@@ -29,7 +30,7 @@ def _cofactor_cases(rng, n):
     yield [column() for _ in range(n - 1)]
     yield [column() for _ in range(n - 1)]
     if n < 3:
-        yield [[0] * n]
+        yield [[0] * n] * (n - 1)
         return
     cols = [column() for _ in range(n - 1)]
     cols[rng.randrange(n - 1)] = [0] * n
@@ -51,19 +52,30 @@ def _cofactor_cases(rng, n):
     yield [[0] + column()[1:] for _ in range(n - 1)]
 
 
+def _cofactor_route(n):
+    """The route ``cofactor_row`` takes for n - 1 columns of Z^n."""
+    if n <= 4:
+        return "straight-line form"
+    return "exterior product" if n <= linalg._WEDGE_MAX_N else "reduce_system pass"
+
+
 def test_cofactor_row_matches_the_minors_on_both_paths():
+    """Every route: straight-line forms (n <= 4), the exterior product (5..7) and
+    the ``reduce_system`` pass (above), with singular cases on each."""
     rng = random.Random(137)
-    singular = 0
-    for n in range(2, 17):
+    singular = Counter()
+    for n in range(1, 17):
+        route = _cofactor_route(n)
         for cols in _cofactor_cases(rng, n):
             position = rng.randrange(n)
             row = linalg.cofactor_row(cols, position)
-            assert row == _minor_row(cols, position), (n, cols, position)
-            singular += not any(row)
+            assert row == _minor_row(cols, position), (route, n, cols, position)
+            singular[route] += not any(row)
             x = [rng.randint(-3, 3) for _ in range(n)]
             block = cols[:position] + [x] + cols[position:]
             assert sum(a * b for a, b in zip(row, x)) == linalg.int_det(list(zip(*block)))
-    assert singular > 40
+    assert set(singular) == {"straight-line form", "exterior product", "reduce_system pass"}
+    assert min(singular.values()) >= 5 and sum(singular.values()) > 40, singular
 
 
 def _adjugate_cases(rng, n):
@@ -88,24 +100,64 @@ def _adjugate_cases(rng, n):
 
 
 def test_adjugate_matches_the_minors_on_both_routes():
-    """det is ``int_det`` and row k, entry j is the det with e_j in place of column k."""
+    """det is ``int_det`` and row k, entry j is the det with e_j in place of column k,
+    both from n cofactor rows (n <= ``_COFACTOR_ROWS_MAX_N``) and from one
+    ``reduce_system`` pass (above)."""
     rng = random.Random(149)
-    singular = {False: 0, True: 0}
+    singular = {"cofactor rows": 0, "reduce_system pass": 0}
     for n in range(1, 11):
+        route = "cofactor rows" if n <= linalg._COFACTOR_ROWS_MAX_N else "reduce_system pass"
         for cols in _adjugate_cases(rng, n):
             det, rows = linalg.adjugate(cols)
-            assert det == linalg.int_det(list(zip(*cols))), (n, cols)
-            large = n > linalg._COFACTOR_ROWS_MAX_N
+            assert det == linalg.int_det(list(zip(*cols))), (route, n, cols)
             if det == 0:
-                assert rows == (), (n, cols)
-                singular[large] += 1
+                assert rows == (), (route, n, cols)
+                singular[route] += 1
                 continue
-            unit = [[int(i == j) for i in range(n)] for j in range(n)]
-            expected = tuple(tuple(linalg.int_det(list(zip(*(cols[:k] + [e] + cols[k + 1:]))))
-                                   for e in unit) for k in range(n))
-            assert rows == expected, (n, cols)
+            assert rows == _adjugate_by_minors(cols), (route, n, cols)
     assert min(singular.values()) >= 10
     assert 1 <= linalg._COFACTOR_ROWS_MAX_N < 10
+
+
+def _adjugate_by_minors(cols):
+    """Row k, entry j: ``int_det`` of the block with e_j in place of column k."""
+    n = len(cols)
+    unit = [[int(i == j) for i in range(n)] for j in range(n)]
+    return tuple(tuple(linalg.int_det(list(zip(*(cols[:k] + [e] + cols[k + 1:]))))
+                       for e in unit) for k in range(n))
+
+
+def test_straight_line_forms_on_bigints_zero_columns_and_singular_blocks():
+    """n <= 4 with entries up to 10^40: random blocks, a zero column and a column
+    a multiple of another, through ``adjugate`` and every position's cofactor row."""
+    rng = random.Random(151)
+    big = 10 ** 40
+    zero_rows = Counter()
+    for n in range(1, 5):
+        for _ in range(10):
+            cols = [[rng.randint(-big, big) for _ in range(n)] for _ in range(n)]
+            zero = [list(col) for col in cols]
+            zero[rng.randrange(n)] = [0] * n
+            blocks = {"random": cols, "zero column": zero}
+            if n >= 2:
+                multiple = [list(col) for col in cols]
+                factor = rng.choice((-3, 2))
+                multiple[-1] = [factor * x for x in cols[0]]
+                blocks["multiple"] = multiple
+            for kind, block in blocks.items():
+                det, rows = linalg.adjugate(block)
+                assert det == linalg.int_det(list(zip(*block))), (n, kind, block)
+                assert (det == 0) == (kind != "random"), (n, kind, block)
+                assert rows == (_adjugate_by_minors(block) if det else ()), (n, kind, block)
+                for k in range(n):
+                    others = block[:k] + block[k + 1:]
+                    row = linalg.cofactor_row(others, k)
+                    assert row == _minor_row(others, k), (n, kind, block, k)
+                    zero_rows[kind] += not any(row)
+    # a row is zero exactly when the other columns are dependent
+    assert zero_rows["random"] == 0
+    assert zero_rows["zero column"] == 10 * (0 + 1 + 2 + 3)  # n - 1 rows hold it
+    assert zero_rows["multiple"] == 10 * (0 + 1 + 2)  # n - 2 rows hold both columns
 
 
 def _minor_gcd_cases(rng):
@@ -145,6 +197,17 @@ def test_cofactor_row_keeps_no_table_above_the_wedge_limit():
     for n in range(linalg._WEDGE_MAX_N + 1, linalg._WEDGE_MAX_N + 4):
         cols = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(n - 1)]
         linalg.cofactor_row(cols, 0)
+    assert linalg._wedge_levels.cache_info().currsize == 0
+
+
+def test_cofactor_row_keeps_no_table_up_to_n_4():
+    linalg._wedge_levels.cache_clear()
+    rng = random.Random(157)
+    for n in range(1, 5):
+        cols = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(n)]
+        linalg.adjugate(cols)
+        for position in range(n):
+            linalg.cofactor_row(cols[:position] + cols[position + 1:], position)
     assert linalg._wedge_levels.cache_info().currsize == 0
 
 
