@@ -30,15 +30,17 @@ class Ray:
     v: tuple[int, ...]
 
     def __post_init__(self):
-        # entries parsed by ``from_json`` are Fractions already and are kept
-        object.__setattr__(self, "b", tuple(x if type(x) is Fraction else Fraction(x)
-                                            for x in self.b))
-        object.__setattr__(self, "c", tuple(x if type(x) is Fraction else Fraction(x)
-                                            for x in self.c))
-        v = tuple(self.v)
-        object.__setattr__(self, "v", tuple(map(int, v)))
-        if self.v != v:
-            raise ValueError(f"v = {v} is not integral")
+        # a tuple of Fractions (of ints for v), as ``from_json`` parses it, is kept
+        for name in ("b", "c"):
+            value = getattr(self, name)
+            if type(value) is not tuple or any(type(x) is not Fraction for x in value):
+                object.__setattr__(self, name, tuple(map(Fraction, value)))
+        v = self.v
+        if type(v) is not tuple or any(type(x) is not int for x in v):
+            v = tuple(v)
+            object.__setattr__(self, "v", tuple(map(int, v)))
+            if self.v != v:
+                raise ValueError(f"v = {v} is not integral")
         if not (len(self.b) == len(self.c) == len(self.v)):
             raise ValueError("b, c, v must have equal lengths")
         if all(x == 0 for x in self.b):
@@ -597,7 +599,7 @@ def _h_normalizer(ray: Ray) -> RElem:
     norm = sum(abs(x) for x in ray.b)
     s = Fraction(1) / norm
     vv = sum(x * x for x in ray.v)
-    cv = sum(Fraction(cx) * vx for cx, vx in zip(ray.c, ray.v))
+    cv = sum(cx * vx for cx, vx in zip(ray.c, ray.v))
     t = -cv / vv * s
     first = next(x for x in ray.v if x != 0)
     eps = 1 if first > 0 else -1

@@ -285,32 +285,47 @@ def nonneg_solution(rows, rhs):
     (the first column with a negative reduced cost enters; among the rows
     of least ratio, the one whose basic variable comes first leaves), so it
     cannot cycle.  The system is solvable exactly when the artificial sum
-    falls to 0.  Every entry stays a ``Fraction``.
+    falls to 0.
+
+    The tableau T, cost row included, holds integers over d = |det| of the
+    basis; rational input is scaled once to integers, which moves no pivot.
+    A pivot p = T[r][e] keeps row r and sets each other row to
+    ``(p·row - row[e]·T[r]) // d``, exact by Bareiss (Math. Comp. 22,
+    1968); then d = p.  As d > 0 and ratios are cross-multiplied, these are
+    the pivots, and x the basic solution, of the same tableau in ``Fraction``s.
     """
     ncols = len(rows[0])
-    table = [[Fraction(a) for a in row] + [Fraction(r)] for row, r in zip(rows, rhs)]
+    table = [list(row) + [r] for row, r in zip(rows, rhs)]
+    if any(type(a) is not int for row in table for a in row):
+        flat = clear_denominators([a for row in table for a in row])
+        table = [flat[k:k + ncols + 1] for k in range(0, len(flat), ncols + 1)]
     basis = [ncols + i for i in range(len(table))]
     # reduced costs of the artificial sum; the last entry is minus its value
     cost = [-sum(column) for column in zip(*table)]
+    d = 1
     while True:
         enter = next((j for j in range(ncols) if cost[j] < 0), None)
         if enter is None:
             break
         # the artificial sum is bounded below by 0, so some entry is positive
-        _, _, r = min((row[-1] / row[enter], basis[i], i)
-                      for i, row in enumerate(table) if row[enter] > 0)
-        pivot = table[r] = [a / table[r][enter] for a in table[r]]
+        r = None
+        for i, row in enumerate(table):
+            a = row[enter]
+            # least ratio row[-1] / a (cross-multiplied: a, p > 0); ties to the least basis[i]
+            if a > 0 and (r is None or (row[-1] * p, basis[i]) < (pivot[-1] * a, basis[r])):
+                r, p, pivot = i, a, row
         for row in table + [cost]:
             f = row[enter]
-            if f and row is not pivot:
-                row[:] = [a - f * b if b else a for a, b in zip(row, pivot)]
+            if row is not pivot and (f or p != d):
+                row[:] = [(p * a - f * b) // d for a, b in zip(row, pivot)]
+        d = p
         basis[r] = enter
     if cost[-1]:
         return None
     x = [Fraction(0)] * ncols
     for i, j in enumerate(basis):
         if j < ncols:
-            x[j] = table[i][-1]
+            x[j] = Fraction(table[i][-1], d)
     return x
 
 
@@ -351,7 +366,7 @@ def maximal_minor_gcd(columns):
 
 def clear_denominators(vec):
     """Scale a rational vector to a primitive integer vector (same ray)."""
-    fracs = [Fraction(x) for x in vec]
+    fracs = [x if type(x) is Fraction else Fraction(x) for x in vec]
     den = lcm(*(f.denominator for f in fracs))
     ints = [f.numerator * (den // f.denominator) for f in fracs]
     g = vec_gcd(ints)
@@ -377,6 +392,10 @@ def parse_rational(value):
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        # "-?[0-9]+" of at most 18 characters, far below any digit limit of int()
+        digits = value[1:] if value[:1] == "-" else value
+        if len(value) < 19 and digits.isdigit() and digits.isascii():
+            return Fraction(int(value))
         match = _RATIONAL.fullmatch(value)
         if match is None:
             raise ValueError(f"not a rational: {value!r}")
@@ -413,4 +432,4 @@ def parse_int(value, field):
 
 
 def format_rational(value):
-    return str(Fraction(value))
+    return str(value if type(value) is Fraction else Fraction(value))

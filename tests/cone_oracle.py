@@ -17,6 +17,10 @@ columns, for the other facets).  ``independent_rows`` is
 also the tests' reference for the rank that ``linalg.rref``'s pivots give
 and for the rows that ``linalg.reduce_system`` keeps.  ``kernel_basis``
 reads the dense reference ``dense_rref``.
+
+``nonneg_solution`` is the Phase-I LP with every entry a ``Fraction``.
+It makes the same pivots as the fraction-free ``linalg.nonneg_solution``,
+so it is the reference for the exact x that one returns.
 """
 
 from fractions import Fraction
@@ -92,6 +96,45 @@ def maximal_minor_gcd(int_rows, size):
             if g == 1:
                 return 1
     return g
+
+
+def nonneg_solution(rows, rhs):
+    """A rational x >= 0 with rows . x = rhs, or None when there is none.
+
+    ``rows`` is a nonempty integer or rational matrix and rhs >= 0.
+
+    Phase I of the simplex method: the start basis is one artificial
+    variable per row, and the columns of ``rows`` enter by Bland's rule
+    (the first column with a negative reduced cost enters; among the rows
+    of least ratio, the one whose basic variable comes first leaves), so it
+    cannot cycle.  The system is solvable exactly when the artificial sum
+    falls to 0.  Every entry stays a ``Fraction``.
+    """
+    ncols = len(rows[0])
+    table = [[Fraction(a) for a in row] + [Fraction(r)] for row, r in zip(rows, rhs)]
+    basis = [ncols + i for i in range(len(table))]
+    # reduced costs of the artificial sum; the last entry is minus its value
+    cost = [-sum(column) for column in zip(*table)]
+    while True:
+        enter = next((j for j in range(ncols) if cost[j] < 0), None)
+        if enter is None:
+            break
+        # the artificial sum is bounded below by 0, so some entry is positive
+        _, _, r = min((row[-1] / row[enter], basis[i], i)
+                      for i, row in enumerate(table) if row[enter] > 0)
+        pivot = table[r] = [a / table[r][enter] for a in table[r]]
+        for row in table + [cost]:
+            f = row[enter]
+            if f and row is not pivot:
+                row[:] = [a - f * b if b else a for a, b in zip(row, pivot)]
+        basis[r] = enter
+    if cost[-1]:
+        return None
+    x = [Fraction(0)] * ncols
+    for i, j in enumerate(basis):
+        if j < ncols:
+            x[j] = table[i][-1]
+    return x
 
 
 def kernel_basis(rows):

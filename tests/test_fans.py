@@ -3,7 +3,7 @@
 import json
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -54,6 +54,57 @@ def test_ray_invariants():
 def test_ray_rejects_a_non_integral_v(v):
     with pytest.raises(ValueError, match=r"^v = .* is not integral$"):
         Ray((1, 2), (0, 0), v)
+
+
+def _reference_ray(b, c, v):
+    """``Ray`` with every entry of b and c passed through ``Fraction`` and v
+    through ``int``, whatever its type: the reference for the constructor,
+    which keeps a tuple of ``Fraction``s (of ``int``s for v) as it is."""
+    b = tuple(Fraction(x) for x in b)
+    c = tuple(Fraction(x) for x in c)
+    given = tuple(v)
+    v = tuple(map(int, given))
+    if v != given:
+        raise ValueError(f"v = {given} is not integral")
+    return Ray(b, c, v)
+
+
+def _ray_outcome(make, *args):
+    try:
+        ray = make(*args)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return [(type(part), [(type(x), x) for x in part]) for part in (ray.b, ray.c, ray.v)]
+
+
+@pytest.mark.parametrize("b, c, v", [
+    ([1, 2], [0, 0], [1, 2]),
+    ((Fraction(1, 2), 1), (0, Fraction(3)), (1, 0)),
+    ((1.5, -2.0), (0.25, 0), (1.0, 2)),
+    ((True, False), (False, True), (True, False)),
+    ((Fraction(1), True), (0, 0), (Fraction(2), 1)),
+    (5, (0,), (1,)),
+    ((1,), 0, (1,)),
+    ((1,), (0,), 1),
+    ((1,), (0,), True),
+    (1.5, (0,), (1,)),
+    ((1, 2), (0, 0), (1.5, 1)),
+    ((1, 2), (0, 0), [True, 2.0]),
+    ((0, 0), (0, 0), (1, 0)),
+    ((1, 0), (0, 0), (2, 0)),
+    ((1,), (0, 0), (1, 0)),
+    ((Fraction(1),), (Fraction(0),), (float("nan"),)),
+])
+def test_ray_fields_agree_with_the_reference_on_any_input(b, c, v):
+    """Lists, ints, floats and bools give the reference's fields, with their
+    types, or its exact error."""
+    assert _ray_outcome(Ray, b, c, v) == _ray_outcome(_reference_ray, b, c, v)
+
+
+def test_ray_keeps_tuples_of_fractions():
+    b, c, v = (Fraction(1, 2), Fraction(-3)), (Fraction(0), Fraction(5, 7)), (1, -2)
+    ray = Ray(b, c, v)
+    assert ray.b is b and ray.c is c and ray.v is v
 
 
 def test_ray_from_parts_keeps_v_exact():
@@ -812,12 +863,29 @@ def test_cone_pair_lp_agrees_with_extreme_ray_oracle():
 
 
 def _spy_pair_lps(monkeypatch):
-    """The rows of every ``linalg.nonneg_solution`` call, appended as they come."""
+    """``(rows, rhs)`` of every ``linalg.nonneg_solution`` call, appended as they come."""
     calls = []
     solve = linalg.nonneg_solution
     monkeypatch.setattr(linalg, "nonneg_solution",
-                        lambda rows, rhs: calls.append(rows) or solve(rows, rhs))
+                        lambda rows, rhs: calls.append((rows, rhs)) or solve(rows, rhs))
     return calls
+
+
+def test_pair_lps_return_the_fraction_tableaus_x(monkeypatch):
+    """Every LP that ``_cone_pair_witness`` solves on the certificate cases,
+    each facet pair in both orders, gets the x of the ``Fraction`` tableau
+    (``cone_oracle.nonneg_solution``), not only its verdict."""
+    solve = linalg.nonneg_solution
+    calls = _spy_pair_lps(monkeypatch)
+    for fan, _ in _certificate_cases():
+        for fi, fj in permutations(fan.complex.facets, 2):
+            fan._cone_pair_witness(fi, fj)
+    verdicts = set()
+    for rows, rhs in calls:
+        x = solve(rows, rhs)
+        assert x == cone_oracle.nonneg_solution(rows, rhs), rows
+        verdicts.add(x is None)
+    assert verdicts == {True, False}
 
 
 def test_complete_fans_solve_no_pair_lp(monkeypatch):

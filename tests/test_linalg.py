@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 from math import gcd
@@ -438,3 +439,70 @@ def test_parse_rational_agrees_with_fraction_on_the_accepted_forms():
                  "\u0661", "\u0663/\u0664", "1/\uff12"):
         with pytest.raises(ValueError, match="not a rational"):
             linalg.parse_rational(text)
+
+
+def _regex_route(value):
+    """``parse_rational`` of a string through ``_RATIONAL`` alone: the reference
+    that its fast check for short integers is held against."""
+    match = linalg._RATIONAL.fullmatch(value)
+    if match is None:
+        raise ValueError(f"not a rational: {value!r}")
+    num, den = match.groups()
+    try:
+        return Fraction(int(num), int(den or 1))
+    except ZeroDivisionError:
+        raise ValueError(f"not a rational: {value!r} has a zero denominator") from None
+    except ValueError:
+        linalg.parse_digits(num, "not a rational: numerator")
+        linalg.parse_digits(den, "not a rational: denominator")
+        raise
+
+
+def _outcome(parse, value):
+    try:
+        result = parse(value)
+    except ValueError as exc:
+        return ValueError, str(exc)
+    return type(result), result
+
+
+def test_parse_rational_fast_check_gives_the_regex_routes_value_or_error():
+    """Short "-?[0-9]+" strings skip the regex; every string, taken or not, gets
+    the regex route's value as a ``Fraction``, or its exact error."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    long = "7" * max(5000, limit + 700)
+    texts = ["0", "-0", "007", "-007", "+3", " 4", "4\n", "-", "--1", "+-1", "-\u0661",
+             "\u00b2", "9" * 18, "-" + "9" * 17, "-" + "9" * 18, "9" * 19, "3/4",
+             long, "-" + long, "1/" + long]
+    rng = random.Random(157)
+    texts += [str(rng.randint(-10 ** 20, 10 ** 20)) for _ in range(200)]
+    for text in texts:
+        assert _outcome(linalg.parse_rational, text) == _outcome(_regex_route, text), text
+    assert _outcome(linalg.parse_rational, "-0") == (Fraction, 0)
+    if limit:  # else this interpreter converts integers of any length
+        assert _outcome(linalg.parse_rational, long) == (
+            ValueError, f"not a rational: numerator {long[:15]}... has {len(long)} digits, "
+                        f"more than the limit of {limit}")
+
+
+def test_nonneg_solution_returns_the_fraction_tableaus_x():
+    """The integer tableau makes the pivots of the ``Fraction`` one
+    (``cone_oracle.nonneg_solution``), so it returns the same x, not only the
+    same verdict: 20,000 integer systems (1-6 rows, 1-9 columns, entries in
+    -3..3, right-hand sides from {0, 0, 1, 2, 5}) and 3,000 with ``Fraction``
+    entries, integers mixed in."""
+    rng = random.Random(163)
+    verdicts = Counter()
+    for case in range(23000):
+        k, n = rng.randint(1, 6), rng.randint(1, 9)
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
+        rhs = [rng.choice((0, 0, 1, 2, 5)) for _ in range(k)]
+        if case >= 20000:
+            rows = [[Fraction(a, rng.randint(1, 4)) if rng.random() < 0.8 else a for a in row]
+                    for row in rows]
+            rhs = [Fraction(b, rng.randint(1, 3)) for b in rhs]
+        x = linalg.nonneg_solution(rows, rhs)
+        assert x == cone_oracle.nonneg_solution(rows, rhs), (rows, rhs)
+        assert x is None or all(type(a) is Fraction for a in x)
+        verdicts[x is not None, case >= 20000] += 1
+    assert min(verdicts.values()) > 1000, verdicts
