@@ -12,7 +12,6 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm
 from operator import mul
@@ -102,35 +101,13 @@ def int_det(rows):
     return sign * a[n - 1][n - 1]
 
 
-# Largest n whose exterior-product tables ``cofactor_row`` builds and keeps;
-# n <= 4 takes ``_det_form`` and builds none.  Each step up doubles the table.
-# Per call (Python 3.11.7, 2-vCPU host, random entries in -3..3, two runs) the
-# product takes 7.6-7.7/16/35/77-114 us at n = 5/6/7/8 and the
-# ``reduce_system`` pass 21/34-35/52/76-114/147-154 us at n = 5/6/7/8/10: the
-# two are close at n = 8, where the table would be twice the size of n = 7's.
-_WEDGE_MAX_N = 7
-
-
-@lru_cache(maxsize=None)
-def _wedge_levels(n):
-    """Expansion tables for the exterior product of n - 1 vectors of Z^n, 5 <= n.
-
-    Level ``size`` lists, for each ``size``-subset S of the rows (in
-    ``combinations`` order), the terms ``(sign, row, index)`` of the
-    determinant on the rows S expanded along its last column: ``index`` is
-    the position of S minus ``row`` among the subsets of the level below.
-    """
-    index = {(r,): r for r in range(n)}
-    levels = []
-    for size in range(2, n):
-        subsets = list(combinations(range(n), size))
-        levels.append(tuple(
-            tuple((-1 if (t + size - 1) % 2 else 1, row, index[s[:t] + s[t + 1:]])
-                  for t, row in enumerate(s))
-            for s in subsets
-        ))
-        index = {s: i for i, s in enumerate(subsets)}
-    return tuple(levels)
+# Largest n that ``_det_form`` writes out; above it ``cofactor_row`` and
+# ``adjugate`` take one ``reduce_system`` pass.  Per call (Python 3.11.7,
+# 2-vCPU host, entries in -3..3) a form takes 0.4-1.1 us at n = 2..4 and the
+# pass 3-12 us; a block's n rows take 3.1-6.5 us and its pass 10-23 us.  At
+# n = 5/6/7/10 the pass takes 21/34/52/138 us a form and 36/54/81/216 us a
+# block.
+_DET_FORM_MAX_N = 4
 
 
 def _det_form(u=None, w=None, z=None):
@@ -154,49 +131,34 @@ def cofactor_row(cols, position):
 
     ``cols`` are n - 1 integer vectors of length n; the result is a tuple.
     Expanding along the inserted column gives ``c_k = (-1)^(k + position)``
-    times the minor of ``cols`` without row k.  Up to n = 4 that is
-    ``_det_form``, negated at odd positions: under 2 us, 4 (n = 2) to 8-16
-    (n = 4) times faster than n ``int_det`` minors.  Up to ``_WEDGE_MAX_N``
-    all n minors come from one exterior product ``cols[0] ∧ ... ∧ cols[-1]``,
-    built column by column over row subsets; for n = 5..7 that is three to
-    four times faster than n ``int_det`` minors.  Its tables hold about
-    n·2^(n-1) terms, so above ``_WEDGE_MAX_N`` the form comes from one
-    ``reduce_system`` pass over ``cols`` as rows, each with target 0.  With
-    fewer than n - 1 pivots the form is zero.  Otherwise let f be the free
-    column: the rows are d on their own pivot and 0 on the others, so the
-    kernel of ``cols`` is spanned by z with z_f = d and z_p = -row_p[f].
-    d is the determinant of ``cols`` on the pivot columns in pivot order,
-    so the form is ε·z with ε = (-1)^(inv + n - 1 + position), where inv
-    counts the inversions of ``pivots + [f]``.
+    times the minor of ``cols`` without row k.  Up to ``_DET_FORM_MAX_N``
+    that is ``_det_form``, negated at odd positions: about 1 us, 4 (n = 2)
+    to 8-16 (n = 4) times faster than n ``int_det`` minors.  Above it the
+    form comes from one ``reduce_system`` pass over ``cols`` as rows, each
+    with target 0.  With fewer than n - 1 pivots the form is zero.
+    Otherwise let f be the free column: the rows are d on their own pivot
+    and 0 on the others, so the kernel of ``cols`` is spanned by z with
+    z_f = d and z_p = -row_p[f].  d is the determinant of ``cols`` on the
+    pivot columns in pivot order, so the form is ε·z with
+    ε = (-1)^(inv + n - 1 + position), where inv counts the inversions of
+    ``pivots + [f]``.
     """
     n = len(cols) + 1
-    if n <= 4:
+    if n <= _DET_FORM_MAX_N:
         form = _det_form(*cols)
         return tuple([-c for c in form]) if position % 2 else form
-    if n > _WEDGE_MAX_N:
-        d, pivots, rows, _ = reduce_system((col, (0,)) for col in cols)
-        if len(pivots) < n - 1:
-            return (0,) * n
-        order = pivots + [sum(range(n)) - sum(pivots)]
-        free = order[-1]
-        inversions = sum(a > b for a, b in combinations(order, 2))
-        sign = -1 if (inversions + n - 1 + position) % 2 else 1
-        c = [0] * n
-        c[free] = sign * d
-        for p, row in zip(pivots, rows):
-            c[p] = -sign * row[free]
-        return tuple(c)
-    w = cols[0]
-    for col, level in zip(cols[1:], _wedge_levels(n)):
-        wedge = []
-        for terms in level:
-            acc = 0
-            for sign, row, i in terms:
-                acc += sign * col[row] * w[i]
-            wedge.append(acc)
-        w = wedge
-    # the (n-1)-subsets come in the order that omits row n-1, n-2, ..., 0
-    return tuple(w[n - 1 - k] if (k + position) % 2 == 0 else -w[n - 1 - k] for k in range(n))
+    d, pivots, rows, _ = reduce_system((col, (0,)) for col in cols)
+    if len(pivots) < n - 1:
+        return (0,) * n
+    order = pivots + [sum(range(n)) - sum(pivots)]
+    free = order[-1]
+    inversions = sum(a > b for a, b in combinations(order, 2))
+    sign = -1 if (inversions + n - 1 + position) % 2 else 1
+    c = [0] * n
+    c[free] = sign * d
+    for p, row in zip(pivots, rows):
+        c[p] = -sign * row[free]
+    return tuple(c)
 
 
 def reduce_system(pairs):
@@ -244,26 +206,19 @@ def reduce_system(pairs):
     return d, pivots, rows, targets
 
 
-# ``adjugate`` builds blocks up to this n as n cofactor rows, larger ones by one
-# ``reduce_system`` pass.  Per block (Python 3.11.7, 2-vCPU host, entries in
-# -3..3, two runs) the rows take 8.9-9.4/39-40/97-109 us at n = 4/5/6, the pass
-# 23/36-38/55-56 us.
-_COFACTOR_ROWS_MAX_N = 4
-
-
 def adjugate(cols):
     """``(det, rows)`` of the square integer block with these columns, ``(0, ())`` if singular.
 
     Row k is the form x -> det of the block with x in place of column k.  No
     caller reads a singular block's rows: cone location and the dual bases
-    raise on det 0, and the wall test stops there.  Above
-    ``_COFACTOR_ROWS_MAX_N`` the ``reduce_system`` pass over the block's rows
-    keeps, per pivot p, d on p and a combination c of the rows with
-    c . block = d e_p; with s the sign of the pivot order, det = s·d and row
-    p = s·c.
+    raise on det 0, and the wall test stops there.  Up to ``_DET_FORM_MAX_N``
+    row k is ``cofactor_row`` of the other columns.  Above it the
+    ``reduce_system`` pass over the block's rows keeps, per pivot p, d on p
+    and a combination c of the rows with c . block = d e_p; with s the sign
+    of the pivot order, det = s·d and row p = s·c.
     """
     n = len(cols)
-    if 0 < n <= _COFACTOR_ROWS_MAX_N:
+    if 0 < n <= _DET_FORM_MAX_N:
         rows = tuple(cofactor_row(cols[:k] + cols[k + 1:], k) for k in range(n))
         det = sum(map(mul, rows[0], cols[0]))
         return (det, rows) if det else (0, ())

@@ -283,10 +283,12 @@ def search_labeling(problem: LabelingProblem):
 # benchmark's realize jobs hit (seeds 3 and 5).  Those jobs have n <= 4,
 # whose straight-line forms take under 2 us, so there the cache saves -2 to
 # 6 % (medians of 12 interleaved rounds, 2-vCPU host).  Forms above n = 4
-# cost 8-35 us (n = 5..7) and more: the cache saves 41-43 % on the n = 5
-# unimodular searches of cyclic:5:9 and cyclic:5:10 at bound 1, and 11-14 %
-# on the n = 4 UNSAT searches Barnette toric-sign and C4(9) unimodular at
-# bound 2 (best of 3).
+# take one ``reduce_system`` pass, 21-52 us at n = 5..7.  On the n = 5
+# unimodular searches of cyclic:5:9 and cyclic:5:10 at bound 1, 78-82 % of
+# the lookups hit and the cache saves 47-50 % (0.60-0.63 -> 0.30-0.31 s and
+# 0.49-0.51 -> 0.26-0.27 s, best of 3, two runs).  It saves 11-14 % on the
+# n = 4 UNSAT searches Barnette toric-sign and C4(9) unimodular at bound 2
+# (best of 3).
 # The cap bounds memory: C4(9)'s unimodular search at bound 4 would keep
 # 24,576 forms on a facet (a traced peak of 12.7 MB; 5.2 MB capped).
 _FORMS_PER_FACET = 4096

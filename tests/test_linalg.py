@@ -53,20 +53,13 @@ def _cofactor_cases(rng, n):
     yield [[0] + column()[1:] for _ in range(n - 1)]
 
 
-def _cofactor_route(n):
-    """The route ``cofactor_row`` takes for n - 1 columns of Z^n."""
-    if n <= 4:
-        return "straight-line form"
-    return "exterior product" if n <= linalg._WEDGE_MAX_N else "reduce_system pass"
-
-
 def test_cofactor_row_matches_the_minors_on_both_paths():
-    """Every route: straight-line forms (n <= 4), the exterior product (5..7) and
-    the ``reduce_system`` pass (above), with singular cases on each."""
+    """Both routes: straight-line forms (n <= ``_DET_FORM_MAX_N``) and the
+    ``reduce_system`` pass (above), with singular cases on each."""
     rng = random.Random(137)
     singular = Counter()
     for n in range(1, 17):
-        route = _cofactor_route(n)
+        route = "straight-line form" if n <= linalg._DET_FORM_MAX_N else "reduce_system pass"
         for cols in _cofactor_cases(rng, n):
             position = rng.randrange(n)
             row = linalg.cofactor_row(cols, position)
@@ -75,7 +68,7 @@ def test_cofactor_row_matches_the_minors_on_both_paths():
             x = [rng.randint(-3, 3) for _ in range(n)]
             block = cols[:position] + [x] + cols[position:]
             assert sum(a * b for a, b in zip(row, x)) == linalg.int_det(list(zip(*block)))
-    assert set(singular) == {"straight-line form", "exterior product", "reduce_system pass"}
+    assert set(singular) == {"straight-line form", "reduce_system pass"}
     assert min(singular.values()) >= 5 and sum(singular.values()) > 40, singular
 
 
@@ -102,12 +95,12 @@ def _adjugate_cases(rng, n):
 
 def test_adjugate_matches_the_minors_on_both_routes():
     """det is ``int_det`` and row k, entry j is the det with e_j in place of column k,
-    both from n cofactor rows (n <= ``_COFACTOR_ROWS_MAX_N``) and from one
+    both from n cofactor rows (n <= ``_DET_FORM_MAX_N``) and from one
     ``reduce_system`` pass (above)."""
     rng = random.Random(149)
     singular = {"cofactor rows": 0, "reduce_system pass": 0}
     for n in range(1, 11):
-        route = "cofactor rows" if n <= linalg._COFACTOR_ROWS_MAX_N else "reduce_system pass"
+        route = "cofactor rows" if n <= linalg._DET_FORM_MAX_N else "reduce_system pass"
         for cols in _adjugate_cases(rng, n):
             det, rows = linalg.adjugate(cols)
             assert det == linalg.int_det(list(zip(*cols))), (route, n, cols)
@@ -117,7 +110,7 @@ def test_adjugate_matches_the_minors_on_both_routes():
                 continue
             assert rows == _adjugate_by_minors(cols), (route, n, cols)
     assert min(singular.values()) >= 10
-    assert 1 <= linalg._COFACTOR_ROWS_MAX_N < 10
+    assert 1 <= linalg._DET_FORM_MAX_N < 10
 
 
 def _adjugate_by_minors(cols):
@@ -190,26 +183,6 @@ def test_maximal_minor_gcd_matches_every_minor():
         zero += g == 0
         above_one += g > 1
     assert zero > 300 and above_one > 300
-
-
-def test_cofactor_row_keeps_no_table_above_the_wedge_limit():
-    linalg._wedge_levels.cache_clear()
-    rng = random.Random(139)
-    for n in range(linalg._WEDGE_MAX_N + 1, linalg._WEDGE_MAX_N + 4):
-        cols = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(n - 1)]
-        linalg.cofactor_row(cols, 0)
-    assert linalg._wedge_levels.cache_info().currsize == 0
-
-
-def test_cofactor_row_keeps_no_table_up_to_n_4():
-    linalg._wedge_levels.cache_clear()
-    rng = random.Random(157)
-    for n in range(1, 5):
-        cols = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(n)]
-        linalg.adjugate(cols)
-        for position in range(n):
-            linalg.cofactor_row(cols[:position] + cols[position + 1:], position)
-    assert linalg._wedge_levels.cache_info().currsize == 0
 
 
 def to_fractions(rows):

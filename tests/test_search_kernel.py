@@ -226,7 +226,16 @@ def test_search_counts_nodes_candidates_and_backtracks():
     assert sat.stats["backtracks"] < sat.stats["nodes"]
     assert set(sat.to_json()) == {"mode", "assignment", "facet_dets"}
 
-    mod2 = search_labeling(LabelingProblem(octahedron_complex(), "mod2"))
+    # n = 5: each facet's form comes from one linalg.reduce_system pass
+    c5_9 = search_labeling(LabelingProblem(cyclic_complex(5, 9), "unimodular", bound=1))
+    assert isinstance(c5_9, Unsat)
+    assert c5_9.stats == {"nodes": 329, "candidates": 328, "backtracks": 329,
+                          "probes": 5168, "pruned": 4192}
+    c5_8 = search_labeling(LabelingProblem(cyclic_complex(5, 8), "unimodular"))
+    assert isinstance(c5_8, LabelingSolution)
+    assert c5_8.stats == {"nodes": 6, "candidates": 5, "backtracks": 2, "probes": 32, "pruned": 25}
+
+    mod2 =search_labeling(LabelingProblem(octahedron_complex(), "mod2"))
     assert mod2.stats == {"nodes": 4, "candidates": 3, "backtracks": 0}
     clique = mod2_obstruction(cyclic_complex(4, 16), 4)
     assert isinstance(clique, Infeasible) and clique.stats is None
