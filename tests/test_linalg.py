@@ -113,6 +113,33 @@ def test_adjugate_matches_the_minors_on_both_routes():
     assert 1 <= linalg._DET_FORM_MAX_N < 10
 
 
+def test_cofactor_row_pass_agrees_with_the_forms_up_to_n_4(monkeypatch):
+    """``_DET_FORM_MAX_N`` picks a route only for speed: with the limit at 0 the
+    ``reduce_system`` pass gives the straight-line forms' rows for n = 1..4."""
+    rng = random.Random(139)
+    cases = [(cols, rng.randrange(n)) for n in range(1, linalg._DET_FORM_MAX_N + 1)
+             for cols in _cofactor_cases(rng, n)]
+    forms = [linalg.cofactor_row(cols, position) for cols, position in cases]
+    monkeypatch.setattr(linalg, "_DET_FORM_MAX_N", 0)
+    for (cols, position), form in zip(cases, forms):
+        assert linalg.cofactor_row(cols, position) == form == _minor_row(cols, position)
+    assert sum(not any(form) for form in forms) >= 5
+
+
+def test_adjugate_pass_agrees_with_the_cofactor_rows_up_to_n_4(monkeypatch):
+    """With the limit at 0, blocks of n = 1..4 take the ``reduce_system`` pass and
+    give the det and rows of the n cofactor rows, ``(0, ())`` when singular."""
+    rng = random.Random(157)
+    blocks = [cols for n in range(1, linalg._DET_FORM_MAX_N + 1)
+              for cols in _adjugate_cases(rng, n)]
+    by_rows = [linalg.adjugate(cols) for cols in blocks]
+    monkeypatch.setattr(linalg, "_DET_FORM_MAX_N", 0)
+    for cols, expected in zip(blocks, by_rows):
+        assert linalg.adjugate(cols) == expected, cols
+        assert expected[0] == linalg.int_det(list(zip(*cols)))
+    assert sum(det == 0 for det, _ in by_rows) >= 5
+
+
 def _adjugate_by_minors(cols):
     """Row k, entry j: ``int_det`` of the block with e_j in place of column k."""
     n = len(cols)

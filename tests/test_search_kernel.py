@@ -235,7 +235,7 @@ def test_search_counts_nodes_candidates_and_backtracks():
     assert isinstance(c5_8, LabelingSolution)
     assert c5_8.stats == {"nodes": 6, "candidates": 5, "backtracks": 2, "probes": 32, "pruned": 25}
 
-    mod2 =search_labeling(LabelingProblem(octahedron_complex(), "mod2"))
+    mod2 = search_labeling(LabelingProblem(octahedron_complex(), "mod2"))
     assert mod2.stats == {"nodes": 4, "candidates": 3, "backtracks": 0}
     clique = mod2_obstruction(cyclic_complex(4, 16), 4)
     assert isinstance(clique, Infeasible) and clique.stats is None
