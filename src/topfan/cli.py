@@ -176,6 +176,15 @@ class _Report:
                      "inputs": {p: _digest(data) for p, data in self.files.items()}}
         self.start = time.monotonic()
 
+    def valid_fan(self, path):
+        """The fan read from ``path`` if it validates; else None, its validation report emitted."""
+        fan = _load_fan(self.files[path])
+        validation = fan.validate()
+        if validation.ok:
+            return fan
+        self.emit({"validation": validation.to_json()})
+        return None
+
     def emit(self, result, **extra):
         self.data["elapsed_ms"] = round(1000 * (time.monotonic() - self.start), 3)
         self.data.update(extra)
@@ -222,10 +231,8 @@ def cmd_invariants(args):
     if args.dir is not None and selected and not args.todd:
         raise ValueError("--dir applies only to --todd")
     report = _Report("invariants", [args.fan])
-    fan = _load_fan(report.files[args.fan])
-    validation = fan.validate()
-    if not validation.ok:
-        report.emit({"validation": validation.to_json()})
+    fan = report.valid_fan(args.fan)
+    if fan is None:
         return EXIT_NEGATIVE
     out = {}
     everything = not selected
@@ -246,10 +253,8 @@ def cmd_invariants(args):
 
 def cmd_charts(args):
     report = _Report("charts", [args.fan])
-    fan = _load_fan(report.files[args.fan])
-    validation = fan.validate()
-    if not validation.ok:
-        report.emit({"validation": validation.to_json()})
+    fan = report.valid_fan(args.fan)
+    if fan is None:
         return EXIT_NEGATIVE
     out = {}
     if args.kernel is not None:

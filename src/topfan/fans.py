@@ -67,8 +67,8 @@ class Ray:
 
     def to_json(self):
         return {
-            "b": [linalg.format_rational(x) for x in self.b],
-            "c": [linalg.format_rational(x) for x in self.c],
+            "b": [str(x) for x in self.b],
+            "c": [str(x) for x in self.c],
             "v": list(self.v),
         }
 
@@ -185,6 +185,13 @@ class TopologicalFan:
             record = self._adjugates[key] = linalg.adjugate(self._int_columns(part, facet))
         return record
 
+    def _block_minor(self, part, facet):
+        """The signed minor of a facet's b- or v-block: a top facet's det (``_adjugate``),
+        else the gcd of the maximal minors (``linalg.maximal_minor_gcd``)."""
+        if len(facet) == self.n:
+            return self._adjugate(part, facet)[0]
+        return linalg.maximal_minor_gcd(self._int_columns(part, facet))
+
     def _top_facet(self, facet):
         key = tuple(sorted(facet))
         if key not in self.complex.facets or len(key) != self.n:
@@ -246,17 +253,16 @@ class TopologicalFan:
     def check_fan_condition(self) -> Verdict:
         """Per-facet independence of b's and v's, and proper cone intersections.
 
-        Facets are taken in order, each b-block before its v-block.  A top
-        facet's block is independent when the det of its cached ``(det,
-        adj)`` record (``_adjugate``) is nonzero, the record that cone
-        location, the weights and the charts read as well; facets of any
-        other size are independent when the gcd of their maximal minors
-        (``linalg.maximal_minor_gcd``) is nonzero.
+        Facets are taken in order, each b-block before its v-block.  A block
+        is independent when its ``_block_minor`` is nonzero: a top facet's
+        det from the cached ``(det, adj)`` record that cone location, the
+        weights and the charts read as well, or for a facet of any other
+        size the gcd of its maximal minors.
 
         Once the b-columns of every facet are independent, a fan that passes
         ``check_complete`` certifies its own intersections by a local
         argument, the degree of a multi-fan (Hattori-Masuda, Osaka J. Math.
-        40, 2003).  For n >= 2 that check asks K to be pure of dimension n-1
+        40, 2003).  For n >= 1 that check asks K to be pure of dimension n-1
         with every wall in exactly two facets, the two rays off every wall
         strictly on opposite sides, and one regular direction (nonzero and
         in no wall's cone, see ``is_regular``) in exactly one cone.  Then:
@@ -287,9 +293,10 @@ class TopologicalFan:
         a direction reads the signs of its coordinates in each facet
         (``_locate``).  No rational inverse is built.
 
-        For n = 1 the check accepts exactly two rays on opposite sides,
-        which meet only at the origin.  When the certificate is not taken
-        the cones are compared facet pair by facet pair
+        For n = 1 the one wall is the empty face, so the wall test accepts
+        exactly two rays on opposite sides, which meet only at the origin;
+        any other count of rays is ``bad-ray-count``.  When the certificate
+        is not taken the cones are compared facet pair by facet pair
         (``_check_facet_pairs``): adjacent top facets whose rays off the
         common wall lie on opposite sides meet properly, and every other
         pair is one exact Phase-I LP (``_cone_pair_witness``).  That scan
@@ -298,11 +305,7 @@ class TopologicalFan:
         """
         for f in self.complex.facets:
             for part in ("b", "v"):
-                if len(f) == self.n:
-                    independent = self._adjugate(part, f)[0] != 0
-                else:
-                    independent = linalg.maximal_minor_gcd(self._int_columns(part, f)) != 0
-                if not independent:
+                if self._block_minor(part, f) == 0:
                     return Verdict(False, {"kind": f"dependent-{part}", "facet": list(f)})
         if self.check_complete().ok:
             return Verdict(True)
@@ -390,13 +393,8 @@ class TopologicalFan:
         if self.complex.dim != self.n - 1 or not self.complex.is_pure():
             small = min(self.complex.facets, key=len)
             return Verdict(False, {"kind": "not-pure", "facet": list(small)})
-        if self.n == 1:
-            if len(self.complex.facets) != 2:
-                return Verdict(False, {"kind": "bad-ray-count"})
-            (i,), (j,) = self.complex.facets
-            if self.ray(i).b[0] * self.ray(j).b[0] < 0:
-                return Verdict(True)
-            return Verdict(False, {"kind": "same-side-wall", "wall": [], "facets": [[i], [j]]})
+        if self.n == 1 and len(self.complex.facets) != 2:
+            return Verdict(False, {"kind": "bad-ray-count"})
         for wall, facets in self.complex.walls().items():
             if len(facets) != 2:
                 return Verdict(
@@ -453,20 +451,17 @@ class TopologicalFan:
     def check_nonsingular(self) -> Verdict:
         """Every facet's v-columns extend to a Z-basis (subsets inherit).
 
-        A top facet's v-block must have det +-1, read from its cached
-        ``(det, adj)`` record (``_adjugate``), whose columns come in sorted
-        facet order.  Facets of any other size need the gcd of their
-        maximal minors to be 1.
+        Each facet's v-block ``_block_minor`` must be +-1: a top facet's det,
+        from its cached ``(det, adj)`` record with the columns in sorted
+        facet order (witness ``bad-determinant``), or for a facet of any
+        other size the gcd of its maximal minors (``bad-minor-gcd``).
         """
         for f in self.complex.facets:
-            if len(f) == self.n:
-                d = self._adjugate("v", f)[0]
-                if abs(d) != 1:
-                    return Verdict(False, {"kind": "bad-determinant", "facet": list(f), "det": d})
-            else:
-                g = linalg.maximal_minor_gcd(self._int_columns("v", f))
-                if g != 1:
-                    return Verdict(False, {"kind": "bad-minor-gcd", "facet": list(f), "gcd": g})
+            d = self._block_minor("v", f)
+            if abs(d) != 1:
+                kind, key = (("bad-determinant", "det") if len(f) == self.n
+                             else ("bad-minor-gcd", "gcd"))
+                return Verdict(False, {"kind": kind, "facet": list(f), key: d})
         return Verdict(True)
 
     def check_involutive(self) -> bool:
@@ -590,8 +585,7 @@ def h_canonical_form(fan: TopologicalFan) -> TopologicalFan:
     afterwards b has L1 norm one, the first nonzero entry of v is positive,
     and c is orthogonal to v.  Idempotent and constant on orbits.
     """
-    return TopologicalFan(fan.n, fan.complex,
-                          [ray.right_mul(_h_normalizer(ray)) for ray in fan.rays])
+    return TopologicalFan(fan.n, fan.complex, [_h_orbit_key(ray)[0] for ray in fan.rays])
 
 
 def _h_normalizer(ray: Ray) -> RElem:

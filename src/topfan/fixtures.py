@@ -10,7 +10,11 @@ engine in this package.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
+from math import lcm
+from operator import mul
 
+from . import linalg
 from .complexes import SimplicialComplex, cyclic_polytope_boundary
 from .fans import Ray, TopologicalFan
 
@@ -107,38 +111,23 @@ def icosahedron_complex_and_positions():
 
 
 def _hull_facets(points):
-    """Facets of a simplicial convex hull in R^3, by exact plane sidedness."""
-    from itertools import combinations
+    """Facets of a simplicial convex hull in R^3, by exact plane sidedness.
 
-    m = len(points)
-    pts = [tuple(Fraction(x) for x in p) for p in points]
+    A triangle is a facet when its normal is nonzero and every other point
+    lies strictly on one side of its plane.  Scaling every point by one
+    positive number moves no side, so the points are made integral first.
+    """
+    den = lcm(*(Fraction(x).denominator for p in points for x in p))
+    pts = [tuple(int(Fraction(x) * den) for x in p) for p in points]
     facets = []
-    for i, j, k in combinations(range(m), 3):
+    for i, j, k in combinations(range(len(pts)), 3):
         a, b, c = pts[i], pts[j], pts[k]
-        u = tuple(b[t] - a[t] for t in range(3))
-        v = tuple(c[t] - a[t] for t in range(3))
-        normal = (
-            u[1] * v[2] - u[2] * v[1],
-            u[2] * v[0] - u[0] * v[2],
-            u[0] * v[1] - u[1] * v[0],
-        )
-        if all(x == 0 for x in normal):
-            continue
-        offset = sum(normal[t] * a[t] for t in range(3))
-        sides = set()
-        ok = True
-        for p in range(m):
-            if p in (i, j, k):
-                continue
-            s = sum(normal[t] * pts[p][t] for t in range(3)) - offset
-            if s == 0:
-                ok = False
-                break
-            sides.add(s > 0)
-            if len(sides) > 1:
-                ok = False
-                break
-        if ok:
+        normal = linalg._det_form([y - x for x, y in zip(a, b)], [y - x for x, y in zip(a, c)])
+        heights = [sum(map(mul, normal, p)) for p in pts]
+        # each other point's side of the plane: -1, 0 (on it) or 1
+        sides = {(h > heights[i]) - (h < heights[i])
+                 for q, h in enumerate(heights) if q not in (i, j, k)}
+        if any(normal) and 0 not in sides and len(sides) < 2:
             facets.append((i + 1, j + 1, k + 1))
     return facets
 

@@ -266,7 +266,7 @@ class GradedClass:
         return {
             "degree": self.degree,
             "basis": [list(b) for b in self.basis],
-            "coords": [linalg.format_rational(c) for c in self.coords],
+            "coords": [str(c) for c in self.coords],
             "integral": self.is_integral,
         }
 
@@ -355,7 +355,7 @@ def todd_genus(fan: TopologicalFan, direction=None) -> int:
         hits, regular = fan._locate(direction, "v")
         if not regular:
             raise DegenerateDirectionError(
-                f"direction {','.join(map(linalg.format_rational, direction))} lies on a cone wall")
+                f"direction {','.join(map(str, direction))} lies on a cone wall")
     else:
         hits = fan._draw(random.Random(0), "v")[1]
     return sum(weights.w(f) for f in hits)

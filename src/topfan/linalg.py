@@ -141,7 +141,7 @@ def cofactor_row(cols, position):
     z_f = d and z_p = -row_p[f].  d is the determinant of ``cols`` on the
     pivot columns in pivot order, so the form is ε·z with
     ε = (-1)^(inv + n - 1 + position), where inv counts the inversions of
-    ``pivots + [f]``.
+    ``pivots + [f]`` (``parity``).
     """
     n = len(cols) + 1
     if n <= _DET_FORM_MAX_N:
@@ -152,13 +152,17 @@ def cofactor_row(cols, position):
         return (0,) * n
     order = pivots + [sum(range(n)) - sum(pivots)]
     free = order[-1]
-    inversions = sum(a > b for a, b in combinations(order, 2))
-    sign = -1 if (inversions + n - 1 + position) % 2 else 1
+    sign = parity(order) * (-1) ** (n - 1 + position)
     c = [0] * n
     c[free] = sign * d
     for p, row in zip(pivots, rows):
         c[p] = -sign * row[free]
     return tuple(c)
+
+
+def parity(seq):
+    """(-1)^inversions of a sequence of distinct items: the sign of the permutation sorting it."""
+    return -1 if sum(a > b for a, b in combinations(seq, 2)) % 2 else 1
 
 
 def reduce_system(pairs):
@@ -214,8 +218,8 @@ def adjugate(cols):
     raise on det 0, and the wall test stops there.  Up to ``_DET_FORM_MAX_N``
     row k is ``cofactor_row`` of the other columns.  Above it the
     ``reduce_system`` pass over the block's rows keeps, per pivot p, d on p
-    and a combination c of the rows with c . block = d e_p; with s the sign
-    of the pivot order, det = s·d and row p = s·c.
+    and a combination c of the rows with c . block = d e_p; with s the
+    ``parity`` of the pivot order, det = s·d and row p = s·c.
     """
     n = len(cols)
     if 0 < n <= _DET_FORM_MAX_N:
@@ -225,7 +229,7 @@ def adjugate(cols):
     d, pivots, reduced, _ = reduce_system((form, (0,)) for form in zip(*cols))
     if len(pivots) < n:
         return 0, ()
-    sign = -1 if sum(a > b for a, b in combinations(pivots, 2)) % 2 else 1
+    sign = parity(pivots)
     return sign * d, tuple(tuple(sign * c for c in row[n:])
                            for _, row in sorted(zip(pivots, reduced)))
 
@@ -385,6 +389,3 @@ def parse_int(value, field):
         raise ValueError(f"not an integer in {field}: {value!r}")
     return value
 
-
-def format_rational(value):
-    return str(value if type(value) is Fraction else Fraction(value))

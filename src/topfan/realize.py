@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import combinations, product
+from itertools import product
 from operator import mul
 from typing import Optional
 
@@ -29,12 +29,6 @@ from .fans import Ray, TopologicalFan
 
 
 # -- sign tables ---------------------------------------------------------------
-
-
-def _permutation_parity(source, target):
-    """Sign of the permutation rearranging tuple ``source`` into ``target``: (-1)^inversions."""
-    perm = [source.index(x) for x in target]
-    return -1 if sum(a > b for a, b in combinations(perm, 2)) % 2 else 1
 
 
 @dataclass
@@ -50,7 +44,7 @@ class SignTable:
     def ascending_sign(self, facet):
         """The sign re-expressed for ascending vertex order."""
         key = tuple(sorted(facet))
-        return self.signs[key] * _permutation_parity(self.ref_orders[key], key)
+        return self.signs[key] * linalg.parity(self.ref_orders[key])
 
     def to_json(self):
         return [
@@ -95,10 +89,10 @@ def derive_sign_table(complex_: SimplicialComplex, seed_facet, seed_sign, ref_or
 
     def crossing_flip(fa, fb, wall):
         # parity of each facet's reference order against (sorted wall, apex)
-        xa = next(iter(set(fa) - set(wall)))
-        xb = next(iter(set(fb) - set(wall)))
-        pa = _permutation_parity(orders[fa], tuple(sorted(wall)) + (xa,))
-        pb = _permutation_parity(orders[fb], tuple(sorted(wall)) + (xb,))
+        (xa,), (xb,) = set(fa) - set(wall), set(fb) - set(wall)
+        wall = tuple(sorted(wall))
+        pa = linalg.parity([orders[fa].index(x) for x in wall + (xa,)])
+        pb = linalg.parity([orders[fb].index(x) for x in wall + (xb,)])
         return -pa * pb
 
     adjacency = {f: [] for f in facets}
@@ -110,8 +104,7 @@ def derive_sign_table(complex_: SimplicialComplex, seed_facet, seed_sign, ref_or
     signs = {seed: int(seed_sign)}
     parent = {seed: None}
     queue = [seed]
-    while queue:
-        current = queue.pop(0)
+    for current in queue:  # grows as facets are reached: a FIFO walk
         for neighbor, wall in adjacency[current]:
             implied = crossing_flip(current, neighbor, wall) * signs[current]
             if neighbor not in signs:
@@ -119,17 +112,14 @@ def derive_sign_table(complex_: SimplicialComplex, seed_facet, seed_sign, ref_or
                 parent[neighbor] = current
                 queue.append(neighbor)
             elif signs[neighbor] != implied:
-                path_a = []
-                node = current
-                while node is not None:
-                    path_a.append(node)
-                    node = parent[node]
-                path_b = []
-                node = neighbor
-                while node is not None:
-                    path_b.append(node)
-                    node = parent[node]
-                return SignContradiction(path_a[::-1] + path_b)
+                # each end's path up the parent chain to the seed
+                paths = []
+                for node in (current, neighbor):
+                    paths.append([])
+                    while node is not None:
+                        paths[-1].append(node)
+                        node = parent[node]
+                return SignContradiction(paths[0][::-1] + paths[1])
     return SignTable(signs, orders)
 
 
@@ -200,12 +190,6 @@ class Infeasible:
         return {"kind": "infeasible", "reason": self.reason, "witness": witness}
 
 
-def _facet_det_ascending(assignment, facet):
-    cols = [assignment[v] for v in sorted(facet)]
-    rows = [[cols[j][k] for j in range(len(cols))] for k in range(len(cols[0]))]
-    return linalg.int_det(rows)
-
-
 def verify_labeling(complex_, assignment, mode, sign_table=None):
     """From-scratch determinant checker for a labeling; independent of the search.
 
@@ -221,7 +205,8 @@ def verify_labeling(complex_, assignment, mode, sign_table=None):
             if not ok:
                 failures.append({"facet": list(f), "kind": "gf2-dependent"})
             continue
-        d = _facet_det_ascending(assignment, f)
+        # the labels of the sorted facet as rows: det A^T = det A
+        d = linalg.int_det([assignment[v] for v in f])
         dets[f] = d
         if mode == "unimodular":
             if abs(d) != 1:

@@ -269,6 +269,29 @@ def test_completeness_of_fixtures(square_fan, oct_fan):
     assert segment_fan().check_complete().ok
 
 
+def _line_fan(*bs):
+    """A fan on the line with one ray per entry of bs, each its own facet."""
+    return TopologicalFan(1, SimplicialComplex(len(bs), [(k,) for k in range(1, len(bs) + 1)]),
+                          [Ray.from_parts((b,), v=(1 if b > 0 else -1,)) for b in bs])
+
+
+def test_fans_on_the_line_keep_their_verdicts():
+    """n = 1: opposite rays are complete; two rays on one side fail the wall
+    test at the empty wall and overlap at their common side; one or three
+    rays are a bad count."""
+    assert _line_fan(1, -1).check_complete().ok and _line_fan(-2, 3).validate().ok
+    for bs, point in [((1, 2), "1"), ((-1, -3), "-1"), ((-2, Fraction(-1, 2)), "-1")]:
+        fan = _line_fan(*bs)
+        assert fan.check_complete().to_json() == {
+            "ok": False, "witness": {"kind": "same-side-wall", "wall": [], "facets": [[1], [2]]}}
+        assert fan.validate().to_json()["witnesses"] == {
+            "fan_condition": {"kind": "cone-overlap", "pair": [[1], [2]], "point": [point]},
+            "completeness": {"kind": "fan-condition-failed"}}
+    for bs in [(1,), (-1,), (1, -1, 1)]:
+        assert _line_fan(*bs).check_complete().to_json() == {
+            "ok": False, "witness": {"kind": "bad-ray-count"}}
+
+
 def test_projective_space_of_dimension_16_validates():
     # each facet's (det, adj) record of dimension 16 is one elimination pass,
     # not a 2^15-term exterior product per wall
@@ -798,16 +821,21 @@ def _small_validation_cases():
     ]
 
 
-def test_validation_reads_the_adjugates_as_the_row_reduction_decides():
-    """Both per-facet verdicts, from the cached (det, adj) records, against
-    row reduction and separate determinants (``cone_oracle``): the same
-    JSON on fixtures, seeded fans and their relatives, broken facets, facets
-    larger or smaller than n, and n = 1 and n = 8.  Each side sees a fresh fan."""
+def _oracle_cases():
+    """Fixtures, seeded fans and their relatives, broken facets, facets larger
+    or smaller than n, and n = 1 and n = 8."""
     fans = [fan for fan, _ in _certificate_cases()]
     fans += [product_fan(projective_fan(3), projective_fan(3), validate=False), projective_fan(8)]
     for fan in list(fans):
         fans += _broken_facet_cases(fan)
-    fans += _small_validation_cases()
+    return fans + _small_validation_cases()
+
+
+def test_validation_reads_the_adjugates_as_the_row_reduction_decides():
+    """Both per-facet verdicts, from the cached (det, adj) records, against
+    row reduction and separate determinants (``cone_oracle``): the same
+    JSON on every ``_oracle_cases`` fan.  Each side sees a fresh fan."""
+    fans = _oracle_cases()
     kinds, dets = set(), set()
     for fan in fans:
         for check in ("check_fan_condition", "check_nonsingular"):
@@ -822,6 +850,25 @@ def test_validation_reads_the_adjugates_as_the_row_reduction_decides():
     assert {0, 2, -2, -3} <= dets
     assert {fan.n for fan in fans} >= {1, 2, 3, 8}
     assert any(len(f) > fan.n for fan in fans for f in fan.complex.facets)
+
+
+def test_block_minor_is_the_determinant_or_the_minor_gcd():
+    """``_block_minor`` of every facet and part of the ``_oracle_cases`` fans:
+    a top facet's signed ``int_det``, any other facet's gcd of maximal minors
+    by enumeration (``cone_oracle``), which is 0 above n."""
+    sizes, signs = set(), set()
+    for fan in _oracle_cases():
+        for f in fan.complex.facets:
+            for part in ("b", "v"):
+                minor = fan._block_minor(part, f)
+                rows = [list(r) for r in zip(*fan._int_columns(part, f))]
+                if len(f) == fan.n:
+                    assert minor == linalg.int_det(rows), (fan, f, part)
+                    signs.add((minor > 0) - (minor < 0))
+                else:
+                    assert minor == cone_oracle.maximal_minor_gcd(rows, len(f)), (fan, f, part)
+                sizes.add((len(f) > fan.n) - (len(f) < fan.n))
+    assert signs == {-1, 0, 1} and sizes == {-1, 0, 1}
 
 
 def test_cone_pair_lp_agrees_with_extreme_ray_oracle():

@@ -200,6 +200,28 @@ def _minor_gcd_cases(rng):
                     yield cols[:-1] + [combo]
 
 
+def _cycle_sign(perm):
+    """(-1)^(length - cycles) of a permutation of range(length), cycles counted by walking them."""
+    seen, cycles = set(), 0
+    for start in range(len(perm)):
+        if start not in seen:
+            cycles += 1
+            k = start
+            while k not in seen:
+                seen.add(k)
+                k = perm[k]
+    return (-1) ** (len(perm) - cycles)
+
+
+def test_parity_is_the_sign_of_every_permutation_up_to_length_6():
+    """On each permutation and on distinct labels in its order (spaced, negative)."""
+    for length in range(7):
+        for perm in itertools.permutations(range(length)):
+            sign = _cycle_sign(perm)
+            assert linalg.parity(perm) == sign, perm
+            assert linalg.parity([7 * p - 20 for p in perm]) == sign, perm
+
+
 def test_maximal_minor_gcd_matches_every_minor():
     rng = random.Random(29)
     zero = above_one = 0
