@@ -261,7 +261,7 @@ def cmd_charts(args):
         facet = _parse_facet("--kernel", args.kernel)
         out["kernel"] = kernel_presentation(fan, facet).to_json()
     if args.transitions:
-        facets = [f for f in fan.complex.facets if len(f) == fan.n]
+        facets = fan.complex.facets
         # one dict of entry records per target, for this report only
         shared = {tgt: {} for tgt in facets}
         out["transitions"] = [
@@ -452,7 +452,7 @@ def main(argv=None):
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

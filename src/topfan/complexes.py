@@ -27,6 +27,8 @@ class SimplicialComplex:
     def __init__(self, m, facets, labels=None):
         if int(m) != m:
             raise ValueError(f"m = {m!r} is not an integer")
+        if m < 0:
+            raise ValueError(f"m must be a non-negative integer, not {m}")
         facet_set = set()
         for f in facets:
             f = tuple(f)
@@ -169,8 +171,7 @@ class SimplicialComplex:
         facets = [f for f in self.facets if f != s]
         for j in s:
             facets.append(tuple(sorted((set(s) - {j}) | {new_vertex})))
-        labels = dict(self.labels) if self.labels else None
-        return SimplicialComplex(self.m + 1, facets, labels)
+        return SimplicialComplex(self.m + 1, facets, self.labels)
 
     def suspend(self):
         """Join with two new poles m+1 and m+2; dimension goes up by one."""
@@ -179,8 +180,7 @@ class SimplicialComplex:
         for f in self.facets:
             facets.append(f + (north,))
             facets.append(f + (south,))
-        labels = dict(self.labels) if self.labels else None
-        return SimplicialComplex(self.m + 2, facets, labels)
+        return SimplicialComplex(self.m + 2, facets, self.labels)
 
     def relabeled(self, mapping):
         """Apply a vertex bijection {old: new} and return the renamed complex."""
@@ -234,8 +234,6 @@ def _parse_labels(raw, m):
         return None
     if type(raw) is not dict:
         raise ValueError(f"labels must be an object from vertices to strings, not {raw!r}")
-    if not raw:
-        return None
     labels = {}
     for key, label in raw.items():
         try:

@@ -377,9 +377,11 @@ class TopologicalFan:
         one facet cone.  Once the walls pass, every regular direction lies in
         the same number d >= 1 of cones (see ``check_fan_condition``), so that
         one draw decides for all of them: it passes on a complete fan, and
-        where d >= 2 every draw would be multi-covered.  The verdict is
-        computed once and serves both the fan condition's certificate and
-        the completeness verdict of ``validate``.
+        where d >= 2 every draw would be multi-covered.  No draw is uncovered
+        (d >= 1: a direction inside any cone counts), so a failed draw is
+        ``multi-covered-direction``.  The verdict is computed once and serves
+        both the fan condition's certificate and the completeness verdict of
+        ``validate``.
         """
         if self._complete is None:
             self._complete = self._wall_pairing_verdict()
@@ -414,8 +416,7 @@ class TopologicalFan:
         if len(hits) != 1:
             return Verdict(
                 False,
-                {"kind": "uncovered-direction" if not hits else "multi-covered-direction",
-                 "direction": [str(x) for x in direction],
+                {"kind": "multi-covered-direction", "direction": [str(x) for x in direction],
                  "facets": [list(f) for f in hits]},
             )
         return Verdict(True)
@@ -480,13 +481,8 @@ class TopologicalFan:
             complete_v = self.check_complete()
         else:
             complete_v = Verdict(False, {"kind": "fan-condition-failed"})
-        witnesses = {}
-        if not fan_v.ok:
-            witnesses["fan_condition"] = fan_v.witness
-        if not complete_v.ok:
-            witnesses["completeness"] = complete_v.witness
-        if not nonsing_v.ok:
-            witnesses["nonsingularity"] = nonsing_v.witness
+        verdicts = {"fan_condition": fan_v, "completeness": complete_v, "nonsingularity": nonsing_v}
+        witnesses = {name: v.witness for name, v in verdicts.items() if not v.ok}
         self._report = ValidationReport(
             fan_v.ok, complete_v.ok, nonsing_v.ok, self.check_involutive(), witnesses
         )
@@ -671,9 +667,8 @@ def equivalent(a: TopologicalFan, b: TopologicalFan, mode="strict",
     if stats is None:
         stats = {}
     stats.update(candidates=0, nodes=0, backtracks=0)
-    if a.n != b.n or a.m != b.m or len(a.complex.facets) != len(b.complex.facets):
-        return None
-    if sorted(map(len, a.complex.facets)) != sorted(map(len, b.complex.facets)):
+    if (a.n != b.n or a.m != b.m
+            or sorted(map(len, a.complex.facets)) != sorted(map(len, b.complex.facets))):
         return None
     m = a.m
     buckets, target_mu = {}, {}

@@ -199,13 +199,9 @@ BARNETTE_UNIMODULAR_CERTIFICATE = {
 
 def barnette_fan() -> TopologicalFan:
     """The sphere as a complete non-singular topological fan of dimension 4."""
-    complex_ = barnette_complex()
-    rays = []
-    for v in range(1, 9):
-        b = tuple(Fraction(x) for x in BARNETTE_B_VECTORS[v - 1])
-        rays.append(Ray(b, (Fraction(0),) * 4, BARNETTE_UNIMODULAR_CERTIFICATE[v]))
-    return TopologicalFan(4, complex_, rays)
+    rays = [Ray.from_parts(b, v=BARNETTE_UNIMODULAR_CERTIFICATE[v])
+            for v, b in enumerate(BARNETTE_B_VECTORS, 1)]
+    return TopologicalFan(4, barnette_complex(), rays)
 
 
-def cyclic_complex(n, m) -> SimplicialComplex:
-    return cyclic_polytope_boundary(n, m)
+cyclic_complex = cyclic_polytope_boundary

@@ -133,8 +133,6 @@ class GradedRing:
 
     def _monomials_of_degree(self, k):
         s = len(self.survivors)
-        if s == 0:
-            return [()] if k == 0 else []
         out = []
         for combo in combinations_with_replacement(range(s), k):
             exp = [0] * s
@@ -271,30 +269,27 @@ class GradedClass:
         }
 
 
-def _ring_for(fan: TopologicalFan) -> GradedRing:
-    # cached on the fan itself, so it is freed with the fan
+def _ring_for(fan: TopologicalFan, k) -> GradedRing:
+    """The fan's graded ring, once degree k is checked to lie in 0..n; cached on the fan."""
+    if not 0 <= k <= fan.n:
+        raise ValueError(f"degree {k} out of range 0..{fan.n}")
     if fan._ring is None:
         fan._ring = GradedRing(cohomology_presentation(fan))
     return fan._ring
 
 
 def graded_rank(fan: TopologicalFan, k) -> int:
-    if not 0 <= k <= fan.n:
-        raise ValueError(f"degree {k} out of range 0..{fan.n}")
-    return _ring_for(fan).rank(k)
+    return _ring_for(fan, k).rank(k)
 
 
 def normal_form(fan: TopologicalFan, polynomial, k) -> GradedClass:
-    ring = _ring_for(fan)
-    if not 0 <= k <= fan.n:
-        raise ValueError(f"degree {k} out of range 0..{fan.n}")
+    ring = _ring_for(fan, k)
     coords = ring.reduce(polynomial, k)
     return GradedClass(2 * k, tuple(ring.basis_monomials(k)), tuple(coords))
 
 
 def pontrjagin_class(fan: TopologicalFan):
     """Reduced graded pieces of prod_i (1 + mu_i^2), one per quarter-degree."""
-    fan.require_valid()
     classes = []
     for k in range(0, fan.n // 2 + 1):
         poly = {}

@@ -26,6 +26,7 @@ from typing import Optional
 from . import linalg
 from .complexes import SimplicialComplex, backtrack
 from .fans import Ray, TopologicalFan
+from .fixtures import segment_fan
 
 
 # -- sign tables ---------------------------------------------------------------
@@ -88,9 +89,8 @@ def derive_sign_table(complex_: SimplicialComplex, seed_facet, seed_sign, ref_or
         raise ValueError(f"{seed} is not a facet")
 
     def crossing_flip(fa, fb, wall):
-        # parity of each facet's reference order against (sorted wall, apex)
+        # parity of each facet's reference order against (wall, apex); walls() keys are sorted
         (xa,), (xb,) = set(fa) - set(wall), set(fb) - set(wall)
-        wall = tuple(sorted(wall))
         pa = linalg.parity([orders[fa].index(x) for x in wall + (xa,)])
         pb = linalg.parity([orders[fb].index(x) for x in wall + (xb,)])
         return -pa * pb
@@ -564,10 +564,8 @@ def realize_2sphere(complex_, positions) -> TopologicalFan:
         raise ValueError("one position per vertex is required")
     colors = _four_coloring(complex_)
     palette = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]
-    rays = []
-    for v in range(1, complex_.m + 1):
-        b = tuple(Fraction(x) for x in positions[v - 1])
-        rays.append(Ray(b, (Fraction(0),) * 3, palette[colors[v]]))
+    rays = [Ray.from_parts(positions[v - 1], v=palette[colors[v]])
+            for v in range(1, complex_.m + 1)]
     fan = TopologicalFan(3, complex_, rays)
     report = fan.validate()
     if not report.ok:
@@ -617,14 +615,9 @@ def stellar_subdivide_fan(fan: TopologicalFan, sigma, validate=True) -> Topologi
 
 
 def suspend_fan(fan: TopologicalFan, validate=True) -> TopologicalFan:
-    """One dimension up: old rays zero-extended, two poles at +-e_{n+1}."""
-    new_complex = fan.complex.suspend()
-    zero = (Fraction(0),)
-    rays = [Ray(r.b + zero, r.c + zero, r.v + (0,)) for r in fan.rays]
-    pole = (Fraction(0),) * fan.n
-    rays.append(Ray(pole + (Fraction(1),), pole + zero, (0,) * fan.n + (1,)))
-    rays.append(Ray(pole + (Fraction(-1),), pole + zero, (0,) * fan.n + (-1,)))
-    return _checked(TopologicalFan(fan.n + 1, new_complex, rays), validate)
+    """One dimension up: the product's rays with ``segment_fan``, on the suspended complex."""
+    rays = _block_rays(fan, segment_fan())
+    return _checked(TopologicalFan(fan.n + 1, fan.complex.suspend(), rays), validate)
 
 
 def product_fan(a: TopologicalFan, b: TopologicalFan, validate=True) -> TopologicalFan:
@@ -634,9 +627,12 @@ def product_fan(a: TopologicalFan, b: TopologicalFan, validate=True) -> Topologi
         for fb in b.complex.facets:
             facets.append(tuple(fa) + tuple(v + a.m for v in fb))
     complex_ = SimplicialComplex(a.m + b.m, facets)
-    zero_a = (Fraction(0),) * a.n
-    zero_b = (Fraction(0),) * b.n
-    rays = [Ray(r.b + zero_b, r.c + zero_b, r.v + (0,) * b.n) for r in a.rays]
-    rays += [Ray(zero_a + r.b, zero_a + r.c, (0,) * a.n + r.v) for r in b.rays]
-    return _checked(TopologicalFan(a.n + b.n, complex_, rays), validate)
+    return _checked(TopologicalFan(a.n + b.n, complex_, _block_rays(a, b)), validate)
+
+
+def _block_rays(a: TopologicalFan, b: TopologicalFan):
+    """The rays of a product: a's rays, then b's, each zero-extended into the other block."""
+    zero_a, zero_b = (Fraction(0),) * a.n, (Fraction(0),) * b.n
+    return ([Ray(r.b + zero_b, r.c + zero_b, r.v + (0,) * b.n) for r in a.rays]
+            + [Ray(zero_a + r.b, zero_a + r.c, (0,) * a.n + r.v) for r in b.rays])
 

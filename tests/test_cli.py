@@ -345,6 +345,29 @@ def test_negative_dimension_exits_2(capsys, tmp_path, cp2cp2_path):
         assert run_cli(capsys, *argv) == (2, "", message), argv
 
 
+def test_negative_vertex_count_exits_2(capsys, tmp_path):
+    """A negative m is refused by the complex constructor, in a fan and on its own."""
+    complex_json = {"m": -1, "facets": []}
+    complex_path = tmp_path / "negative.complex.json"
+    complex_path.write_text(json.dumps(complex_json))
+    fan_path = tmp_path / "negative.fan.json"
+    fan_path.write_text(json.dumps({"n": 2, "complex": complex_json, "rays": []}))
+    message = "error: m must be a non-negative integer, not -1\n"
+    for argv in (["validate", str(fan_path)], ["realize", str(complex_path), "--mode", "mod2"]):
+        assert run_cli(capsys, *argv) == (2, "", message), argv
+
+
+def test_validate_of_an_empty_complex_fails_completeness_only(capsys, tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"n": 2, "complex": {"m": 0, "facets": []}, "rays": []}))
+    code, out, err = run_cli(capsys, "validate", str(path))
+    result = json.loads(out)["result"]
+    assert (code, err) == (1, "")
+    assert result["fan_condition_ok"] and result["nonsingularity_ok"]
+    assert not result["completeness_ok"]
+    assert result["witnesses"] == {"completeness": {"kind": "empty"}}
+
+
 def test_charts_report(capsys, cp2cp2_path):
     code, out, _ = run_cli(
         capsys, "charts", cp2cp2_path, "--kernel", "1,2", "--cocycle", "--faceposet"
@@ -423,6 +446,25 @@ def test_surgery_takes_exactly_one_operation(capsys, cp2cp2_path, flags):
     assert code == 2
     assert out == ""
     assert "not allowed with argument" in err
+
+
+@pytest.mark.parametrize("operation, fan_condition", [
+    (["--suspend"],
+     {"kind": "cone-overlap", "pair": [[1, 2, 5], [2, 3, 5]], "point": ["-1", "0", "0"]}),
+    (["--stellar", "2,3"],
+     {"kind": "cone-overlap", "pair": [[1, 2], [2, 5]], "point": ["-1", "1"]}),
+], ids=["suspend", "stellar"])
+def test_surgery_of_an_invalid_fan_exits_2_with_the_witnesses(capsys, tmp_path, operation,
+                                                              fan_condition):
+    """cp2cp2 with ray 1's b negated: the output fails its fan condition, and its
+    completeness is then reported as not checked."""
+    data = cp2cp2_fan().to_json()
+    data["rays"][0]["b"] = [str(-Fraction(x)) for x in data["rays"][0]["b"]]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    witnesses = {"fan_condition": fan_condition, "completeness": {"kind": "fan-condition-failed"}}
+    assert run_cli(capsys, "surgery", str(path), *operation) == (
+        2, "", f"error: surgery output failed validation: {witnesses}\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -910,6 +952,21 @@ def test_realize_mod2_clique_obstruction(capsys, tmp_path):
     assert json.loads(out)["result"]["mode"] == "mod2"
 
 
+def test_realize_mod2_exhausts_the_wheel_w5(capsys, tmp_path):
+    """The wheel W5 (hub 1, rim 2..6) needs four colours but has no K4, so the
+    clique check cannot decide it and the search over 3 classes runs out."""
+    rim = [2, 3, 4, 5, 6]
+    facets = [[1, v] for v in rim] + [sorted(e) for e in zip(rim, rim[1:] + rim[:1])]
+    path = tmp_path / "w5.json"
+    path.write_text(json.dumps({"m": 6, "facets": facets}))
+    code, out, err = run_cli(capsys, "realize", str(path), "--mode", "mod2")
+    report = json.loads(out)
+    assert (code, err) == (1, "")
+    assert report["result"] == {"kind": "infeasible", "reason": "exhausted",
+                                "witness": {"classes": 3}}
+    assert report["stats"] == {"nodes": 4, "candidates": 3, "backtracks": 4}
+
+
 def test_realize_sphere_mode(capsys, tmp_path):
     from topfan.fixtures import octahedron_complex, octahedron_positions
 
@@ -921,6 +978,16 @@ def test_realize_sphere_mode(capsys, tmp_path):
     assert code == 0
     fan = TopologicalFan.from_json(json.loads(out))
     assert fan.validate().ok
+
+
+def test_realize_sphere_on_the_seven_vertex_torus_exits_2(capsys, tmp_path):
+    """The 7-vertex torus is a 2-dimensional pseudomanifold whose 1-skeleton is K7."""
+    facets = [sorted((i + d) % 7 + 1 for d in t) for i in range(7) for t in ((0, 1, 3), (0, 2, 3))]
+    positions = [[str(x) for x in p] for p in octahedron_positions()] + [["1", "1", "1"]]
+    path = tmp_path / "torus.json"
+    path.write_text(json.dumps({"m": 7, "facets": facets, "positions": positions}))
+    assert run_cli(capsys, "realize", str(path), "--mode", "sphere") == (
+        2, "", "error: no proper 4-coloring found\n")
 
 
 @pytest.mark.parametrize("positions", [5, "one position per vertex", [1] * 6, [None] * 6])

@@ -60,6 +60,11 @@ def test_construction_rejects_non_integral_input():
     assert all(type(v) is int for v in k.facets[0])
 
 
+def test_construction_rejects_a_negative_vertex_count():
+    with pytest.raises(ValueError, match=r"^m must be a non-negative integer, not -1$"):
+        SimplicialComplex(-1, [])
+
+
 def test_purity():
     assert square().is_pure()
     assert not SimplicialComplex(3, [(1, 2), (3,)]).is_pure()

@@ -259,7 +259,7 @@ def test_completeness_deleted_facet():
     fan = TopologicalFan(2, complex_, base.rays)
     verdict = fan.check_complete()
     assert not verdict.ok
-    assert verdict.witness["kind"] in ("boundary-wall", "uncovered-direction")
+    assert verdict.witness["kind"] == "boundary-wall"
 
 
 def test_completeness_of_fixtures(square_fan, oct_fan):
@@ -267,6 +267,26 @@ def test_completeness_of_fixtures(square_fan, oct_fan):
     assert oct_fan.check_complete().ok
     assert projective_fan(3).check_complete().ok
     assert segment_fan().check_complete().ok
+
+
+def _cp2cp2_with_a_fifth_ray(facet):
+    """cp2cp2 with a fifth ray along (1, 1) and one more facet through it."""
+    base = cp2cp2_fan()
+    complex_ = SimplicialComplex(5, base.complex.facets + (facet,))
+    return TopologicalFan(2, complex_, base.rays + (Ray.from_parts((1, 1)),))
+
+
+def test_completeness_witnesses_of_impure_overcrowded_and_disconnected_complexes(square_fan):
+    verdict = _cp2cp2_with_a_fifth_ray((5,)).check_complete()
+    assert (verdict.ok, verdict.witness) == (False, {"kind": "not-pure", "facet": [5]})
+    verdict = _cp2cp2_with_a_fifth_ray((1, 5)).check_complete()
+    assert (verdict.ok, verdict.witness) == (False, {
+        "kind": "overcrowded-wall", "wall": [1], "facets": [[1, 2], [1, 4], [1, 5]]})
+    shifted = tuple(tuple(v + 4 for v in f) for f in square_fan.complex.facets)
+    twice = TopologicalFan(2, SimplicialComplex(8, square_fan.complex.facets + shifted),
+                           square_fan.rays * 2)
+    verdict = twice.check_complete()
+    assert (verdict.ok, verdict.witness) == (False, {"kind": "disconnected"})
 
 
 def _line_fan(*bs):
@@ -676,6 +696,16 @@ def test_equivalence_mode_implications(fan_generator):
 
 def test_equivalent_size_mismatch(square_fan):
     assert equivalent(square_fan, projective_fan(2), "h") is None
+
+
+def test_equivalent_compares_facet_sizes_before_any_ray():
+    """Equal n, m and facet count, facet sizes 2, 2 against 1, 3: no ray is compared."""
+    rays = [Ray.from_parts(e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1))]
+    a = TopologicalFan(3, SimplicialComplex(4, [(1, 2), (3, 4)]), rays)
+    b = TopologicalFan(3, SimplicialComplex(4, [(1, 2, 3), (4,)]), rays)
+    stats = {}
+    assert equivalent(a, b, stats=stats) is None
+    assert stats == {"candidates": 0, "nodes": 0, "backtracks": 0}
 
 
 def test_validation_on_random_fans(fan_generator):

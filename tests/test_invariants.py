@@ -85,11 +85,29 @@ def test_normal_form_of_sr_monomial_is_zero(square_fan):
     assert nf.is_zero()
 
 
+def _negated_first_b(fan):
+    rays = list(fan.rays)
+    rays[0] = Ray(tuple(-x for x in rays[0].b), rays[0].c, rays[0].v)
+    return TopologicalFan(fan.n, fan.complex, rays)
+
+
 def test_normal_form_degree_guard(square_fan):
     with pytest.raises(ValueError):
         normal_form(square_fan, {_mono(4, (3, 1)): Fraction(1)}, 2)
     with pytest.raises(ValueError):
         graded_rank(square_fan, 5)
+    # the degree is checked before the fan is validated
+    bad = _negated_first_b(square_fan)
+    for call in (lambda: graded_rank(bad, 3), lambda: normal_form(bad, {}, 3)):
+        with pytest.raises(ValueError, match=r"^degree 3 out of range 0\.\.2$"):
+            call()
+
+
+def test_invariants_of_an_invalid_fan_raise(square_fan):
+    bad = _negated_first_b(square_fan)
+    for invariant in (betti_numbers, pontrjagin_class):
+        with pytest.raises(ValueError, match=r"^fan is not complete non-singular: \{'fan_cond"):
+            invariant(bad)
 
 
 def test_pontrjagin_square(square_fan):

@@ -170,6 +170,29 @@ def test_search_results_reverify():
             assert ok, failures
 
 
+def _octahedron_sign_tables():
+    """The octahedron's sign tables seeded +1 and -1 on its first facet, the default pin."""
+    complex_ = octahedron_complex()
+    return complex_, [derive_sign_table(complex_, complex_.facets[0], s) for s in (1, -1)]
+
+
+def test_a_sign_table_negative_on_the_pinned_facet_is_flipped():
+    """Pinning the standard basis forces +1 there, so the -1 table searches as the +1 one."""
+    complex_, tables = _octahedron_sign_tables()
+    plus, minus = (search_labeling(LabelingProblem(complex_, "toric_sign", sign_table=t))
+                   for t in tables)
+    assert isinstance(plus, LabelingSolution)
+    assert (minus, minus.stats) == (plus, plus.stats)
+
+
+def test_the_checker_names_each_facet_off_its_table_sign():
+    complex_, (plus_table, minus_table) = _octahedron_sign_tables()
+    solution = search_labeling(LabelingProblem(complex_, "toric_sign", sign_table=plus_table))
+    ok, dets, failures = verify_labeling(complex_, solution.assignment, "toric_sign", minus_table)
+    assert not ok
+    assert failures == [{"facet": list(f), "det": d, "expected": -d} for f, d in dets.items()]
+
+
 def test_search_barnette_unimodular():
     problem = LabelingProblem(barnette_complex(), "unimodular", bound=1,
                               normalization=(1, 2, 3, 4))

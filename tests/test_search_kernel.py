@@ -115,12 +115,8 @@ def _assert_same_verdict(result, reference):
         assert result.to_json() == reference.to_json()
 
 
-@pytest.mark.parametrize("bound", [1, 2])
-@pytest.mark.parametrize("mode", ["unimodular", "toric_sign"])
-@pytest.mark.parametrize("name", list(INSTANCES))
-def test_integer_candidates_match_the_oracle_at_every_node(monkeypatch, name, mode, bound):
-    complex_, pinned, table = INSTANCES[name]
-    table = table if mode == "toric_sign" else None
+def _match_the_oracle_at_every_node(monkeypatch, complex_, pinned, table, mode, bound):
+    """Search, comparing every node and probe with the oracle; returns the oracle's node lists."""
     effective = None
     if mode == "toric_sign":
         effective = oracle.effective_sign_table(complex_, pinned or complex_.facets[0], table)
@@ -140,6 +136,28 @@ def test_integer_candidates_match_the_oracle_at_every_node(monkeypatch, name, mo
     assert result.stats["nodes"] == len(memo) + (1 if isinstance(result, LabelingSolution) else 0)
     assert result.stats["probes"] == len(probes)
     assert result.stats == stats
+    return memo
+
+
+@pytest.mark.parametrize("bound", [1, 2])
+@pytest.mark.parametrize("mode", ["unimodular", "toric_sign"])
+@pytest.mark.parametrize("name", list(INSTANCES))
+def test_integer_candidates_match_the_oracle_at_every_node(monkeypatch, name, mode, bound):
+    complex_, pinned, table = INSTANCES[name]
+    table = table if mode == "toric_sign" else None
+    _match_the_oracle_at_every_node(monkeypatch, complex_, pinned, table, mode, bound)
+
+
+@pytest.mark.parametrize("bound", [1, 2])
+def test_a_vertex_that_completes_no_facet_takes_every_primitive_box_point(monkeypatch, bound):
+    """Two vertex-disjoint squares: vertex 5 completes no facet, so its candidates are
+    ``_box_points``'s unconstrained ones.  Unimodular mode only: ``derive_sign_table``
+    refuses the disconnected dual graph."""
+    squares = SimplicialComplex(8, [(1, 2), (2, 3), (3, 4), (1, 4),
+                                    (5, 6), (6, 7), (7, 8), (5, 8)])
+    memo = _match_the_oracle_at_every_node(monkeypatch, squares, None, None, "unimodular", bound)
+    primitive = [x for x in oracle.full_box(2, bound) if any(x) and linalg.vec_gcd(x) == 1]
+    assert [want for (vertex, _), want in memo.items() if vertex == 5] == [primitive]
 
 
 def _subdivided(seed):
