@@ -187,9 +187,6 @@ class FacePoset:
     elements: tuple[tuple[int, ...], ...]
     covers: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
-    def rank(self, element):
-        return len(element)
-
     def rank_counts(self):
         counts = {}
         for e in self.elements:

@@ -34,7 +34,6 @@ from .linalg import parse_digits, parse_rational
 from .realize import (
     LabelingProblem,
     LabelingSolution,
-    mod2_obstruction,
     product_fan,
     realize_2sphere,
     search_labeling,
@@ -210,10 +209,6 @@ def _parse_facet(option, text):
     return tuple(sorted(parse_digits(x, option) for x in text.split(",")))
 
 
-def _parse_direction(text):
-    return [parse_rational(x) for x in text.split(",")]
-
-
 def _parse_positions(positions):
     return [[parse_rational(x) for x in p] for p in positions]
 
@@ -245,7 +240,7 @@ def cmd_invariants(args):
     if args.weights or everything:
         out["weights"] = omni_weights(fan).to_json()
     if args.todd or everything:
-        direction = _parse_direction(args.dir) if args.dir is not None else None
+        direction = None if args.dir is None else [parse_rational(x) for x in args.dir.split(",")]
         out["todd_genus"] = todd_genus(fan, direction=direction)
     report.emit(out)
     return EXIT_OK
@@ -326,12 +321,9 @@ def cmd_realize(args):
     normalization = None
     if args.normalize is not None:
         normalization = _parse_facet("--normalize", args.normalize)
-    if mode == "mod2":
-        result = mod2_obstruction(complex_, complex_.dim + 1)
-    else:
-        bound = 1 if args.bound is None else _parse_number("--bound", args.bound)
-        result = search_labeling(
-            LabelingProblem(complex_, mode, bound=bound, normalization=normalization))
+    bound = 1 if args.bound is None else _parse_number("--bound", args.bound)
+    result = search_labeling(
+        LabelingProblem(complex_, mode, bound=bound, normalization=normalization))
     solved = isinstance(result, LabelingSolution)
     payload = result.to_json()
     if solved and mode == "toric_sign":

@@ -62,9 +62,6 @@ class Ray:
                    tuple(c * mu.b + v * mu.c for c, v in zip(self.c, self.v)),
                    tuple(v * mu.v for v in self.v))
 
-    def conjugate(self) -> "Ray":
-        return Ray(self.b, tuple(-x for x in self.c), tuple(-x for x in self.v))
-
     def to_json(self):
         return {
             "b": [str(x) for x in self.b],
@@ -81,11 +78,9 @@ class Ray:
         )
 
     @staticmethod
-    def from_parts(b, c=None, v=None) -> "Ray":
+    def from_parts(b, v=None) -> "Ray":
         b = tuple(Fraction(x) for x in b)
-        if c is None:
-            c = (0,) * len(b)
-        return Ray(b, c, b if v is None else v)
+        return Ray(b, (0,) * len(b), b if v is None else v)
 
 
 @dataclass

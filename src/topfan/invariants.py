@@ -41,13 +41,6 @@ class CohomPresentation:
     sr_monomials: tuple[tuple[int, ...], ...]
     relation_matrix: tuple[tuple[int, ...], ...]  # one row per ambient coordinate
 
-    def to_json(self):
-        return {
-            "generators": self.m,
-            "sr_monomials": [list(t) for t in self.sr_monomials],
-            "linear_relations": [list(r) for r in self.relation_matrix],
-        }
-
 
 def cohomology_presentation(fan: TopologicalFan) -> CohomPresentation:
     fan.require_valid()

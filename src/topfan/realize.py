@@ -47,12 +47,6 @@ class SignTable:
         key = tuple(sorted(facet))
         return self.signs[key] * linalg.parity(self.ref_orders[key])
 
-    def to_json(self):
-        return [
-            {"facet": list(f), "order": list(self.ref_orders[f]), "sign": s}
-            for f, s in sorted(self.signs.items())
-        ]
-
 
 @dataclass
 class SignContradiction:
@@ -232,24 +226,31 @@ def _gf2_rank(masks):
 def search_labeling(problem: LabelingProblem):
     """Backtracking search for a vertex labeling satisfying the mode constraints.
 
-    The normalization facet is pinned to the standard basis and the other
-    vertices are assigned in one facet-greedy order, planned once.  Whenever
-    a vertex completes facets, their determinant constraints are linear in
-    the new vector, so the candidates are the integer box points of the
-    resulting affine solution set rather than the whole box.  Returns a
-    LabelingSolution, Unsat(bound), or Infeasible, with the search's
-    ``stats`` attached: the search nodes visited (partial assignments, the
-    root and a complete one included), the candidates tried, and the
-    backtracks (vertices whose every candidate failed).
+    The one search of every mode.  In mod2 mode a clique of 2^n vertices
+    in the 1-skeleton is tried first: adjacent vertices need distinct
+    nonzero classes, so it is a bound-free obstruction.  Otherwise the
+    normalization facet is pinned to the standard basis and the other
+    vertices are assigned in one facet-greedy order, planned once.  In the
+    integer modes, the facets a vertex completes make its determinant
+    constraints linear, so the candidates are the integer box points of the
+    affine solution set, and pass through the depth's probes.  A SAT answer
+    is re-verified by ``verify_labeling``.  Returns a LabelingSolution,
+    Unsat(bound), or Infeasible ("sign-contradiction", "clique" or
+    "exhausted"), with the search's ``stats``: the nodes visited (partial
+    assignments, the root and a complete one included), the candidates
+    tried, the backtracks (vertices whose every candidate failed) and, in
+    the integer modes, the ``probes`` solved and the candidates they
+    ``pruned``.  A sign contradiction or a clique has no stats.
     """
     complex_ = problem.complex
     if not complex_.is_pure():
         raise ValueError("complex must be pure")
+    mode, bound = problem.mode, problem.bound
     n = complex_.dim + 1
     normalization = problem.normalization or complex_.facets[0]
 
     sign_table = problem.sign_table
-    if problem.mode == "toric_sign":
+    if mode == "toric_sign":
         if sign_table is None:
             sign_table = derive_sign_table(complex_, normalization, 1)
             if isinstance(sign_table, SignContradiction):
@@ -260,7 +261,33 @@ def search_labeling(problem: LabelingProblem):
             sign_table = SignTable(
                 {f: -s for f, s in sign_table.signs.items()}, sign_table.ref_orders
             )
-    return _search(complex_, n, normalization, problem.mode, problem.bound, sign_table)
+    if mode == "mod2":
+        clique = find_clique(complex_, 1 << n)
+        if clique is not None:
+            return Infeasible("clique", {"clique": clique, "classes": (1 << n) - 1})
+        assignment = {v: 1 << pos for pos, v in enumerate(sorted(normalization))}
+        generate, stats = _mod2_candidates, {}
+    else:
+        assignment = {v: tuple(1 if k == pos else 0 for k in range(n))
+                      for pos, v in enumerate(sorted(normalization))}
+        generate = _integer_candidates
+        stats = {"nodes": 0, "candidates": 0, "backtracks": 0, "probes": 0, "pruned": 0}
+    plan = _plan(complex_, assignment, mode, sign_table)
+
+    def candidates(depth):
+        step = plan[depth]
+        values = generate(step, assignment, n, bound)
+        return _probed(step, values, assignment, n, bound, stats) if step.probes else values
+
+    vertices = [step.vertex for step in plan]
+    if not backtrack(vertices, candidates, assignment, stats):
+        if mode == "mod2":
+            return Infeasible("exhausted", {"classes": (1 << n) - 1}, stats=stats)
+        return Unsat(bound, stats=stats)
+    ok, dets, failures = verify_labeling(complex_, assignment, mode, sign_table)
+    if not ok:
+        raise AssertionError(f"search produced an invalid labeling: {failures}")
+    return LabelingSolution(dict(assignment), dets, mode, stats=stats)
 
 
 # Linear forms kept per completed facet and search.  Branches and probes
@@ -371,41 +398,6 @@ def _plan(complex_, pinned, mode, sign_table):
     return plan
 
 
-def _search(complex_, n, normalization, mode, bound=None, sign_table=None):
-    """The labeling search shared by every mode.
-
-    Pins ``normalization``, walks the plan depth by depth (``backtrack``)
-    with the mode's candidate generator, counts its work, and re-verifies a
-    SAT answer with ``verify_labeling`` before returning it.  An integer
-    search passes each depth's candidates through its probes and also
-    counts the ``probes`` solved and the candidates they ``pruned``.
-    """
-    if mode == "mod2":
-        assignment = {v: 1 << pos for pos, v in enumerate(sorted(normalization))}
-        generate, stats = _mod2_candidates, {}
-    else:
-        assignment = {v: tuple(1 if k == pos else 0 for k in range(n))
-                      for pos, v in enumerate(sorted(normalization))}
-        generate = _integer_candidates
-        stats = {"nodes": 0, "candidates": 0, "backtracks": 0, "probes": 0, "pruned": 0}
-    plan = _plan(complex_, assignment, mode, sign_table)
-
-    def candidates(depth):
-        step = plan[depth]
-        values = generate(step, assignment, n, bound)
-        return _probed(step, values, assignment, n, bound, stats) if step.probes else values
-
-    vertices = [step.vertex for step in plan]
-    if not backtrack(vertices, candidates, assignment, stats):
-        if mode == "mod2":
-            return Infeasible("exhausted", {"classes": (1 << n) - 1}, stats=stats)
-        return Unsat(bound, stats=stats)
-    ok, dets, failures = verify_labeling(complex_, assignment, mode, sign_table)
-    if not ok:
-        raise AssertionError(f"search produced an invalid labeling: {failures}")
-    return LabelingSolution(dict(assignment), dets, mode, stats=stats)
-
-
 def _integer_candidates(step, assignment, n, bound):
     """The vectors x with |x_i| <= bound giving each facet of ``step`` an allowed determinant.
 
@@ -505,7 +497,7 @@ def find_clique(complex_, size):
     depth per member: a depth's candidates are the previous depth's later
     candidates adjacent to its pick.  Entering a depth with enough of them
     costs one node; the search gives up after ``_CLIQUE_NODE_LIMIT`` nodes
-    (callers fall back to the full search then).
+    (``search_labeling`` falls back to the full mod2 search then).
     """
     neighbors = _neighbors(complex_)
     budget = _CLIQUE_NODE_LIMIT
@@ -526,21 +518,6 @@ def find_clique(complex_, size):
     if not backtrack(range(size), candidates, clique, {}):
         return None
     return [clique[depth] for depth in range(size)]
-
-
-def mod2_obstruction(complex_, n):
-    """Feasibility of a nonzero mod-2 labeling with independent facet classes.
-
-    Fast path: a clique larger than the number of nonzero classes in the
-    1-skeleton is a bound-free obstruction (adjacent vertices need distinct
-    classes).  Otherwise the finite search decides.
-    """
-    if not complex_.is_pure():
-        raise ValueError("complex must be pure")
-    clique = find_clique(complex_, (1 << n))
-    if clique is not None:
-        return Infeasible("clique", {"clique": clique, "classes": (1 << n) - 1})
-    return _search(complex_, n, complex_.facets[0], "mod2")
 
 
 # -- four-color realization of 2-spheres ------------------------------------------

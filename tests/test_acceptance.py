@@ -30,7 +30,6 @@ from topfan.realize import (
     LabelingProblem,
     Unsat,
     derive_sign_table,
-    mod2_obstruction,
     realize_2sphere,
     search_labeling,
     stellar_subdivide_fan,
@@ -136,7 +135,7 @@ def test_criterion_3_barnette_suite():
 def test_criterion_4_cyclic_polytope_obstruction():
     with _Criterion(4, "C4(16) pigeonhole-infeasible; C4(8) skeleton complete") as c:
         t0 = time.monotonic()
-        result = mod2_obstruction(cyclic_polytope_boundary(4, 16), 4)
+        result = search_labeling(LabelingProblem(cyclic_polytope_boundary(4, 16), "mod2"))
         assert isinstance(result, Infeasible) and result.reason == "clique"
         assert sorted(result.witness["clique"]) == list(range(1, 17))
         assert time.monotonic() - t0 < 1.0

@@ -24,12 +24,15 @@ from topfan.cli import build_parser, main
 from topfan.complexes import SimplicialComplex, cyclic_polytope_boundary
 from topfan.fans import Ray, TopologicalFan
 from topfan.fixtures import (
+    barnette_complex,
     cp2cp2_fan,
     octahedron_complex,
     octahedron_fan,
     octahedron_positions,
     projective_fan,
+    segment_fan,
 )
+from topfan.realize import LabelingProblem, LabelingSolution, search_labeling
 
 
 @pytest.fixture
@@ -158,11 +161,21 @@ def _malformed_fans():
     wrong_type["rays"] = 5
     string_n = cp2cp2_fan().to_json()
     string_n["n"] = "2"
+    three_rays = cp2cp2_fan().to_json()
+    del three_rays["rays"][3]
+    wide_ray = cp2cp2_fan().to_json()
+    wide_ray["rays"][0] = {"b": ["1", "0", "0"], "c": ["0", "0", "0"], "v": [1, 0, 0]}
+    bool_b = cp2cp2_fan().to_json()
+    bool_b["rays"][0]["b"] = [True, 0]
     return {
         "zero-denominator": (bad_b, "zero denominator"),
         "top-level-list": ([1, 2], "must be a JSON object"),
         "rays-not-a-list": (wrong_type, "malformed input"),
         "n-not-an-integer": (string_n, "n must be an integer"),
+        "three-rays": (three_rays, "error: one ray per vertex is required\n"),
+        "ray-of-three-entries": (wide_ray,
+                                 "error: ray dimension does not match the fan dimension\n"),
+        "b-entry-true": (bool_b, "error: not a rational: True\n"),
     }
 
 
@@ -548,6 +561,23 @@ def test_realize_options_of_the_labeling_modes_exit_2_elsewhere(capsys, tmp_path
     code, out, err = run_cli(capsys, "realize", str(path), "--mode", mode, option, value)
     assert code == 2 and out == ""
     assert err == f"error: {option} does not apply to --mode {mode}\n"
+
+
+@pytest.mark.parametrize("data, argv, message", [
+    (barnette_complex().to_json(), ["realize", "--mode", "unimodular", "--bound", "0"],
+     "bound must be >= 1"),
+    (segment_fan().to_json(), ["surgery", "--stellar", "1"], "cannot subdivide a single vertex"),
+    ({"m": 4, "facets": [[1, 2, 3], [1, 2, 4]],
+      "positions": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"], ["-1", "-1", "-1"]]},
+     ["realize", "--mode", "sphere"], "need a pure 2-dimensional pseudomanifold"),
+    ({"m": 6, "facets": [[1, 2], [2, 3], [1, 3], [4, 5], [5, 6], [4, 6]]},
+     ["realize", "--mode", "toric-sign"], "dual graph must be connected"),
+], ids=["bound-0", "stellar-of-a-vertex", "sphere-of-two-triangles", "disconnected-toric-sign"])
+def test_refused_inputs_exit_2_with_their_message(capsys, tmp_path, data, argv, message):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    command, *options = argv
+    assert run_cli(capsys, command, str(path), *options) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("mode", ["mod2", "unimodular", "toric-sign"])
@@ -965,6 +995,25 @@ def test_realize_mod2_exhausts_the_wheel_w5(capsys, tmp_path):
     assert report["result"] == {"kind": "infeasible", "reason": "exhausted",
                                 "witness": {"classes": 3}}
     assert report["stats"] == {"nodes": 4, "candidates": 3, "backtracks": 4}
+
+
+def _wheel_w5():
+    rim = [2, 3, 4, 5, 6]
+    return SimplicialComplex(6, [(1, v) for v in rim] + list(zip(rim, rim[1:] + rim[:1])))
+
+
+@pytest.mark.parametrize("complex_", [
+    octahedron_complex(), _wheel_w5(), cyclic_polytope_boundary(4, 7),
+    cyclic_polytope_boundary(4, 16)], ids=["octahedron", "W5", "C4(7)", "C4(16)"])
+def test_realize_mod2_reports_what_search_labeling_returns(capsys, tmp_path, complex_):
+    """The CLI's mod2 mode is the library's: the clique first, then the search."""
+    path = tmp_path / "complex.json"
+    path.write_text(json.dumps(complex_.to_json()))
+    code, out, err = run_cli(capsys, "realize", str(path), "--mode", "mod2")
+    report = json.loads(out)
+    result = search_labeling(LabelingProblem(complex_, "mod2"))
+    assert (report["result"], report["stats"]) == (result.to_json(), result.stats)
+    assert (code, err) == (0 if isinstance(result, LabelingSolution) else 1, "")
 
 
 def test_realize_sphere_mode(capsys, tmp_path):

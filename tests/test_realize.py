@@ -33,7 +33,6 @@ from topfan.realize import (
     Unsat,
     derive_sign_table,
     find_clique,
-    mod2_obstruction,
     product_fan,
     realize_2sphere,
     search_labeling,
@@ -283,10 +282,18 @@ def test_case_analysis_certificate():
 
 def test_cyclic_16_clique_infeasible():
     k = cyclic_polytope_boundary(4, 16)
-    result = mod2_obstruction(k, 4)
+    result = search_labeling(LabelingProblem(k, "mod2"))
     assert isinstance(result, Infeasible)
     assert result.reason == "clique"
     assert sorted(result.witness["clique"]) == list(range(1, 17))
+
+
+def test_search_labeling_tries_the_clique_first_in_mod2_mode():
+    """No search runs: the clique is a bound-free certificate, as ``realize --mode mod2`` reports."""
+    result = search_labeling(LabelingProblem(cyclic_polytope_boundary(4, 16), "mod2"))
+    assert isinstance(result, Infeasible) and result.reason == "clique"
+    assert result.witness == {"clique": list(range(1, 17)), "classes": 15}
+    assert result.stats is None
 
 
 def test_cyclic_15_no_pigeonhole_verdict():
@@ -359,7 +366,7 @@ def test_plan_matches_the_max_planner():
 
 
 def test_octahedron_mod2_feasible():
-    result = mod2_obstruction(octahedron_complex(), 3)
+    result = search_labeling(LabelingProblem(octahedron_complex(), "mod2"))
     assert isinstance(result, LabelingSolution)
     ok, _, failures = verify_labeling(octahedron_complex(), result.assignment, "mod2")
     assert ok, failures
@@ -367,7 +374,7 @@ def test_octahedron_mod2_feasible():
 
 def test_mod2_infeasible_implies_unimodular_unsat():
     k = cyclic_polytope_boundary(4, 16)
-    result = mod2_obstruction(k, 4)
+    result = search_labeling(LabelingProblem(k, "mod2"))
     assert isinstance(result, Infeasible)
     problem = LabelingProblem(k, "unimodular", bound=1)
     assert not isinstance(search_labeling(problem), LabelingSolution)

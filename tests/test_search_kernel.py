@@ -25,7 +25,6 @@ from topfan.realize import (
     LabelingSolution,
     Unsat,
     derive_sign_table,
-    mod2_obstruction,
     search_labeling,
 )
 from tests import labeling_oracle as oracle
@@ -255,7 +254,7 @@ def test_search_counts_nodes_candidates_and_backtracks():
 
     mod2 = search_labeling(LabelingProblem(octahedron_complex(), "mod2"))
     assert mod2.stats == {"nodes": 4, "candidates": 3, "backtracks": 0}
-    clique = mod2_obstruction(cyclic_complex(4, 16), 4)
+    clique = search_labeling(LabelingProblem(cyclic_complex(4, 16), "mod2"))
     assert isinstance(clique, Infeasible) and clique.stats is None
 
 
