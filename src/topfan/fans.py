@@ -1,10 +1,10 @@
 """Topological fans: a simplicial complex with one exact ray per vertex.
 
 A ray carries three vectors (b rational, c rational, v integer with v
-primitive).  The b-parts must assemble into an honest simplicial fan of cones
-in R^n; the v-parts form a multi-fan whose cones may overlap.  Validation
-checks are exact and every negative verdict carries a machine-checkable
-witness.
+primitive), stored in integers (``rays.Ray``).  The b-parts must assemble
+into an honest simplicial fan of cones in R^n; the v-parts form a multi-fan
+whose cones may overlap.  Validation checks are exact and every negative
+verdict carries a machine-checkable witness.
 """
 
 from __future__ import annotations
@@ -18,69 +18,8 @@ from typing import Optional
 
 from . import linalg
 from .complexes import SimplicialComplex, backtrack
+from .rays import Ray, lowest_terms
 from .ring import BSingularError, RElem, VNotUnimodularError
-
-
-@dataclass(frozen=True)
-class Ray:
-    """One ray (b, c, v); b nonzero rational, v primitive integral."""
-
-    b: tuple[Fraction, ...]
-    c: tuple[Fraction, ...]
-    v: tuple[int, ...]
-
-    def __post_init__(self):
-        # a tuple of Fractions (of ints for v), as ``from_json`` parses it, is kept
-        for name in ("b", "c"):
-            value = getattr(self, name)
-            if type(value) is not tuple or any(type(x) is not Fraction for x in value):
-                object.__setattr__(self, name, tuple(map(Fraction, value)))
-        v = self.v
-        if type(v) is not tuple or any(type(x) is not int for x in v):
-            v = tuple(v)
-            object.__setattr__(self, "v", tuple(map(int, v)))
-            if self.v != v:
-                raise ValueError(f"v = {v} is not integral")
-        if not (len(self.b) == len(self.c) == len(self.v)):
-            raise ValueError("b, c, v must have equal lengths")
-        if all(x == 0 for x in self.b):
-            raise ValueError("b must be nonzero")
-        if linalg.vec_gcd(self.v) != 1:
-            raise ValueError(f"v = {self.v} is not primitive")
-
-    @property
-    def n(self):
-        return len(self.b)
-
-    def rvec(self) -> tuple[RElem, ...]:
-        """The ray as a ring vector: one ``RElem(b_k, c_k, v_k)`` per coordinate."""
-        return tuple(map(RElem, self.b, self.c, self.v))
-
-    def right_mul(self, mu: RElem) -> "Ray":
-        """The ray with each coordinate's ring entry times mu on the right (``RElem.__mul__``)."""
-        return Ray(tuple(b * mu.b for b in self.b),
-                   tuple(c * mu.b + v * mu.c for c, v in zip(self.c, self.v)),
-                   tuple(v * mu.v for v in self.v))
-
-    def to_json(self):
-        return {
-            "b": [str(x) for x in self.b],
-            "c": [str(x) for x in self.c],
-            "v": list(self.v),
-        }
-
-    @staticmethod
-    def from_json(data) -> "Ray":
-        return Ray(
-            tuple(linalg.parse_rational(x) for x in data["b"]),
-            tuple(linalg.parse_rational(x) for x in data.get("c", [0] * len(data["b"]))),
-            tuple(linalg.parse_int(x, "v") for x in data["v"]),
-        )
-
-    @staticmethod
-    def from_parts(b, v=None) -> "Ray":
-        b = tuple(Fraction(x) for x in b)
-        return Ray(b, (0,) * len(b), b if v is None else v)
 
 
 @dataclass
@@ -163,7 +102,7 @@ class TopologicalFan:
     def _int_b_column(self, i):
         # cone arithmetic is scale-invariant, so integer-primitive b's suffice
         if self._int_b is None:
-            self._int_b = tuple(linalg.clear_denominators(r.b) for r in self.rays)
+            self._int_b = tuple(_primitive(r.b_int[0]) for r in self.rays)
         return self._int_b[i - 1]
 
     def _int_columns(self, part, indices):
@@ -198,9 +137,8 @@ class TopologicalFan:
     def _scaled_rvecs(self):
         """Cached ``(q, rays)``: q = lcm of all b, c denominators; ray i is beta_i * (q, 0, 1)."""
         if self._scaled is None:
-            q = lcm(*(x.denominator for r in self.rays for x in r.b + r.c))
-            self._scaled = q, tuple(tuple(RElem(int(q * b), int(q * c), v)
-                                          for b, c, v in zip(r.b, r.c, r.v)) for r in self.rays)
+            q = lcm(*(r.b_int[1] for r in self.rays), *(r.c_int[1] for r in self.rays))
+            self._scaled = q, tuple(_scaled_rvec(r, q) for r in self.rays)
         return self._scaled
 
     def _scaled_dual(self, facet):
@@ -461,7 +399,7 @@ class TopologicalFan:
         return Verdict(True)
 
     def check_involutive(self) -> bool:
-        return all(all(x == 0 for x in ray.c) for ray in self.rays)
+        return not any(any(ray.c_int[0]) for ray in self.rays)
 
     def validate(self) -> ValidationReport:
         """The validation report, computed once per fan.
@@ -566,6 +504,18 @@ def _dot(a, b):
     return sum(map(mul, a, b))
 
 
+def _primitive(nums):
+    """A nonzero integer vector divided by the gcd of its entries."""
+    g = gcd(*nums)
+    return nums if g == 1 else tuple(x // g for x in nums)
+
+
+def _scaled_rvec(ray, q):
+    """The ring vector of ray * (q, 0, 1), integer for q a multiple of b's and c's denominators."""
+    (bn, bd), (cn, cd) = ray.b_int, ray.c_int
+    return tuple(map(RElem, [x * (q // bd) for x in bn], [x * (q // cd) for x in cn], ray.v))
+
+
 # -- canonical form ----------------------------------------------------------
 
 
@@ -576,18 +526,21 @@ def h_canonical_form(fan: TopologicalFan) -> TopologicalFan:
     afterwards b has L1 norm one, the first nonzero entry of v is positive,
     and c is orthogonal to v.  Idempotent and constant on orbits.
     """
-    return TopologicalFan(fan.n, fan.complex, [_h_orbit_key(ray)[0] for ray in fan.rays])
+    rays = [ray.right_mul(_h_normalizer(ray)) for ray in fan.rays]
+    return TopologicalFan(fan.n, fan.complex, rays)
 
 
 def _h_normalizer(ray: Ray) -> RElem:
-    """The homeomorphism scalar (s, t, eps) that takes a ray to its h-canonical form."""
-    norm = sum(abs(x) for x in ray.b)
-    s = Fraction(1) / norm
-    vv = sum(x * x for x in ray.v)
-    cv = sum(cx * vx for cx, vx in zip(ray.c, ray.v))
-    t = -cv / vv * s
-    first = next(x for x in ray.v if x != 0)
-    eps = 1 if first > 0 else -1
+    """The homeomorphism scalar (s, t, eps) that takes a ray to its h-canonical form.
+
+    s = 1 / |b|_1 and t = -s (c.v) / (v.v), read from the integer form:
+    s = bd / |bn|_1 and t = -s (cn.v) / (cd (v.v)); eps is the sign of v's
+    first nonzero entry.
+    """
+    (bn, bd), (cn, cd), v = ray.b_int, ray.c_int, ray.v
+    s = Fraction(bd, sum(map(abs, bn)))
+    t = -s * Fraction(_dot(cn, v), cd * _dot(v, v))
+    eps = 1 if next(x for x in v if x != 0) > 0 else -1
     return RElem(s, t, eps)
 
 
@@ -613,21 +566,31 @@ class Isomorphism:
         return out
 
 
-def _h_orbit_key(ray: Ray):
-    """The h-canonical ray and the normalizer mu that reaches it (ray * mu)."""
-    mu = _h_normalizer(ray)
-    return ray.right_mul(mu), mu
+def _h_key(ray: Ray):
+    """The h-canonical ray (``h_canonical_form``) in integers.
+
+    Its b, b / |b|_1, is fixed by b's primitive integer vector.  Its c is
+    (c (v.v) - (c.v) v) / (|b|_1 (v.v)); with b = bn / bd and c = cn / cd
+    that is bd w / (cd |bn|_1 (v.v)) for the integer vector
+    w = cn (v.v) - (cn.v) v, reduced to lowest terms.  Its v has a positive
+    first nonzero entry.
+    """
+    (bn, bd), (cn, cd), v = ray.b_int, ray.c_int, ray.v
+    vv, cv = _dot(v, v), _dot(cn, v)
+    w = [bd * (x * vv - cv * y) for x, y in zip(cn, v)]
+    den = cd * sum(map(abs, bn)) * vv
+    first = next(x for x in v if x != 0)
+    return (_primitive(bn), lowest_terms(w, den), v if first > 0 else tuple(-x for x in v))
 
 
 # One key per mode whose equality is exactly the mode's orbit relation on
 # rays: equal rays ('strict'), equal up to the v-flip scalar MU0, which
 # sends (b, c, v) to (b, c, -v) ('d'), and equal up to a homeomorphism
-# scalar ('h'), whose orbits each hold one h-canonical ray.  Each entry
-# maps a ray to its key and, in mode 'h', the normalizer (None otherwise).
+# scalar ('h'), whose orbits each hold one h-canonical ray.
 _ORBIT_KEYS = {
-    "strict": lambda ray: (ray, None),
-    "d": lambda ray: ((ray.b, ray.c, max(ray.v, tuple(-x for x in ray.v))), None),
-    "h": _h_orbit_key,
+    "strict": lambda ray: ray,
+    "d": lambda ray: (ray.b_int, ray.c_int, max(ray.v, tuple(-x for x in ray.v))),
+    "h": _h_key,
 }
 
 
@@ -648,7 +611,8 @@ def equivalent(a: TopologicalFan, b: TopologicalFan, mode="strict",
     Python's recursion limit.
 
     In mode 'h' the scalar of i -> j is composed from the two rays'
-    normalizers: a_i * mu_i = b_j * mu_j, so b_j = a_i * (mu_i * mu_j^-1).
+    normalizers (``_h_normalizer``), built for the pairs of the returned
+    sigma only: a_i * mu_i = b_j * mu_j, so b_j = a_i * (mu_i * mu_j^-1).
 
     When ``stats`` is a dict, it receives the counts of the call: the
     ``candidates`` (source, target) pairs that shared a key, the search
@@ -666,14 +630,12 @@ def equivalent(a: TopologicalFan, b: TopologicalFan, mode="strict",
             or sorted(map(len, a.complex.facets)) != sorted(map(len, b.complex.facets))):
         return None
     m = a.m
-    buckets, target_mu = {}, {}
+    buckets = {}
     for j in range(1, m + 1):
-        key, target_mu[j] = orbit_key(b.ray(j))
-        buckets.setdefault(key, []).append(j)
-    allowed, source_mu = {}, {}
+        buckets.setdefault(orbit_key(b.ray(j)), []).append(j)
+    allowed = {}
     for i in range(1, m + 1):
-        key, source_mu[i] = orbit_key(a.ray(i))
-        allowed[i] = buckets.get(key, ())
+        allowed[i] = buckets.get(orbit_key(a.ray(i)), ())
         stats["candidates"] += len(allowed[i])
         if not allowed[i]:
             return None
@@ -713,5 +675,6 @@ def equivalent(a: TopologicalFan, b: TopologicalFan, mode="strict",
         return None
     scalars = None
     if mode == "h":
-        scalars = {i: source_mu[i] * _homeo_inverse(target_mu[j]) for i, j in sigma.items()}
+        scalars = {i: _h_normalizer(a.ray(i)) * _homeo_inverse(_h_normalizer(b.ray(j)))
+                   for i, j in sigma.items()}
     return Isomorphism(dict(sigma), scalars)

@@ -341,32 +341,53 @@ _RATIONAL = re.compile(r"\s*([-+]?[0-9]+)(?:/([0-9]+))?\s*")
 
 
 def parse_rational(value):
-    """Parse a JSON rational: an int, or a string like ``"-3/4"`` or ``"5"``.
+    """Parse a JSON rational to a ``Fraction``: the one-entry case of ``parse_ratios``."""
+    (num,), den = parse_ratios([value])
+    return Fraction(num, den)
 
-    Other strings (``"0.5"``, ``"1e9"``, ``"1_000"``) are a ValueError: an
-    exponent would otherwise build a number of any size.
+
+def parse_ratios(values):
+    """``(numerators, denominator)`` of a list of JSON rationals, over their common denominator.
+
+    Each entry is an int, or a string like ``"-3/4"`` or ``"5"``; the
+    denominator is the positive lcm of the entries' (the pair is not
+    reduced).  A zero denominator is a ValueError, and so are other strings
+    (``"0.5"``, ``"1e9"``, ``"1_000"``): an exponent would otherwise build a
+    number of any size.
     """
+    nums = []
+    for x in values:
+        # "-?[0-9]+" of at most 18 characters, far below any digit limit of int()
+        if (type(x) is str and len(x) < 19 and (x[1:] if x[:1] == "-" else x).isdigit()
+                and x.isascii()):
+            nums.append(int(x))
+        else:
+            break
+    else:
+        return nums, 1
+    pairs = [_parse_ratio(x) for x in values]
+    den = lcm(*(d for _, d in pairs))
+    return [n * (den // d) for n, d in pairs], den
+
+
+def _parse_ratio(value):
+    """``(numerator, denominator)`` of one JSON rational, the denominator positive."""
     if isinstance(value, bool):
         raise ValueError(f"not a rational: {value!r}")
     if isinstance(value, int):
-        return Fraction(value)
+        return value, 1
     if isinstance(value, str):
-        # "-?[0-9]+" of at most 18 characters, far below any digit limit of int()
-        digits = value[1:] if value[:1] == "-" else value
-        if len(value) < 19 and digits.isdigit() and digits.isascii():
-            return Fraction(int(value))
         match = _RATIONAL.fullmatch(value)
         if match is None:
             raise ValueError(f"not a rational: {value!r}")
         num, den = match.groups()
-        try:
-            return Fraction(int(num), int(den or 1))
-        except ZeroDivisionError:
-            raise ValueError(f"not a rational: {value!r} has a zero denominator") from None
-        except ValueError:  # more digits than int() converts: name the part
-            parse_digits(num, "not a rational: numerator")
-            parse_digits(den, "not a rational: denominator")
-            raise
+        num = parse_digits(num, "not a rational: numerator")
+        if den is None:
+            return num, 1
+        den = parse_digits(den, "not a rational: denominator")
+        if den == 0:
+            raise ValueError(f"not a rational: {value!r} has a zero denominator")
+        return num, den
     raise ValueError(f"not a rational: {value!r}")
 
 

@@ -17,7 +17,6 @@ independent checker re-verifies.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import product
 from operator import mul
@@ -585,10 +584,8 @@ def stellar_subdivide_fan(fan: TopologicalFan, sigma, validate=True) -> Topologi
     """Subdivide one facet; the new vertex's ray is the sum of the facet's rays."""
     s = tuple(sorted(sigma))
     new_complex = fan.complex.stellar_subdivide(s)
-    b = tuple(sum(fan.ray(i).b[k] for i in s) for k in range(fan.n))
-    c = tuple(sum(fan.ray(i).c[k] for i in s) for k in range(fan.n))
-    v = tuple(sum(fan.ray(i).v[k] for i in s) for k in range(fan.n))
-    return _checked(TopologicalFan(fan.n, new_complex, fan.rays + (Ray(b, c, v),)), validate)
+    ray = Ray.sum_of(fan.ray(i) for i in s)
+    return _checked(TopologicalFan(fan.n, new_complex, fan.rays + (ray,)), validate)
 
 
 def suspend_fan(fan: TopologicalFan, validate=True) -> TopologicalFan:
@@ -609,7 +606,6 @@ def product_fan(a: TopologicalFan, b: TopologicalFan, validate=True) -> Topologi
 
 def _block_rays(a: TopologicalFan, b: TopologicalFan):
     """The rays of a product: a's rays, then b's, each zero-extended into the other block."""
-    zero_a, zero_b = (Fraction(0),) * a.n, (Fraction(0),) * b.n
-    return ([Ray(r.b + zero_b, r.c + zero_b, r.v + (0,) * b.n) for r in a.rays]
-            + [Ray(zero_a + r.b, zero_a + r.c, (0,) * a.n + r.v) for r in b.rays])
+    return ([r.zero_extended(0, b.n) for r in a.rays]
+            + [r.zero_extended(a.n, 0) for r in b.rays])
 

@@ -8,10 +8,12 @@ node and backtrack counts, ``find_clique`` recurses with its own node
 budget (here a parameter, ``budget``, in place of the module's
 ``_CLIQUE_NODE_LIMIT``), and ``plan`` takes a ``max`` over every remaining
 vertex.  The new code must return the same sigma, scalars and stats, the
-same clique or None, and the same plan.
+same clique or None, and the same plan.  Both read the ray keys of
+``topfan.fans._ORBIT_KEYS`` and build the ``h`` scalars from the rays'
+normalizers for the pairs of the returned sigma.
 """
 
-from topfan.fans import _ORBIT_KEYS, Isomorphism, _homeo_inverse
+from topfan.fans import _ORBIT_KEYS, Isomorphism, _h_normalizer, _homeo_inverse
 from topfan.realize import _Completion, _Step
 
 
@@ -28,14 +30,12 @@ def equivalent(a, b, mode="strict", stats=None):
     if orbit_key is None:
         raise ValueError(f"unknown mode {mode!r}")
     m = a.m
-    buckets, target_mu = {}, {}
+    buckets = {}
     for j in range(1, m + 1):
-        key, target_mu[j] = orbit_key(b.ray(j))
-        buckets.setdefault(key, []).append(j)
-    allowed, source_mu = {}, {}
+        buckets.setdefault(orbit_key(b.ray(j)), []).append(j)
+    allowed = {}
     for i in range(1, m + 1):
-        key, source_mu[i] = orbit_key(a.ray(i))
-        allowed[i] = buckets.get(key, ())
+        allowed[i] = buckets.get(orbit_key(a.ray(i)), ())
         stats["candidates"] += len(allowed[i])
         if not allowed[i]:
             return None
@@ -89,7 +89,8 @@ def equivalent(a, b, mode="strict", stats=None):
         return None
     scalars = None
     if mode == "h":
-        scalars = {i: source_mu[i] * _homeo_inverse(target_mu[j]) for i, j in sigma.items()}
+        scalars = {i: _h_normalizer(a.ray(i)) * _homeo_inverse(_h_normalizer(b.ray(j)))
+                   for i, j in sigma.items()}
     return Isomorphism(dict(sigma), scalars)
 
 

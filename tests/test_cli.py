@@ -25,6 +25,7 @@ from topfan.complexes import SimplicialComplex, cyclic_polytope_boundary
 from topfan.fans import Ray, TopologicalFan
 from topfan.fixtures import (
     barnette_complex,
+    barnette_fan,
     cp2cp2_fan,
     octahedron_complex,
     octahedron_fan,
@@ -167,6 +168,19 @@ def _malformed_fans():
     wide_ray["rays"][0] = {"b": ["1", "0", "0"], "c": ["0", "0", "0"], "v": [1, 0, 0]}
     bool_b = cp2cp2_fan().to_json()
     bool_b["rays"][0]["b"] = [True, 0]
+    # a ray that is no JSON object, or a field of it that is no JSON array:
+    # "10" and {"1": 1, "0": 0} would iterate as b = (1, 0)
+    wrong_types = {}
+    for name, field, value in [("b-string", "b", "10"), ("b-object", "b", {"1": 1, "0": 0}),
+                               ("c-string", "c", "00"), ("c-null", "c", None),
+                               ("v-string", "v", "10"), ("v-object", "v", {"1": 1})]:
+        data = cp2cp2_fan().to_json()
+        data["rays"][0][field] = value
+        wrong_types[name] = (data, f"error: ray field {field} must be a JSON array, not {value!r}\n")
+    for name, value in [("ray-number", 5), ("ray-array", [1, 0]), ("ray-null", None)]:
+        data = cp2cp2_fan().to_json()
+        data["rays"][0] = value
+        wrong_types[name] = (data, f"error: a ray must be a JSON object, not {value!r}\n")
     return {
         "zero-denominator": (bad_b, "zero denominator"),
         "top-level-list": ([1, 2], "must be a JSON object"),
@@ -176,6 +190,7 @@ def _malformed_fans():
         "ray-of-three-entries": (wide_ray,
                                  "error: ray dimension does not match the fan dimension\n"),
         "b-entry-true": (bool_b, "error: not a rational: True\n"),
+        **wrong_types,
     }
 
 
@@ -429,6 +444,45 @@ def test_equiv_command(capsys, tmp_path, cp2cp2_path):
     report = json.loads(out)
     assert report["result"] == {"equivalent": False, "mode": "strict"}
     assert report["stats"] == {"candidates": 0, "nodes": 0, "backtracks": 0}
+
+
+def test_equiv_h_scalars_take_each_ray_to_its_image(capsys, tmp_path):
+    """Every scalar of an ``equiv --mode h`` report is a homeomorphism scalar mu
+    with a_i * mu = b_sigma(i), entry by entry in ``RElem`` arithmetic; the
+    target is Barnette's fan relabelled, with random c's and each ray times
+    a random homeomorphism scalar."""
+    from topfan.ring import RElem
+    from tests.equivalence_oracle import is_homeo_scalar
+
+    rng = random.Random(229)
+    fan = barnette_fan()
+    rays = [Ray(r.b, tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in r.b), r.v)
+            for r in fan.rays]
+    source = TopologicalFan(fan.n, fan.complex, rays)
+    images = list(range(1, fan.m + 1))
+    rng.shuffle(images)
+    sigma = dict(zip(range(1, fan.m + 1), images))
+    moved = [None] * fan.m
+    for i, ray in enumerate(rays, start=1):
+        mu = RElem(Fraction(rng.randint(1, 5), rng.randint(1, 3)),
+                   Fraction(rng.randint(-3, 3), rng.randint(1, 3)), rng.choice([1, -1]))
+        moved[sigma[i] - 1] = ray.right_mul(mu)
+    target = TopologicalFan(fan.n, fan.complex.relabeled(sigma), moved)
+    paths = []
+    for name, f in (("source", source), ("target", target)):
+        paths.append(str(tmp_path / f"{name}.json"))
+        with open(paths[-1], "w", encoding="utf-8") as fh:
+            json.dump(f.to_json(), fh)
+    code, out, err = run_cli(capsys, "equiv", *paths, "--mode", "h")
+    assert (code, err) == (0, "")
+    result = json.loads(out)["result"]
+    assert sorted(result["scalars"]) == sorted(result["sigma"]) == sorted(map(str, sigma))
+    for i, j in result["sigma"].items():
+        bn, bd, cn, cd, v = result["scalars"][i]
+        mu = RElem(Fraction(bn, bd), Fraction(cn, cd), v)
+        assert is_homeo_scalar(mu)
+        a, b = source.ray(int(i)).rvec(), target.ray(j).rvec()
+        assert tuple(e * mu for e in a) == b, (i, j)
 
 
 def test_surgery_roundtrip(capsys, tmp_path, cp2cp2_path):

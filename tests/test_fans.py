@@ -20,7 +20,7 @@ from topfan.fixtures import (
     segment_fan,
 )
 from topfan.realize import product_fan, suspend_fan
-from tests import chart_oracle, cone_oracle, equivalence_oracle, search_oracle
+from tests import chart_oracle, cone_oracle, equivalence_oracle, ray_oracle, search_oracle
 from tests.conftest import random_valid_fan
 
 
@@ -113,6 +113,86 @@ def test_ray_from_parts_keeps_v_exact():
         Ray.from_parts((Fraction(1, 2), 1))
     assert Ray.from_parts((Fraction(2), 1)).v == (2, 1)
     assert Ray((1, 2), (0, 0), (Fraction(4, 2), 1.0)).v == (2, 1)
+
+
+def _random_rational(rng, size=6):
+    """A rational with a numerator in -size..size and a denominator in 1..size; a fifth are 0."""
+    if rng.random() < 0.2:
+        return Fraction(0)
+    return Fraction(rng.randint(-size, size), rng.randint(1, size))
+
+
+def _random_reference_rays(rng, count, size=6, max_n=4):
+    """Seeded ``ray_oracle.FractionRay``s: b nonzero, v primitive in -3..3."""
+    rays = []
+    while len(rays) < count:
+        n = rng.randint(1, max_n)
+        b = tuple(_random_rational(rng, size) for _ in range(n))
+        v = tuple(rng.randint(-3, 3) for _ in range(n))
+        if any(b) and linalg.vec_gcd(v) == 1:
+            rays.append(ray_oracle.FractionRay(
+                b, tuple(_random_rational(rng, size) for _ in range(n)), v))
+    return rays
+
+
+def _spelled(x, rng):
+    """A JSON spelling of the rational x: an int, or a string not always in lowest terms."""
+    k = rng.randint(1, 4)
+    if x.denominator == 1 and rng.random() < 0.3:
+        return int(x)
+    if x.denominator == 1 and rng.random() < 0.5:
+        return str(x)
+    return f"{x.numerator * k}/{x.denominator * k}"
+
+
+def _integer_forms(ref, rng):
+    """The reference ray built as ``Ray`` from Fractions, from ints or strings, and from JSON."""
+    data = {"b": [_spelled(x, rng) for x in ref.b], "c": [_spelled(x, rng) for x in ref.c],
+            "v": list(ref.v)}
+    return [Ray(ref.b, ref.c, ref.v), Ray(list(ref.b), [str(x) for x in ref.c], list(ref.v)),
+            Ray.from_json(ref.to_json()), Ray.from_json(data)]
+
+
+def test_integer_rays_agree_with_the_fraction_reference():
+    """Every way of building a ray gives the reference's b and c (as tuples
+    of ``Fraction``), v and JSON text; rays are equal, with equal hashes,
+    exactly when the reference's are; ``right_mul`` multiplies as the
+    reference does; the fan's integer b-columns and scaled ring vectors are
+    the reference's."""
+    rng = random.Random(211)
+    refs = _random_reference_rays(rng, 300)
+    copies = refs[::7]
+    refs += copies  # equal pairs
+    forms = []
+    for ref in refs:
+        rays = _integer_forms(ref, rng)
+        for ray in rays:
+            assert (ray.b, ray.c, ray.v) == (ref.b, ref.c, ref.v)
+            assert all(type(x) is Fraction for x in ray.b + ray.c)
+            assert all(type(x) is int for x in ray.v)
+            assert ray.to_json() == ref.to_json()
+            assert ray == rays[0] and hash(ray) == hash(rays[0])
+        mu = RElem(_random_rational(rng) or Fraction(1), _random_rational(rng),
+                   rng.choice([1, -1]))
+        image = ref.right_mul(mu)
+        assert all(
+            (r.b, r.c, r.v) == (image.b, image.c, image.v) for r in
+            (ray.right_mul(mu) for ray in rays))
+        forms.append(rays[rng.randrange(len(rays))])
+    equal_pairs = 0
+    for (ref_a, a), (ref_b, b) in combinations(zip(refs, forms), 2):
+        assert (a == b) == (ref_a == ref_b)
+        if a == b:
+            assert hash(a) == hash(b)
+            equal_pairs += 1
+    assert equal_pairs >= len(copies)
+    for n in range(1, 5):
+        pairs = [(ref, ray) for ref, ray in zip(refs, forms) if len(ref.v) == n]
+        points = SimplicialComplex(len(pairs), [(i,) for i in range(1, len(pairs) + 1)])
+        fan = TopologicalFan(n, points, [ray for _, ray in pairs])
+        for i, (ref, _) in enumerate(pairs, start=1):
+            assert tuple(fan._int_b_column(i)) == ray_oracle.int_b_column(ref)
+        assert fan._scaled_rvecs() == ray_oracle.scaled_rvecs([ref for ref, _ in pairs])
 
 
 def test_square_fan_validates(square_fan):
@@ -1141,16 +1221,54 @@ def test_orbit_key_equality_is_exactly_a_ray_match(fan_generator):
             for target in images:
                 for mode, orbit_key in fans_module._ORBIT_KEYS.items():
                     want = equivalence_oracle._ray_match_scalar(source, target, mode)
-                    (key_s, mu_s), (key_t, mu_t) = orbit_key(source), orbit_key(target)
-                    matched = key_s == key_t
+                    matched = orbit_key(source) == orbit_key(target)
                     assert matched == (want is not None), (source, target, mode)
                     counts[mode, matched] += 1
                     if mode == "h" and matched:
-                        mu = mu_s * fans_module._homeo_inverse(mu_t)
+                        mu = fans_module._h_normalizer(source) * fans_module._homeo_inverse(
+                            fans_module._h_normalizer(target))
                         assert equivalence_oracle.is_homeo_scalar(mu)
                         assert source.right_mul(mu) == target
                         assert mu == want and mu.to_json() == want.to_json()
     assert all(counts.values()), counts
+
+
+def _reference(ray):
+    return ray_oracle.FractionRay(ray.b, ray.c, ray.v)
+
+
+def test_integer_h_keys_split_rays_as_the_homeomorphism_scalars_do():
+    """Two rays share an integer ``h`` key exactly when a homeomorphism
+    scalar takes one to the other, and exactly when the rational h-canonical
+    rays of ``ray_oracle`` are equal.  The rays are seeded small ones with c
+    orthogonal to v for a third of them, and their images under random
+    homeomorphism scalars, the v-flip and c -> c + t v."""
+    from topfan.ring import MU0
+
+    rng = random.Random(223)
+    refs = _random_reference_rays(rng, 40, size=2, max_n=3)
+    for ref in refs[::3]:
+        # c minus its projection on v: c . v = 0
+        vv = sum(x * x for x in ref.v)
+        cv = sum(c * x for c, x in zip(ref.c, ref.v))
+        refs.append(ray_oracle.FractionRay(
+            ref.b, tuple(c - cv * x / vv for c, x in zip(ref.c, ref.v)), ref.v))
+    rays = [Ray(ref.b, ref.c, ref.v) for ref in refs]
+    images = []
+    for ray in rays:
+        images += [ray.right_mul(_random_homeo_scalar(rng)), ray.right_mul(MU0),
+                   ray.right_mul(RElem(1, _random_rational(rng, 3), 1))]
+    key = fans_module._ORBIT_KEYS["h"]
+    counts = {True: 0, False: 0}
+    for source in rays:
+        for target in rays + images:
+            matched = key(source) == key(target)
+            assert matched == (equivalence_oracle._h_scalar(source, target) is not None)
+            assert matched == (ray_oracle.h_key(_reference(source))
+                               == ray_oracle.h_key(_reference(target)))
+            counts[matched] += 1
+    # each ray matches itself and its three images; each c . v = 0 copy its original too
+    assert counts[True] >= 4 * len(rays) + 2 * len(refs[40:]) and counts[False], counts
 
 
 def test_equivalent_stats_on_a_relabelled_copy():
