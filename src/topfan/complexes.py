@@ -16,7 +16,7 @@ from itertools import chain, combinations, count
 from math import comb
 from types import MappingProxyType
 
-from .linalg import parse_int
+from .linalg import json_array, parse_int
 
 
 class SimplicialComplex:
@@ -203,7 +203,8 @@ class SimplicialComplex:
         if not isinstance(data, dict):
             raise ValueError(f"a complex must be a JSON object, not {type(data).__name__}")
         m = parse_int(data["m"], "m")
-        facets = [[parse_int(v, "facets") for v in f] for f in data["facets"]]
+        facets = [[parse_int(v, "facets") for v in json_array(f, "a facet")]
+                  for f in json_array(data["facets"], "facets")]
         for f in facets:
             if len(set(f)) != len(f):
                 raise ValueError(f"facet {f} repeats a vertex")

@@ -482,7 +482,7 @@ class TopologicalFan:
         return TopologicalFan(
             n,
             SimplicialComplex.from_json(data["complex"]),
-            [Ray.from_json(r) for r in data["rays"]],
+            [Ray.from_json(r) for r in linalg.json_array(data["rays"], "rays")],
         )
 
     def __eq__(self, other):

@@ -10,11 +10,7 @@ engine in this package.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
-from math import lcm
-from operator import mul
 
-from . import linalg
 from .complexes import SimplicialComplex, cyclic_polytope_boundary
 from .fans import Ray, TopologicalFan
 
@@ -88,11 +84,22 @@ def tetrahedron_positions():
     return [(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)]
 
 
-def icosahedron_complex_and_positions():
-    """A rational icosahedron: hull facets of twelve points near the round one.
+# The 20 hull facets of the icosahedron's points below, vertices numbered
+# from 1 in the order the points are listed.
+ICOSAHEDRON_FACETS = (
+    (1, 3, 5), (1, 3, 6), (1, 5, 9), (1, 6, 11), (1, 9, 11),
+    (2, 4, 7), (2, 4, 8), (2, 7, 9), (2, 8, 11), (2, 9, 11),
+    (3, 5, 10), (3, 6, 12), (3, 10, 12), (4, 7, 10), (4, 8, 12),
+    (4, 10, 12), (5, 7, 9), (5, 7, 10), (6, 8, 11), (6, 8, 12),
+)
 
-    The golden ratio is replaced by 13/8; the hull is computed exactly and
-    stays combinatorially an icosahedron (20 triangles, 30 edges).
+
+def icosahedron_complex_and_positions():
+    """A rational icosahedron: twelve points near the round one and their hull facets.
+
+    The golden ratio is replaced by 13/8; the points stay in convex position
+    and their hull is combinatorially an icosahedron (20 triangles, 30
+    edges), the facets ``ICOSAHEDRON_FACETS``.
     """
     t = Fraction(13, 8)
     points = []
@@ -105,31 +112,7 @@ def icosahedron_complex_and_positions():
     for a in (1, -1):
         for b in (t, -t):
             points.append((a, b, 0))
-    facets = _hull_facets(points)
-    complex_ = SimplicialComplex(len(points), facets)
-    return complex_, points
-
-
-def _hull_facets(points):
-    """Facets of a simplicial convex hull in R^3, by exact plane sidedness.
-
-    A triangle is a facet when its normal is nonzero and every other point
-    lies strictly on one side of its plane.  Scaling every point by one
-    positive number moves no side, so the points are made integral first.
-    """
-    den = lcm(*(Fraction(x).denominator for p in points for x in p))
-    pts = [tuple(int(Fraction(x) * den) for x in p) for p in points]
-    facets = []
-    for i, j, k in combinations(range(len(pts)), 3):
-        a, b, c = pts[i], pts[j], pts[k]
-        normal = linalg._det_form([y - x for x, y in zip(a, b)], [y - x for x, y in zip(a, c)])
-        heights = [sum(map(mul, normal, p)) for p in pts]
-        # each other point's side of the plane: -1, 0 (on it) or 1
-        sides = {(h > heights[i]) - (h < heights[i])
-                 for q, h in enumerate(heights) if q not in (i, j, k)}
-        if any(normal) and 0 not in sides and len(sides) < 2:
-            facets.append((i + 1, j + 1, k + 1))
-    return facets
+    return SimplicialComplex(len(points), ICOSAHEDRON_FACETS), points
 
 
 # -- the eight-vertex non-polytopal sphere ------------------------------------------

@@ -288,13 +288,6 @@ def nonneg_solution(rows, rhs):
     return x
 
 
-def vec_gcd(values):
-    g = 0
-    for v in values:
-        g = gcd(g, abs(int(v)))
-    return g
-
-
 def maximal_minor_gcd(columns):
     """gcd of the k x k minors of the integer matrix with these k columns (0 if they are dependent).
 
@@ -328,7 +321,7 @@ def clear_denominators(vec):
     fracs = [x if type(x) is Fraction else Fraction(x) for x in vec]
     den = lcm(*(f.denominator for f in fracs))
     ints = [f.numerator * (den // f.denominator) for f in fracs]
-    g = vec_gcd(ints)
+    g = gcd(*ints)
     if g > 1:
         ints = [x // g for x in ints]
     return ints
@@ -410,3 +403,12 @@ def parse_int(value, field):
         raise ValueError(f"not an integer in {field}: {value!r}")
     return value
 
+
+def json_array(value, field):
+    """A JSON array of the named field, as it is; any other JSON value is a ValueError.
+
+    A string or an object would iterate as its characters or its keys.
+    """
+    if not isinstance(value, list):
+        raise ValueError(f"{field} must be a JSON array, not {value!r}")
+    return value

@@ -148,10 +148,11 @@ class Ray:
         """
         if not isinstance(data, dict):
             raise ValueError(f"a ray must be a JSON object, not {data!r}")
-        b_int = linalg.parse_ratios(_json_array(data["b"], "b"))
-        c_int = linalg.parse_ratios(_json_array(data["c"], "c")) if "c" in data else (
+        array = linalg.json_array
+        b_int = linalg.parse_ratios(array(data["b"], "ray field b"))
+        c_int = linalg.parse_ratios(array(data["c"], "ray field c")) if "c" in data else (
             [0] * len(b_int[0]), 1)
-        v = tuple(linalg.parse_int(x, "v") for x in _json_array(data["v"], "v"))
+        v = tuple(linalg.parse_int(x, "v") for x in array(data["v"], "ray field v"))
         return Ray._from_ints(b_int, c_int, v)
 
     @staticmethod
@@ -204,9 +205,3 @@ def _sum_parts(parts):
     """The entrywise sum of parts given as ``(numerators, denominator)``, not reduced."""
     den = lcm(*(d for _, d in parts))
     return [sum(col) for col in zip(*([x * (den // d) for x in nums] for nums, d in parts))], den
-
-
-def _json_array(value, field):
-    if not isinstance(value, list):
-        raise ValueError(f"ray field {field} must be a JSON array, not {value!r}")
-    return value

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from itertools import product
+from math import gcd
 from operator import mul
 from typing import Optional
 
@@ -422,7 +423,7 @@ def _box_points(step, assignment, n, bound):
     """
     span = range(-bound, bound + 1)
     if not step.completes:
-        yield from (x for x in product(span, repeat=n) if any(x) and linalg.vec_gcd(x) == 1)
+        yield from (x for x in product(span, repeat=n) if gcd(*x) == 1)
         return
     system = linalg.reduce_system((c.form(assignment), c.allowed) for c in step.completes)
     if system is None:

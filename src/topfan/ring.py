@@ -56,9 +56,6 @@ class RElem:
     def __neg__(self) -> "RElem":
         return RElem(-self.b, -self.c, -self.v)
 
-    def __sub__(self, other: "RElem") -> "RElem":
-        return self + (-other)
-
     def conjugate(self) -> "RElem":
         """Complex conjugate endomorphism: (b, -c, -v)."""
         return RElem(self.b, -self.c, -self.v)

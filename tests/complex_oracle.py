@@ -10,10 +10,14 @@ face enumeration per dimension for the f-vector, and the face poset's
 membership test and re-sort.  Each takes the complex as its first argument
 and must give the same values in the same order as the index.  Two
 readings that no caller in the package needs live here too: the Euler
-characteristic of a complex and the order of the face poset.
+characteristic of a complex and the order of the face poset.  The facets
+of a point set's convex hull in R^3 are here as well, the check on the
+icosahedron fixture's literal facets.
 """
 
+from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from topfan.charts import FacePoset
 from topfan.complexes import SimplicialComplex
@@ -166,4 +170,29 @@ def cyclic_facets(n, m):
                 break
         if ok:
             facets.append(s)
+    return facets
+
+
+def hull_facets(points):
+    """Facets of a simplicial convex hull in R^3, by exact plane sidedness.
+
+    A triangle (vertices numbered from 1, in ``combinations`` order) is a
+    facet when its normal is nonzero and every other point lies strictly on
+    one side of its plane.  Scaling every point by one positive number moves
+    no side, so the points are made integral first.
+    """
+    den = lcm(*(Fraction(x).denominator for p in points for x in p))
+    pts = [tuple(int(Fraction(x) * den) for x in p) for p in points]
+    facets = []
+    for i, j, k in combinations(range(len(pts)), 3):
+        a, b, c = pts[i], pts[j], pts[k]
+        u = [y - x for x, y in zip(a, b)]
+        w = [y - x for x, y in zip(a, c)]
+        normal = (u[1] * w[2] - u[2] * w[1], u[2] * w[0] - u[0] * w[2], u[0] * w[1] - u[1] * w[0])
+        heights = [sum(x * y for x, y in zip(normal, p)) for p in pts]
+        # each other point's side of the plane: -1, 0 (on it) or 1
+        sides = {(h > heights[i]) - (h < heights[i])
+                 for q, h in enumerate(heights) if q not in (i, j, k)}
+        if any(normal) and 0 not in sides and len(sides) < 2:
+            facets.append((i + 1, j + 1, k + 1))
     return facets

@@ -177,7 +177,7 @@ def extreme_rays_nonneg_kernel(rows):
 
     def push(u):
         if all(x >= 0 for x in u) and any(x > 0 for x in u):
-            g = linalg.vec_gcd(u)
+            g = gcd(*u)
             key = tuple(x // g for x in u)
             if key not in seen:
                 seen.add(key)

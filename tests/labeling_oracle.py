@@ -14,6 +14,7 @@ without it.
 
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 from topfan import linalg
 from topfan.realize import (
@@ -94,7 +95,7 @@ def integer_candidates(complex_, n, mode, bound, sign_table, vertex, assigned):
     found = set()
     for targets in product(*target_sets):
         found.update(box_solutions(rows, list(targets), n, bound))
-    return sorted(v for v in found if any(v) and linalg.vec_gcd(v) == 1)
+    return sorted(v for v in found if any(v) and gcd(*v) == 1)
 
 
 def mod2_candidates(complex_, n, vertex, assigned):

@@ -155,7 +155,10 @@ def test_malformed_input_reports_what_text_mode_json_load_reports(capsys, tmp_pa
 
 
 def _malformed_fans():
-    """Malformed fan files, each with a fragment of its error message."""
+    """Malformed fan files, each with a fragment of its error message.
+
+    A case named ``complex-...`` is a complex file, which ``realize`` reads.
+    """
     bad_b = cp2cp2_fan().to_json()
     bad_b["rays"][0]["b"] = ["1/0", "0"]
     wrong_type = cp2cp2_fan().to_json()
@@ -181,10 +184,22 @@ def _malformed_fans():
         data = cp2cp2_fan().to_json()
         data["rays"][0] = value
         wrong_types[name] = (data, f"error: a ray must be a JSON object, not {value!r}\n")
+    # rays, facets and each facet likewise: "" and {} would iterate as nothing
+    # and "12" as the facet (1, 2); a complex-only file is what realize reads
+    def empty_fan(facets, rays):
+        return {"n": 0, "complex": {"m": 0, "facets": facets}, "rays": rays}
+
+    for name, data, message in [
+            ("rays-string", empty_fan([], ""), "rays must be a JSON array, not ''"),
+            ("facets-object", empty_fan({}, []), "facets must be a JSON array, not {}"),
+            ("facet-string", empty_fan(["12"], []), "a facet must be a JSON array, not '12'"),
+            ("complex-facets-object", {"m": 0, "facets": {}},
+             "facets must be a JSON array, not {}")]:
+        wrong_types[name] = (data, f"error: {message}\n")
     return {
         "zero-denominator": (bad_b, "zero denominator"),
         "top-level-list": ([1, 2], "must be a JSON object"),
-        "rays-not-a-list": (wrong_type, "malformed input"),
+        "rays-not-a-list": (wrong_type, "error: rays must be a JSON array, not 5\n"),
         "n-not-an-integer": (string_n, "n must be an integer"),
         "three-rays": (three_rays, "error: one ray per vertex is required\n"),
         "ray-of-three-entries": (wide_ray,
@@ -199,8 +214,10 @@ def test_loader_failures_exit_2(capsys, tmp_path, case):
     data, message = _malformed_fans()[case]
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
-    for command in ("validate", "charts", "invariants"):
-        code, out, err = run_cli(capsys, command, str(path))
+    commands = ([("realize", "--mode", "mod2")] if case.startswith("complex-")
+                else [("validate",), ("charts",), ("invariants",)])
+    for command, *options in commands:
+        code, out, err = run_cli(capsys, command, str(path), *options)
         assert code == 2, (command, err)
         assert err.startswith("error:") and message in err
         assert out == ""

@@ -11,6 +11,7 @@ import pytest
 from topfan import charts, realize
 from topfan.complexes import FVector, SimplicialComplex, backtrack, cyclic_polytope_boundary
 from topfan.fixtures import (
+    ICOSAHEDRON_FACETS,
     barnette_complex,
     barnette_fan,
     cp2cp2_fan,
@@ -226,6 +227,13 @@ def test_barnette_complex_shape():
     assert k.is_pseudomanifold()
     # the single missing edge
     assert not k.has_face((4, 8))
+
+
+def test_icosahedron_facets_are_the_hull_of_its_points():
+    k, points = icosahedron_complex_and_positions()
+    assert complex_oracle.hull_facets(points) == list(ICOSAHEDRON_FACETS) == list(k.facets)
+    assert k.f_vector() == (12, 30, 20)
+    assert k.is_pseudomanifold()
 
 
 def test_json_roundtrip():
