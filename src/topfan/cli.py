@@ -30,7 +30,7 @@ from .charts import (
 from .complexes import SimplicialComplex
 from .fans import TopologicalFan, equivalent
 from .invariants import betti_numbers, graded_rank, omni_weights, pontrjagin_class, todd_genus
-from .linalg import parse_digits, parse_rational
+from .linalg import json_array, parse_digits, parse_rational
 from .realize import (
     LabelingProblem,
     LabelingSolution,
@@ -210,7 +210,8 @@ def _parse_facet(option, text):
 
 
 def _parse_positions(positions):
-    return [[parse_rational(x) for x in p] for p in positions]
+    return [[parse_rational(x) for x in json_array(p, "a position")]
+            for p in json_array(positions, "positions")]
 
 
 def cmd_validate(args):

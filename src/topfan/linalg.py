@@ -165,7 +165,7 @@ def parity(seq):
     return -1 if sum(a > b for a, b in combinations(seq, 2)) % 2 else 1
 
 
-def reduce_system(pairs):
+def reduce_system(pairs, start=None):
     """One fraction-free Gauss-Jordan pass over ``form . x = t``, t in ``allowed``.
 
     ``pairs`` yields integer forms of one length with nonempty tuples of
@@ -176,9 +176,15 @@ def reduce_system(pairs):
     form reduced to zero keeps only the tuples t that give it an allowed
     value.  Returns None at the first form no tuple survives, reading no
     further; else ``(d, pivots, rows, targets)``, the tuples in ``product``
-    order.
+    order.  ``start``, a result of an earlier pass, resumes that pass: the
+    result is the one pass over its pairs and then ``pairs``.  ``start``
+    itself is left unchanged.
     """
-    rows, pivots, targets, d = [], [], [()], 1
+    if start is None:
+        rows, pivots, targets, d = [], [], [()], 1
+    else:
+        d, pivots, rows, targets = start
+        pivots, rows = pivots[:], [e[:] for e in rows]
     for form, allowed in pairs:
         row = [d * x for x in form] if d != 1 else list(form)
         row += [0] * len(rows)

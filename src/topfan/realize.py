@@ -233,14 +233,18 @@ def search_labeling(problem: LabelingProblem):
     vertices are assigned in one facet-greedy order, planned once.  In the
     integer modes, the facets a vertex completes make its determinant
     constraints linear, so the candidates are the integer box points of the
-    affine solution set, and pass through the depth's probes.  A SAT answer
-    is re-verified by ``verify_labeling``.  Returns a LabelingSolution,
-    Unsat(bound), or Infeasible ("sign-contradiction", "clique" or
-    "exhausted"), with the search's ``stats``: the nodes visited (partial
-    assignments, the root and a complete one included), the candidates
-    tried, the backtracks (vertices whose every candidate failed) and, in
-    the integer modes, the ``probes`` solved and the candidates they
-    ``pruned``.  A sign contradiction or a clique has no stats.
+    affine solution set, and pass through the depth's probes.  The search
+    eliminates each system once: its reductions live in one trie (see
+    ``_plan``), and each probe or depth extends the node its vertex's
+    previous probe reached.  A SAT answer is re-verified by
+    ``verify_labeling``.  Returns a LabelingSolution, Unsat(bound), or
+    Infeasible ("sign-contradiction", "clique" or "exhausted"), with the
+    search's ``stats``: the nodes visited (partial assignments, the root
+    and a complete one included), the candidates tried, the backtracks
+    (vertices whose every candidate failed) and, in the integer modes, the
+    ``probes`` solved, the candidates they ``pruned`` and the forms
+    ``reduced`` (the trie's misses).  A sign contradiction or a clique has
+    no stats.
     """
     complex_ = problem.complex
     if not complex_.is_pure():
@@ -266,13 +270,15 @@ def search_labeling(problem: LabelingProblem):
         if clique is not None:
             return Infeasible("clique", {"clique": clique, "classes": (1 << n) - 1})
         assignment = {v: 1 << pos for pos, v in enumerate(sorted(normalization))}
-        generate, stats = _mod2_candidates, {}
+        generate, stats, trie = _mod2_candidates, {}, None
     else:
         assignment = {v: tuple(1 if k == pos else 0 for k in range(n))
                       for pos, v in enumerate(sorted(normalization))}
         generate = _integer_candidates
-        stats = {"nodes": 0, "candidates": 0, "backtracks": 0, "probes": 0, "pruned": 0}
-    plan = _plan(complex_, assignment, mode, sign_table)
+        stats = {"nodes": 0, "candidates": 0, "backtracks": 0, "probes": 0, "pruned": 0,
+                 "reduced": 0}
+        trie = _Trie(stats)
+    plan = _plan(complex_, assignment, mode, sign_table, trie)
 
     def candidates(depth):
         step = plan[depth]
@@ -290,57 +296,118 @@ def search_labeling(problem: LabelingProblem):
     return LabelingSolution(dict(assignment), dets, mode, stats=stats)
 
 
-# Linear forms kept per completed facet and search.  Branches and probes
-# reach the same labels: 65-66 % of the lookups in the label-search
-# benchmark's realize jobs hit (seeds 3 and 5).  Those jobs have n <= 4,
-# whose straight-line forms take under 2 us, so there the cache saves -2 to
-# 6 % (medians of 12 interleaved rounds, 2-vCPU host).  Forms above n = 4
-# take one ``reduce_system`` pass, 21-52 us at n = 5..7.  On the n = 5
-# unimodular searches of cyclic:5:9 and cyclic:5:10 at bound 1, 78-82 % of
-# the lookups hit and the cache saves 47-50 % (0.60-0.63 -> 0.30-0.31 s and
-# 0.49-0.51 -> 0.26-0.27 s, best of 3, two runs).  It saves 11-14 % on the
-# n = 4 UNSAT searches Barnette toric-sign and C4(9) unimodular at bound 2
-# (best of 3).
-# The cap bounds memory: C4(9)'s unimodular search at bound 4 would keep
-# 24,576 forms on a facet (a traced peak of 12.7 MB; 5.2 MB capped).
+# Linear forms kept per completed facet and search.  The trie is keyed by
+# forms, so a walk builds the form of each facet it adds; branches and
+# probes reach the same labels, and about half of these lookups hit
+# (Barnette's toric-sign search at bound 2).  Forms up to n = 4 take under
+# 2 us, and there the cache saves 0-9 % (Barnette toric-sign at bounds 1
+# and 2, unimodular C4(7), the icosahedron and C4(9) at bound 2).  Above
+# n = 4 a form takes one ``reduce_system`` pass, 21-52 us, and the cache
+# saves 44-54 % on the unimodular cyclic:5:9 and cyclic:5:10 at bound 1
+# (medians of 7 interleaved runs, 2-vCPU host).  The cap bounds memory:
+# C4(9)'s unimodular search at bound 4 reaches it on a facet.
 _FORMS_PER_FACET = 4096
+
+# Nodes the elimination trie of one search holds, its root included; when
+# full, the trie drops them all and starts again.  Each node keeps its
+# reduced system, whose targets grow with n: traced, the trie adds at most
+# 2.3 MB to Barnette's toric-sign search at bound 7, 2.8 MB to C4(9)'s
+# unimodular one at bound 4, and 4.4 and 7.2 MB to cyclic:5:9's and
+# cyclic:7:10's at bound 1.  Four times the cap made cyclic:7:10 15-25 %
+# faster but its peak RSS 49 MB instead of 31 MB.
+_TRIE_NODES = 4096
 
 
 class _Completion:
     """A facet completed by a step's vertex, as that step sees it."""
 
-    __slots__ = ("others", "position", "allowed", "forms")
+    __slots__ = ("others", "position", "allowed", "pairs")
 
     def __init__(self, others, position, allowed):
         self.others = others  # the facet's other vertices, ascending; all assigned earlier
         self.position = position  # the vertex's column in the facet's ascending order
         self.allowed = allowed  # allowed determinants: (1, -1), or the sign table's sign
-        self.forms = {}  # the others' labels -> the facet's linear form, this search only
+        self.pairs = {}  # the others' labels -> (form, allowed), this search only
 
-    def form(self, assignment):
-        """The facet's determinant as a linear form in the vertex's label, cached."""
+    def pair(self, assignment):
+        """The facet's determinant as a linear form in the vertex's label, with ``allowed``."""
         labels = tuple(map(assignment.__getitem__, self.others))
-        form = self.forms.get(labels)
-        if form is None:
-            form = linalg.cofactor_row(labels, self.position)
-            if len(self.forms) < _FORMS_PER_FACET:
-                self.forms[labels] = form
-        return form
+        pair = self.pairs.get(labels)
+        if pair is None:
+            pair = linalg.cofactor_row(labels, self.position), self.allowed
+            if len(self.pairs) < _FORMS_PER_FACET:
+                self.pairs[labels] = pair
+        return pair
+
+
+class _Node:
+    """The system reduced from the pairs on a trie path, and what follows it."""
+
+    __slots__ = ("system", "children", "point")
+
+    def __init__(self, system):
+        self.system = system  # ``linalg.reduce_system``'s result; None: no target survives
+        self.children = {}  # the next pair -> its _Node; None once the trie dropped this one
+        self.point = None if system else False  # whether the system has a box point, once known
+
+
+class _Trie:
+    """One search's eliminations, keyed by the sequence of (form, allowed) pairs.
+
+    A miss eliminates one pair from the parent's system and counts in
+    ``stats["reduced"]``.  At ``_TRIE_NODES`` nodes the trie drops every
+    node (a dropped node keeps its system but takes no children) and starts
+    again from a new root.
+    """
+
+    __slots__ = ("stats", "root", "nodes")
+
+    def __init__(self, stats):
+        self.stats = stats
+        self.nodes = ()
+        self.clear()
+
+    def clear(self):
+        for node in self.nodes:
+            node.children = None
+        self.root = _Node(linalg.reduce_system(()))
+        self.nodes = [self.root]
+
+    def child(self, node, pair):
+        """The node below ``node`` along ``pair``; eliminated and kept on a miss."""
+        if node.children is not None:
+            child = node.children.get(pair)
+            if child is not None:
+                return child
+            if len(self.nodes) >= _TRIE_NODES:
+                self.clear()  # drops ``node`` too
+        child = _Node(linalg.reduce_system((pair,), node.system))
+        self.stats["reduced"] += 1
+        if node.children is None:
+            child.children = None  # below a dropped node nothing is kept
+        else:
+            node.children[pair] = child
+            self.nodes.append(child)
+        return child
 
 
 class _Step:
-    """One depth of the search: its vertex and the facets that constrain it."""
+    """One depth of the search, or one probe: a vertex and the facets that constrain it."""
 
-    __slots__ = ("vertex", "completes", "mates", "probes")
+    __slots__ = ("vertex", "completes", "mates", "probes", "resume", "fresh", "trie", "node")
 
-    def __init__(self, vertex, completes, mates):
+    def __init__(self, vertex, completes, mates, resume=None, trie=None):
         self.vertex = vertex
-        self.completes = completes  # a _Completion per facet the vertex completes
+        self.completes = completes  # a _Completion per facet it completes (a probe: known)
         self.mates = mates  # the vertex's facets' members assigned earlier (maximal sets)
         self.probes = ()  # later vertices' known facets, solved once this vertex is placed
+        self.resume = resume  # the vertex's probe at the latest earlier depth, if any
+        self.fresh = completes[len(resume.completes):] if resume else completes
+        self.trie = trie  # the search's _Trie (integer modes)
+        self.node = None  # the trie node the last walk reached
 
 
-def _plan(complex_, pinned, mode, sign_table):
+def _plan(complex_, pinned, mode, sign_table, trie=None):
     """One step per depth; the vertex order never changes during a search.
 
     The order is greedy: next comes the vertex completing the most facets,
@@ -348,17 +415,26 @@ def _plan(complex_, pinned, mode, sign_table):
     ready counting the facets the vertex alone leaves open; a count only
     grows, so an entry whose count has since grown is stale and skipped.
 
-    In the integer modes each step also gets its probes (forward checking,
-    Haralick and Elliott, Artificial Intelligence 14, 1980).  A later
-    step's known facets at this depth are those whose other vertices are
-    all placed once this step's vertex is.  When they number two or more
-    and one of them has just become known, a probe, a ``_Step`` of the
-    later vertex with those facets' ``_Completion`` objects (and so their
-    form cache), joins this step's probes, in plan order.  Its system stays
-    fixed until the search backtracks past this step, so a candidate that
-    leaves it no box point extends to no labeling and is dropped at once.
+    In the integer modes a step's completed facets are in the order they
+    become known: by the depth of their last other vertex (the pinned ones
+    first), then in star order.  Each step also gets its probes (forward
+    checking, Haralick and Elliott, Artificial Intelligence 14, 1980).  A
+    later step's known facets at this depth, those whose other vertices
+    are all placed once this step's vertex is, are a prefix of its facets.
+    When they number two or more and one of them has just become known, a
+    probe, a ``_Step`` of the later vertex with those facets'
+    ``_Completion`` objects (and so their form cache), joins this step's
+    probes, in plan order.  Its system stays fixed until the search
+    backtracks past this step, so a candidate that leaves it no box point
+    extends to no labeling and is dropped at once.
+
+    Every step and probe shares ``trie``, the search's eliminations, and
+    resumes from the node that its vertex's probe at the latest earlier
+    depth reached.  On the search's current path that probe last ran for
+    the assignment that holds now, over a prefix of the facets, so a walk
+    looks up (or on a miss eliminates) only the newly known facets' forms.
     """
-    placed = set(pinned)
+    placed = dict.fromkeys(pinned, -1)  # each placed vertex's depth, -1 if pinned
     missing = {f: sum(1 for u in f if u not in placed) for f in complex_.facets}
     ready = {v: sum(1 for f in complex_.star(v) if missing[f] == 1)
              for v in range(1, complex_.m + 1) if v not in placed}
@@ -382,20 +458,41 @@ def _plan(complex_, pinned, mode, sign_table):
                 last = next(u for u in f if u != vertex and u not in placed)
                 ready[last] += 1
                 heappush(heap, (-ready[last], last))
-        maximal = sorted(tuple(sorted(s)) for s in mates if not any(s < t for t in mates))
-        plan.append(_Step(vertex, tuple(completes), tuple(maximal)))
-        placed.add(vertex)
-    if mode != "mod2":
-        depth = {step.vertex: d for d, step in enumerate(plan)}
-        for step in plan:
+        resume = None
+        if mode != "mod2":
             # each facet is known from the depth that places its last other vertex
-            known = [max((depth[u] for u in c.others if u in depth), default=-1)
-                     for c in step.completes]
-            for d in sorted(set(known) - {-1}):
-                part = tuple(c for c, at in zip(step.completes, known) if at <= d)
+            known = {c: max(map(placed.__getitem__, c.others), default=-1) for c in completes}
+            completes.sort(key=known.__getitem__)
+            for d in sorted(set(known.values()) - {-1}):
+                part = tuple(c for c in completes if known[c] <= d)
                 if len(part) >= 2:
-                    plan[d].probes += (_Step(step.vertex, part, ()),)
+                    resume = _Step(vertex, part, (), resume, trie)
+                    plan[d].probes += (resume,)
+        maximal = sorted(tuple(sorted(s)) for s in mates if not any(s < t for t in mates))
+        placed[vertex] = len(plan)
+        plan.append(_Step(vertex, tuple(completes), tuple(maximal), resume, trie))
     return plan
+
+
+def _walk(step, assignment):
+    """The trie node of ``step``'s system under ``assignment``.
+
+    It starts from the node of ``step.resume`` (the root when there is
+    none or the trie has dropped that node) and stops at the first pair
+    that no target survives.
+    """
+    earlier = step.resume
+    node = earlier.node if earlier is not None else None
+    if node is None or node.children is None:
+        node, fresh = step.trie.root, step.completes
+    else:
+        fresh = step.fresh
+    for c in fresh:
+        if node.system is None:
+            break
+        node = step.trie.child(node, c.pair(assignment))
+    step.node = node
+    return node
 
 
 def _integer_candidates(step, assignment, n, bound):
@@ -407,27 +504,34 @@ def _integer_candidates(step, assignment, n, bound):
 
 
 def _has_candidate(step, assignment, n, bound):
-    """Whether ``step`` has a candidate; stops at the first one found."""
-    return next(_box_points(step, assignment, n, bound), None) is not None
+    """Whether ``step`` has a candidate; known at its trie node once asked."""
+    node = _walk(step, assignment)
+    if node.point is None:
+        node.point = next(_solutions(node.system, n, bound), None) is not None
+    return node.point
 
 
 def _box_points(step, assignment, n, bound):
     """The candidates of ``step`` in the box, unsorted, one at a time.
 
-    Each completed facet's determinant is the linear form ``cofactor_row``
-    of its other columns, built only when ``linalg.reduce_system`` reaches
-    it.  Each pivot row then reads ``d·x_p + g·y = c·t`` for the free
-    coordinates y and a surviving target tuple t, so x_p = (c·t - g·y)/d
-    must be an integer in the bound.  A form equal to ±1 makes x primitive,
-    so only the unconstrained box needs filtering.
+    A form equal to ±1 makes x primitive, so only the unconstrained box
+    needs filtering.
+    """
+    if not step.completes:
+        span = range(-bound, bound + 1)
+        return (x for x in product(span, repeat=n) if gcd(*x) == 1)
+    node = _walk(step, assignment)
+    return iter(()) if node.point is False else _solutions(node.system, n, bound)
+
+
+def _solutions(system, n, bound):
+    """The integer points in the box of a system that ``linalg.reduce_system`` returned.
+
+    Each pivot row reads ``d·x_p + g·y = c·t`` for the free coordinates y
+    and a surviving target tuple t, so x_p = (c·t - g·y)/d must be an
+    integer in the bound.
     """
     span = range(-bound, bound + 1)
-    if not step.completes:
-        yield from (x for x in product(span, repeat=n) if gcd(*x) == 1)
-        return
-    system = linalg.reduce_system((c.form(assignment), c.allowed) for c in step.completes)
-    if system is None:
-        return
     det, pivots, rows, targets = system
     free = [j for j in range(n) if j not in pivots]
     shift = [[row[j] for j in free] for row in rows]

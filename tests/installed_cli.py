@@ -161,6 +161,14 @@ def main():
     # Barnette's sphere: no toric-sign labeling (exit 1), a unimodular one (exit 0)
     topfan("fixtures", "barnette", "--dir", "fx")
     topfan("realize", "fx/barnette.complex.json", "--mode", "toric-sign", "--bound", "2", code=1)
+    # at bound 5 too (exit 1), within 60 s and a 200,000 KiB address space:
+    # the search keeps its eliminations in a trie of bounded size, and
+    # "reduced" counts the forms it eliminated
+    text = topfan("realize", "fx/barnette.complex.json", "--mode", "toric-sign", "--bound", "5",
+                  code=1, timeout=60, address_space=200_000 * 1024)
+    stats = json.loads(text)["stats"]
+    require(stats == {"nodes": 723, "candidates": 722, "backtracks": 723, "probes": 10695,
+                      "pruned": 6992, "reduced": 5571}, f"stats of barnette at bound 5: {stats!r}")
     topfan("realize", "fx/barnette.complex.json", "--mode", "unimodular")
     # the suspension of Barnette's fan validates (exit 0): n = 5, m = 10,
     # and the input's vertex labels; a stellar subdivision validates too
@@ -232,7 +240,7 @@ def main():
                   "--bound", "1", code=1)
     stats = json.loads(text)["stats"]
     require(stats == {"nodes": 329, "candidates": 328, "backtracks": 329, "probes": 5168,
-                      "pruned": 4192}, f"stats of cyclic:5:9: {stats!r}")
+                      "pruned": 4192, "reduced": 5759}, f"stats of cyclic:5:9: {stats!r}")
     # a bound in other digits than ASCII is a usage error (exit 2)
     topfan("realize", "fx/barnette.complex.json", "--mode", "toric-sign", "--bound", "١",
            code=2)

@@ -7,10 +7,11 @@ copied as it was: ``equivalent`` walks its own explicit stack with its own
 node and backtrack counts, ``find_clique`` recurses with its own node
 budget (here a parameter, ``budget``, in place of the module's
 ``_CLIQUE_NODE_LIMIT``), and ``plan`` takes a ``max`` over every remaining
-vertex.  The new code must return the same sigma, scalars and stats, the
-same clique or None, and the same plan.  Both read the ray keys of
-``topfan.fans._ORBIT_KEYS`` and build the ``h`` scalars from the rays'
-normalizers for the pairs of the returned sigma.
+vertex (then orders each step's facets as ``_plan`` now does, so that the
+probes of a vertex extend one another).  The new code must return the same
+sigma, scalars and stats, the same clique or None, and the same plan.  Both
+read the ray keys of ``topfan.fans._ORBIT_KEYS`` and build the ``h``
+scalars from the rays' normalizers for the pairs of the returned sigma.
 """
 
 from topfan.fans import _ORBIT_KEYS, Isomorphism, _h_normalizer, _homeo_inverse
@@ -142,7 +143,9 @@ def plan(complex_, pinned, mode, sign_table):
     """One step per depth; the vertex order never changes during a search.
 
     The order is greedy: next comes the vertex completing the most facets,
-    the smallest index among ties.
+    the smallest index among ties.  In the integer modes a step's completed
+    facets are sorted by the plan position of their last other vertex,
+    pinned ones first and ties in star order.
     """
     placed = set(pinned)
     star = {v: [] for v in range(1, complex_.m + 1)}
@@ -163,6 +166,10 @@ def plan(complex_, pinned, mode, sign_table):
                 allowed = (sign_table.ascending_sign(f),) if mode == "toric_sign" else (1, -1)
                 completes.append(_Completion(earlier, f.index(vertex), allowed))
             missing[f] -= 1
+        if mode != "mod2":
+            order = [step.vertex for step in plan]
+            completes.sort(key=lambda c: max([order.index(u) if u in order else -1
+                                              for u in c.others], default=-1))
         maximal = sorted(tuple(sorted(s)) for s in mates if not any(s < t for t in mates))
         plan.append(_Step(vertex, tuple(completes), tuple(maximal)))
         placed.add(vertex)

@@ -954,7 +954,7 @@ def test_realize_report_carries_search_stats(capsys, tmp_path):
     assert report["result"] == {"kind": "unsat", "bound": 1}
     assert "seed" not in report
     stats = report["stats"]
-    assert set(stats) == {"nodes", "candidates", "backtracks", "probes", "pruned"}
+    assert set(stats) == {"nodes", "candidates", "backtracks", "probes", "pruned", "reduced"}
     assert stats["nodes"] == stats["backtracks"] == stats["candidates"] + 1 > 1
     assert stats["probes"] >= stats["pruned"] > 0
 
@@ -1121,6 +1121,28 @@ def test_realize_sphere_malformed_positions_exit_2(capsys, tmp_path, positions):
     code, out, err = run_cli(capsys, "realize", str(path), "--mode", "sphere")
     assert code == 2 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("edit, message", [
+    # a string point would iterate as its digits: (1, 0, 0), and exit 0
+    (lambda positions: positions.__setitem__(0, "100"),
+     "error: a position must be a JSON array, not '100'"),
+    # an object would iterate as its keys, each a one-coordinate point
+    (lambda positions: {str(k): p for k, p in enumerate(positions, 1)},
+     "error: positions must be a JSON array, not {'1': ['1', '0', '0'], '2': ['0', '1', '0'], "
+     "'3': ['0', '0', '1'], '4': ['-1', '0', '0'], '5': ['0', '-1', '0'], "
+     "'6': ['0', '0', '-1']}"),
+], ids=["string-point", "positions-object"])
+def test_realize_sphere_positions_and_each_position_are_json_arrays(capsys, tmp_path, edit,
+                                                                     message):
+    from topfan.fixtures import octahedron_complex, octahedron_positions
+
+    data = octahedron_complex().to_json()
+    positions = [[str(x) for x in p] for p in octahedron_positions()]
+    data["positions"] = edit(positions) or positions
+    path = tmp_path / "oct.json"
+    path.write_text(json.dumps(data))
+    assert run_cli(capsys, "realize", str(path), "--mode", "sphere") == (2, "", message + "\n")
 
 
 def test_unknown_fixture_and_sphere_without_positions_exit_2_with_the_error_prefix(

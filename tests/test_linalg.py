@@ -449,6 +449,37 @@ def test_reduce_system_reads_no_form_after_the_first_that_fails():
     assert linalg.reduce_system(iter([])) == (1, [], [], [()])
 
 
+def test_reduce_system_resumes_from_an_earlier_result_and_leaves_it_unchanged():
+    """Split at every point, the pass over a prefix and then, from its result,
+    over the rest equals the one pass over all pairs; the prefix's result is
+    unchanged, and a prefix that no target survives leaves the whole None."""
+    rng = random.Random(173)
+    outcomes = set()
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        forms = _seeded_rows(rng, n)
+        if rng.random() < 0.2:
+            forms.insert(rng.randrange(len(forms) + 1), (0,) * n)
+        point = [rng.randint(-2, 2) for _ in range(n)]
+        pairs = []
+        for form in forms:
+            value = sum(map(mul, form, point))
+            sets = [(1,), (-1,), (1, -1), (value,), (value, value + 1)]
+            pairs.append((form, rng.choice(sets)))
+        whole = linalg.reduce_system(iter(pairs))
+        for cut in range(len(pairs) + 1):
+            start = linalg.reduce_system(iter(pairs[:cut]))
+            if start is None:
+                assert whole is None, pairs
+                outcomes.add("prefix None")
+                continue
+            before = repr(start)
+            assert linalg.reduce_system(iter(pairs[cut:]), start=start) == whole, (pairs, cut)
+            assert repr(start) == before, (pairs, cut)
+            outcomes.add("resumed" if whole is not None else "rest None")
+    assert outcomes == {"prefix None", "resumed", "rest None"}
+
+
 def test_parse_rational_agrees_with_fraction_on_the_accepted_forms():
     rng = random.Random(151)
     for _ in range(300):

@@ -135,7 +135,8 @@ def _match_the_oracle_at_every_node(monkeypatch, complex_, pinned, table, mode, 
     _assert_same_verdict(result, reference)
     assert result.stats["nodes"] == len(memo) + (1 if isinstance(result, LabelingSolution) else 0)
     assert result.stats["probes"] == len(probes)
-    assert result.stats == stats
+    assert set(result.stats) == set(stats) | {"reduced"}
+    assert {key: result.stats[key] for key in stats} == stats
     return memo
 
 
@@ -230,12 +231,13 @@ def test_search_counts_nodes_candidates_and_backtracks():
     stats = unsat.stats
     assert stats["nodes"] == stats["backtracks"] == stats["candidates"] + 1
     assert "stats" not in unsat.to_json()
-    assert stats == {"nodes": 16, "candidates": 15, "backtracks": 16, "probes": 131, "pruned": 59}
+    assert stats == {"nodes": 16, "candidates": 15, "backtracks": 16, "probes": 131, "pruned": 59,
+                     "reduced": 81}
     wider = search_labeling(LabelingProblem(complex_, "toric_sign", bound=2,
                                             normalization=pinned, sign_table=table))
     assert isinstance(wider, Unsat)
     assert wider.stats == {"nodes": 83, "candidates": 82, "backtracks": 83,
-                           "probes": 845, "pruned": 468}
+                           "probes": 845, "pruned": 468, "reduced": 437}
 
     sat = search_labeling(LabelingProblem(complex_, "unimodular", normalization=pinned))
     assert isinstance(sat, LabelingSolution)
@@ -248,15 +250,61 @@ def test_search_counts_nodes_candidates_and_backtracks():
     c5_9 = search_labeling(LabelingProblem(cyclic_complex(5, 9), "unimodular", bound=1))
     assert isinstance(c5_9, Unsat)
     assert c5_9.stats == {"nodes": 329, "candidates": 328, "backtracks": 329,
-                          "probes": 5168, "pruned": 4192}
+                          "probes": 5168, "pruned": 4192, "reduced": 5759}
     c5_8 = search_labeling(LabelingProblem(cyclic_complex(5, 8), "unimodular"))
     assert isinstance(c5_8, LabelingSolution)
-    assert c5_8.stats == {"nodes": 6, "candidates": 5, "backtracks": 2, "probes": 32, "pruned": 25}
+    assert c5_8.stats == {"nodes": 6, "candidates": 5, "backtracks": 2, "probes": 32, "pruned": 25,
+                          "reduced": 101}
 
     mod2 = search_labeling(LabelingProblem(octahedron_complex(), "mod2"))
     assert mod2.stats == {"nodes": 4, "candidates": 3, "backtracks": 0}
     clique = search_labeling(LabelingProblem(cyclic_complex(4, 16), "mod2"))
     assert isinstance(clique, Infeasible) and clique.stats is None
+
+
+TRIE_INSTANCES = {
+    "barnette-toric-sign-2": ("barnette", "toric_sign", 2),
+    "C4(7)-unimodular": ("C4(7)", "unimodular", 1),
+    "octahedron-unimodular": ("octahedron", "unimodular", 1),
+}
+
+
+@pytest.mark.parametrize("cap", [1, 4])
+@pytest.mark.parametrize("name", list(TRIE_INSTANCES))
+def test_a_capped_trie_changes_no_verdict_and_no_count(monkeypatch, name, cap):
+    """The trie clears itself when full: the search gives the uncapped verdict,
+    first solution and counts (only ``reduced`` grows), and never holds more
+    than ``_TRIE_NODES`` nodes."""
+    instance, mode, bound = TRIE_INSTANCES[name]
+    complex_, pinned, table = INSTANCES[instance]
+    problem = LabelingProblem(complex_, mode, bound=bound, normalization=pinned,
+                              sign_table=table if mode == "toric_sign" else None)
+    monkeypatch.setattr(realize, "_TRIE_NODES", 10 ** 9)
+    uncapped = search_labeling(problem)
+
+    sizes, clears = [], []
+    child, clear = realize._Trie.child, realize._Trie.clear
+
+    def watched_child(trie, node, pair):
+        found = child(trie, node, pair)
+        sizes.append(len(trie.nodes))
+        return found
+
+    def watched_clear(trie):
+        clears.append(len(trie.nodes))
+        clear(trie)
+
+    monkeypatch.setattr(realize, "_TRIE_NODES", cap)
+    monkeypatch.setattr(realize._Trie, "child", watched_child)
+    monkeypatch.setattr(realize._Trie, "clear", watched_clear)
+    capped = search_labeling(problem)
+    _assert_same_verdict(capped, uncapped)
+    five = ("nodes", "candidates", "backtracks", "probes", "pruned")
+    assert [capped.stats[key] for key in five] == [uncapped.stats[key] for key in five]
+    assert capped.stats["reduced"] >= uncapped.stats["reduced"]
+    # the first clear makes the root; each later one finds the trie full
+    assert sizes and max(sizes) <= cap
+    assert len(clears) > 1 and set(clears[1:]) == {cap}
 
 
 def test_cofactor_row_expands_the_determinant():
